@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 import numpy as np
@@ -12,11 +13,17 @@ from . import harness, loads, recovery, solvers
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="lab", description=__doc__)
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+                        help="level of the package's log messages on stderr "
+                             "(default WARNING; INFO shows the Newton polish outcomes)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "check-load", "limit", "recover"):
         p = sub.add_parser(name)
         p.add_argument("config")
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("signorini_lab").setLevel(args.log_level)
 
     try:
         cfg = harness.parse_config(args.config)

@@ -405,10 +405,10 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0,
         load_center=center, load_center_residual=residual, load_center_interior=interior,
         axis_identity_residual=float(eq_worst), axis_compression_worst=float(comp_worst),
         remark_0l_residual=float(max(abs(t_mom[0, 2]), abs(t_mom[1, 2]))),
-        l0_l1_gap=0.0, l0_unbounded=l0_unbounded,
-        conditions_basic_ok=conditions_basic_ok,
-        shear_ok=worst_shear <= tol,
-        global_phi_ok=worst_phi <= tol,
+        l0_l1_gap=0.0, l0_unbounded=bool(l0_unbounded),
+        conditions_basic_ok=bool(conditions_basic_ok),
+        shear_ok=bool(worst_shear <= tol),
+        global_phi_ok=bool(worst_phi <= tol),
         seed=seed, budget=budget, tol=tol, violations=tuple(violations),
     )
     return report

@@ -3,7 +3,8 @@
 The quadratic limit problems are solved exactly: the kernel maximum in the
 load term turns the objective into min over a rotation angle of convex QPs
 (min_u [quad(u) - L(R_theta u)] swapped with the max), each solved by a primal
-active-set method with dense KKT solves. The nonlinear problems use an
+active-set method that factors the KKT matrix of each working set once and
+reuses it across iterations and angles. The nonlinear problems use an
 augmented Lagrangian on the per-element determinant with kappa continuation,
 projected L-BFGS-B inner solves, a seeded multistart, and an optional Newton
 polish of the KKT system on the identified active set.
@@ -16,6 +17,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize, minimize_scalar
 
 from .geometry import Mesh, ObstacleSet
@@ -97,6 +99,7 @@ class SolveResult:
     b_star: np.ndarray = None
     theta_star: float = None
     rotation: Rotation = None
+    polish: str = None   # Newton polish outcome: "ok" or why it was not used
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +183,48 @@ def obstacle_bound_dofs(obstacle):
 # ---------------------------------------------------------------------------
 # exact QP
 
+def _kkt_factor(h, a_eq, working):
+    """Truncated eigendecomposition of the symmetric KKT matrix of one working set.
+
+    Eigenpairs with |lambda| <= eps * dim * max|lambda| are dropped, which is
+    lstsq's default cutoff (the singular values are the |lambda|), so
+    v @ ((v.T @ rhs) / lambda) is the same minimum-norm solution.
+    """
+    n = h.shape[0]
+    n_eq = a_eq.shape[0] if a_eq is not None and len(a_eq) else 0
+    dim = n + n_eq + len(working)
+    kkt = np.zeros((dim, dim))
+    kkt[:n, :n] = h
+    if n_eq:
+        kkt[:n, n:n + n_eq] = a_eq.T
+        kkt[n:n + n_eq, :n] = a_eq
+    for r, i in enumerate(working):
+        kkt[i, n + n_eq + r] = 1.0
+        kkt[n + n_eq + r, i] = 1.0
+    lam, v = scipy.linalg.eigh(kkt, driver="evr")
+    keep = np.abs(lam) > np.finfo(float).eps * dim * np.abs(lam).max(initial=0.0)
+    return v[:, keep], lam[keep]
+
+
 def active_set_qp(h, g, a_eq, b_eq, bound_idx, tol_mu=1e-9, max_iter=None,
-                  warm_working=None):
+                  warm_working=None, factors=None):
     """min (1/2) x^T H x + g^T x  s.t.  A_eq x = b_eq,  x_i >= 0 for i in bound_idx.
 
-    Primal active-set method with dense least-squares KKT solves (H may be
-    singular; the minimum-norm step keeps flat directions pinned). Returns
-    (x, info) with the bound multipliers of the final working set.
+    Primal active-set method. The KKT matrix of each working set is factored
+    once and reused for every later step on that working set; its solves give
+    the minimum-norm solution (H may be singular and A_eq rank-deficient; the
+    minimum-norm step keeps flat directions pinned). `factors` maps
+    tuple(working set) to a factorization and may be shared by calls with the
+    same H and A_eq (g and b_eq may differ), as across an angle scan; by
+    default it is local to the call. Returns (x, info) with the bound
+    multipliers of the final working set.
     """
     n = h.shape[0]
     g = np.asarray(g, dtype=float)
     bound_idx = np.asarray(bound_idx, dtype=int)
     n_eq = a_eq.shape[0] if a_eq is not None and len(a_eq) else 0
+    if factors is None:
+        factors = {}
     x = np.zeros(n)
     working = list(bound_idx) if warm_working is None else list(warm_working)
     if max_iter is None:
@@ -200,21 +233,16 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, tol_mu=1e-9, max_iter=None,
     mu = np.zeros(0)
     for _ in range(max_iter):
         iters += 1
-        rows = n_eq + len(working)
-        kkt = np.zeros((n + rows, n + rows))
-        kkt[:n, :n] = h
+        key = tuple(working)
+        if key not in factors:
+            factors[key] = _kkt_factor(h, a_eq, working)
+        v, lam = factors[key]
         rhs = np.concatenate([-g, np.asarray(b_eq, dtype=float) if n_eq else np.zeros(0),
                               np.zeros(len(working))])
-        if n_eq:
-            kkt[:n, n:n + n_eq] = a_eq.T
-            kkt[n:n + n_eq, :n] = a_eq
-        for r, i in enumerate(working):
-            kkt[i, n + n_eq + r] = 1.0
-            kkt[n + n_eq + r, i] = 1.0
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        sol = v @ ((v.T @ rhs) / lam)
         x_star, nu = sol[:n], sol[n:]
         p = x_star - x
-        if np.abs(p).max() <= 1e-12 * max(1.0, np.abs(x).max()):
+        if np.abs(p).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(x).max(initial=0.0)):
             mu = -nu[n_eq:]
             if mu.size == 0 or mu.min() >= -tol_mu:
                 x = x_star
@@ -358,13 +386,14 @@ def minimize_limit(problem):
     zeros = np.zeros(b_mat.shape[0])
     total_iters = 0
     last_working = [None]
+    factors = {}   # H and B are fixed here: one factorization per working set
 
     def solve_theta(theta):
         nonlocal total_iters
         g = np.zeros(h.shape[0])
         g[:n3] = -_limit_load_vector(p, theta)
         x, info = active_set_qp(h, g, b_mat, zeros, bound_idx,
-                                warm_working=last_working[0])
+                                warm_working=last_working[0], factors=factors)
         last_working[0] = info["working_set"]
         total_iters += info["iterations"]
         return 0.5 * x @ h @ x + g @ x, x
@@ -552,7 +581,12 @@ def _al_solve(asm, y0, problem):
 
 
 def _newton_polish(asm, y, lam, problem, max_rounds=3):
-    """Solve the exact KKT system on the active set found by the AL phase."""
+    """Solve the exact KKT system on the active set found by the AL phase.
+
+    Returns ((y, nu), "ok") on success, else (None, reason) with reason
+    "no-convergence" (20 Newton steps on one active set) or
+    "active-set-cycling" (`max_rounds` active-set updates ran out).
+    """
     p = problem
     n3 = y.size
     bound_dofs = obstacle_bound_dofs(p.obstacle)
@@ -592,7 +626,7 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
             yk[free] += step[:nf]
             nu += step[nf:]
         if not converged:
-            return None
+            return None, "no-convergence"
         # bound feasibility and multiplier signs on the active set
         grad_full = grad_l
         mu = grad_full[sorted(active)] if active else np.zeros(0)
@@ -609,8 +643,8 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
                     active.add(i)
             y = yk
             continue
-        return yk, nu
-    return None
+        return (yk, nu), "ok"
+    return None, "active-set-cycling"
 
 
 def minimize_nonlinear(problem):
@@ -660,16 +694,18 @@ def minimize_nonlinear(problem):
     _, value, name, y, lam, det_res, trace, iters = best
 
     termination = f"augmented-lagrangian({name})"
-    polished = _newton_polish(asm, y, lam, p)
+    polished, polish = _newton_polish(asm, y, lam, p)
     if polished is not None:
         y_pol, _ = polished
         val_pol, det_pol = asm.objective(y_pol)
-        bound_ok = y_pol[obstacle_bound_dofs(p.obstacle)].min() >= -1e-12
-        if det_pol <= det_res + 1e-12 and bound_ok:
+        if det_pol > det_res + 1e-12:
+            polish = "rejected-det"
+        elif y_pol[obstacle_bound_dofs(p.obstacle)].min() < -1e-12:
+            polish = "rejected-bound"
+        else:
             y, value, det_res = y_pol, val_pol, det_pol
             termination += "+newton"
-    else:
-        logger.info("newton polish unavailable for start %s", name)
+    logger.info("newton polish at h=%g, start %s: %s", p.h, name, polish)
 
     if det_res > 1e-6:
         termination += ",det-residual-flagged"
@@ -686,6 +722,7 @@ def minimize_nonlinear(problem):
         iterations=iters,
         termination=termination,
         trace=trace,
+        polish=polish,
     )
 
 

@@ -1,3 +1,4 @@
+import logging
 import os
 
 import numpy as np
@@ -191,6 +192,28 @@ def test_cli_run_and_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ordering and equality: PASS" in out
+
+
+def test_cli_log_level(tmp_path, capsys, caplog):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix()))
+    package = logging.getLogger("signorini_lab")
+    try:
+        assert cli_main(["--log-level", "INFO", "run", cfg_path.as_posix()]) == 0
+        polish = [r.getMessage() for r in caplog.records
+                  if r.name == "signorini_lab.solvers" and "newton polish" in r.getMessage()]
+        assert len(polish) == 2  # one per h of the config
+        assert all(m.rsplit(": ", 1)[1] in ("ok", "no-convergence", "active-set-cycling",
+                                            "rejected-det", "rejected-bound")
+                   for m in polish)
+        capsys.readouterr()
+        assert cli_main(["check-load", cfg_path.as_posix()]) == 0
+        assert package.level == logging.WARNING
+        with pytest.raises(SystemExit):
+            cli_main(["--log-level", "CHATTY", "check-load", cfg_path.as_posix()])
+    finally:
+        package.setLevel(logging.NOTSET)
+    capsys.readouterr()
 
 
 def test_cli_bad_load_exit_code(tmp_path, capsys):

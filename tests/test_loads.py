@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -270,6 +272,16 @@ def test_moment_conditions_not_sufficient(mesh2, obstacle2, gravity):
     assert_allclose(rep.worst_phi, 1.0, rtol=1e-9)
     assert_allclose(rep.worst_phi_rotation.angle, np.pi, rtol=1e-9)
     assert abs(rep.worst_phi_rotation.axis[2]) < 1e-9
+
+
+def test_admissibility_flags_are_plain_bools(mesh2, obstacle2, gravity):
+    rep = sl.verify_global_admissibility(gravity, obstacle2, mesh2, budget=1000, seed=1)
+    flags = {name: getattr(rep, name) for name in (
+        "l0_unbounded", "conditions_basic_ok", "shear_ok", "global_phi_ok",
+        "load_center_interior", "admissible", "basic_admissible")}
+    for name, flag in flags.items():
+        assert type(flag) is bool, f"{name} is {type(flag).__name__}"
+    assert json.loads(json.dumps(flags)) == flags
 
 
 def test_rotation_type():

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 import signorini_lab as sl
 from conftest import random_divergence_free
 from signorini_lab import solvers
+from signorini_lab.geometry import volume_mass_matrix
 from signorini_lab.kinematics import DisplacementField
 from signorini_lab.loads import Rotation, load_vector
 from signorini_lab.solvers import (
@@ -210,6 +211,108 @@ def test_active_set_qp_infeasible_equalities():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(solvers.SolveFailure):
         active_set_qp(h, np.zeros(2), a, np.array([0.0, 1.0]), np.array([], dtype=int))
+
+
+def scan_load(mesh, rng):
+    """Gravity plus a random horizontal nodal force whose resultant and first
+    moments are projected out: it passes the gate like gravity, but its
+    rotated load vector depends on the angle."""
+    mass = volume_mass_matrix(mesh)
+    basis = np.column_stack([np.ones(mesh.num_nodes), mesh.nodes])
+    force = np.zeros((mesh.num_nodes, 3))
+    force[:, 2] = -1.0
+    for i in range(2):
+        f = rng.standard_normal(mesh.num_nodes)
+        force[:, i] = f - basis @ np.linalg.solve(basis.T @ mass @ basis, basis.T @ (mass @ f))
+    return sl.LoadSpec(f=sl.nodal_field(force))
+
+
+def test_active_set_qp_shared_factors_over_angles(mesh2, obstacle2, yeoh, monkeypatch):
+    load = scan_load(mesh2, np.random.default_rng(8))
+    p = make_problem(mesh2, obstacle2, yeoh, load, Variant.GI,
+                     sl.KernelClass.ROTATIONS_ABOUT_E3)
+    h = assemble_strain_hessian(mesh2, yeoh)
+    b = assemble_div_matrix(mesh2)
+    zeros = np.zeros(b.shape[0])
+    bound = obstacle_bound_dofs(obstacle2)
+    factored = []
+    kkt_factor = solvers._kkt_factor
+
+    def counting(h_, a_eq, working):
+        factored.append(tuple(working))
+        return kkt_factor(h_, a_eq, working)
+
+    monkeypatch.setattr(solvers, "_kkt_factor", counting)
+    factors, warm, solved = {}, None, []
+    for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+        g = -solvers._limit_load_vector(p, theta)
+        x, info = active_set_qp(h, g, b, zeros, bound, warm_working=warm, factors=factors)
+        solved.append((g, warm, x))
+        warm = info["working_set"]
+    shared = list(factored)
+    for g, warm, x in solved:
+        x_fresh, _ = active_set_qp(h, g, b, zeros, bound, warm_working=warm)
+        assert_allclose(x, x_fresh, rtol=0.0, atol=1e-12)
+    # every working set met is factored exactly once, and the angles share them
+    assert len(shared) == len(set(shared)) == len(factors)
+    assert set(shared) == set(factors)
+    assert len(factors) < len(factored) - len(shared)
+
+
+def test_active_set_qp_shared_factors_follow_the_working_set():
+    # one bound that g decides: no factorization of another working set leaks in
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((3, 3))
+    h = m @ m.T + 0.5 * np.eye(3)
+    a_eq = np.array([[1.0, 1.0, 1.0]])
+    bound = np.array([0, 1])
+    factors, warm, finals = {}, None, set()
+    for trial in range(12):
+        g = 2.0 * rng.standard_normal(3)
+        b_eq = np.array([0.5 * (trial % 3)])
+        x, info = active_set_qp(h, g, a_eq, b_eq, bound, warm_working=warm,
+                                factors=factors)
+        oracle = enumerate_qp_oracle(h, g, a_eq, b_eq, bound)
+        assert abs(0.5 * x @ h @ x + g @ x - oracle) < 1e-10, f"trial {trial}"
+        assert x[bound].min() >= -1e-12
+        assert np.abs(a_eq @ x - b_eq).max() < 1e-12
+        warm = info["working_set"]
+        finals.add(tuple(sorted(int(i) for i in warm)))
+    assert len(finals) > 1
+
+
+def test_active_set_qp_redundant_kuhn_rows(mesh2, obstacle2, yeoh, gravity):
+    # the per-element divergence rows of a Kuhn mesh are linearly dependent
+    # and H is singular (rigid modes): minimum-norm solves still reach the
+    # oracle's minimum
+    h = assemble_strain_hessian(mesh2, yeoh)
+    b = assemble_div_matrix(mesh2)
+    assert np.linalg.matrix_rank(b) < b.shape[0]
+    corners = [i for i in obstacle2.node_indices
+               if mesh2.nodes[i, 0] in (0.0, 1.0) and mesh2.nodes[i, 1] in (0.0, 1.0)]
+    bound = 3 * np.array(corners) + 2
+    g = -load_vector(gravity, mesh2).ravel()
+    x, _ = active_set_qp(h, g, b, np.zeros(b.shape[0]), bound)
+    oracle = enumerate_qp_oracle(h, g, b, np.zeros(b.shape[0]), bound)
+    assert abs(0.5 * x @ h @ x + g @ x - oracle) < 1e-10 * (1.0 + abs(oracle))
+    assert np.abs(b @ x).max() < 1e-12
+    # horizontal translations and the rotation about e3 leave the KKT system
+    # unchanged; the minimum-norm solution has no component along them
+    nodes = mesh2.nodes
+    flat = np.zeros((3, mesh2.num_nodes, 3))
+    flat[0, :, 0] = flat[1, :, 1] = 1.0
+    flat[2, :, 0], flat[2, :, 1] = -nodes[:, 1], nodes[:, 0]
+    assert np.abs(flat.reshape(3, -1) @ x).max() < 1e-10 * np.abs(x).max()
+
+
+def test_active_set_qp_degenerate_kkt_gives_zeros():
+    x, info = active_set_qp(np.zeros((2, 2)), np.zeros(2), np.zeros((0, 2)), np.zeros(0),
+                            np.array([1]))
+    assert_allclose(x, 0.0, atol=0.0)
+    assert info["iterations"] == 1
+    x, _ = active_set_qp(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0),
+                         np.array([], dtype=int))
+    assert x.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +542,42 @@ def test_nonlinear_gravity_between_bounds(mesh2, obstacle2, yeoh, gravity,
     objs = [t["objective"] for t in res.trace]
     best_so_far = np.minimum.accumulate(objs)
     assert all(b <= o + 1e-12 for b, o in zip(best_so_far, objs))
+
+
+POLISH_FAILURES = {"no-convergence", "active-set-cycling", "rejected-det", "rejected-bound"}
+
+
+def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity):
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                 obstacle=obstacle2, h=0.2, n_random_starts=0,
+                                 skip_admissibility_check=True)
+    res = solvers.minimize_nonlinear(p)
+    assert (res.polish == "ok") == ("+newton" in res.termination)
+    assert res.polish == "ok" or res.polish in POLISH_FAILURES
+    asm = solvers._NonlinearAssembler(p)
+    y = mesh2.nodes.ravel().copy()
+    lam = np.zeros(mesh2.num_elements)
+    assert solvers._newton_polish(asm, y, lam, p, max_rounds=0) == (None, "active-set-cycling")
+
+
+@pytest.mark.parametrize("reason", ["rejected-det", "rejected-bound"])
+def test_discarded_newton_polish_is_named(mesh1, yeoh, gravity, monkeypatch, reason):
+    obstacle = sl.extract_obstacle(mesh1)
+    p = solvers.NonlinearProblem(mesh=mesh1, material=yeoh, load=gravity,
+                                 obstacle=obstacle, h=0.3, n_random_starts=0,
+                                 skip_admissibility_check=True)
+    # a dilation breaks det = 1; a downward translation keeps det = 1 but
+    # pushes the contact nodes below the plane
+    if reason == "rejected-det":
+        y_bad = 1.01 * mesh1.nodes
+    else:
+        y_bad = mesh1.nodes - [0.0, 0.0, 1e-6]
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda asm, y, lam, problem: ((y_bad.ravel(), lam), "ok"))
+    res = solvers.minimize_nonlinear(p)
+    assert res.polish == reason
+    assert "+newton" not in res.termination
+    assert res.residuals["bound_min"] >= -1e-12 and res.residuals["det"] <= 1e-6
 
 
 def test_nonlinear_objective_recomputable(mesh2, obstacle2, yeoh, gravity):
