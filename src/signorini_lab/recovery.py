@@ -47,10 +47,11 @@ RHO_NORM = 315.0 / (64.0 * np.pi)
 # K = 4 pi int_0^1 |rho'(r)| r^2 dr, closed form for this bump.
 MOLLIFIER_K = 315.0 / 64.0
 
-KUHN_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-_PERM_LUT = np.full(27, -1, dtype=int)
-for _i, _p in enumerate(KUHN_PERMS):
-    _PERM_LUT[_p[0] * 9 + _p[1] * 3 + _p[2]] = _i
+# Kuhn element of a cell (index into geometry.KUHN_PERMS) from the comparisons
+# 4 (g0 >= g1) + 2 (g0 >= g2) + (g1 >= g2) of the parity-adjusted coordinates:
+# the chain walks the axes by decreasing g, lower axis first on ties, as a
+# stable argsort of -g does. Codes 2 and 5 are cyclic, so no real g reaches them.
+_KUHN_LUT = np.array([5, 3, -1, 2, 4, -1, 1, 0])
 
 
 def rho_bump(r):
@@ -103,6 +104,10 @@ class ReflectedExtension:
             signs[:, j] = np.where((total - flips[:, j]) % 2 == 1, -1.0, 1.0)
         self.values = signs * u[base_ids]
         self.gradients = self.mesh.element_gradients(self.values)
+        # the P1 field on element e is the affine map x -> G_e x + c_e
+        first = self.mesh.tets[:, 0]
+        self.offsets = self.values[first] - np.einsum(
+            "eij,ej->ei", self.gradients, self.mesh.nodes[first])
         self.divergences = np.trace(self.gradients, axis1=1, axis2=2)
 
         # blend = elements mixing nodes of different reflection parity
@@ -115,62 +120,35 @@ class ReflectedExtension:
         self.box_hi = self.ext_origin + 3 * self.lengths
 
     def locate(self, points):
-        """Cell indices, parity-adjusted local coordinates and their ordering.
+        """Element ids of the points, with the points as a float array.
 
         Within a cell of parity flags sigma the Kuhn chains run in the
-        coordinates g = f (sigma = 0) or g = 1 - f (sigma = 1), so location
-        reduces to sorting g exactly as for the unreflected subdivision.
+        coordinates g = f (sigma = 0) or g = 1 - f (sigma = 1), so the element
+        is fixed by the order of g exactly as for the unreflected subdivision.
         """
         p = np.asarray(points, dtype=float)
-        rel = (p - self.ext_origin) / (self.spacing)
-        if np.any(rel < -1e-9) or np.any(rel > 3 * self.div + 1e-9):
+        rel = (p - self.ext_origin) / self.spacing
+        if not np.all((rel >= -1e-9) & (rel <= 3 * self.div + 1e-9)):
             raise FlowDomainError(
                 "point outside the extension neighborhood (flow existence time exceeded)")
         cell = np.clip(np.floor(rel).astype(int), 0, self.ext_div - 1)
         frac = rel - cell
-        flags = (cell + self.parity) % 2
-        g = np.where(flags == 1, 1.0 - frac, frac)
-        order = np.argsort(-g, axis=1, kind="stable")
-        return cell, flags, g, order
-
-    def _chain_nodes(self, cell, flags, order):
-        npts = cell.shape[0]
-        coords = np.empty((npts, 4, 3), dtype=int)
-        coords[:, 0, :] = cell + flags
-        dirs = 1 - 2 * flags
-        step = np.zeros((npts, 3), dtype=int)
-        rows = np.arange(npts)
-        for a in range(3):
-            step = step.copy()
-            step[rows, order[:, a]] += dirs[rows, order[:, a]]
-            coords[:, a + 1, :] = coords[:, 0, :] + step
-        ny, nz = self.ext_div[1], self.ext_div[2]
-        return (coords[..., 0] * (ny + 1) + coords[..., 1]) * (nz + 1) + coords[..., 2]
-
-    def eval_values(self, points):
-        cell, flags, g, order = self.locate(points)
-        gs = np.take_along_axis(g, order, axis=1)
-        lam = np.stack([1.0 - gs[:, 0], gs[:, 0] - gs[:, 1],
-                        gs[:, 1] - gs[:, 2], gs[:, 2]], axis=1)
-        nodes = self._chain_nodes(cell, flags, order)
-        return np.einsum("pa,pai->pi", lam, self.values[nodes])
-
-    def element_ids(self, points):
-        cell, _, _, order = self.locate(points)
-        code = order[:, 0] * 9 + order[:, 1] * 3 + order[:, 2]
-        perm = _PERM_LUT[code]
+        g = np.where(((cell + self.parity) & 1).astype(bool), 1.0 - frac, frac)
+        code = (4 * (g[:, 0] >= g[:, 1]) + 2 * (g[:, 0] >= g[:, 2])
+                + (g[:, 1] >= g[:, 2]))
         ny, nz = self.ext_div[1], self.ext_div[2]
         lin = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
-        return lin * 6 + perm
+        return lin * 6 + _KUHN_LUT[code], p
+
+    def eval_values(self, points):
+        elem, p = self.locate(points)
+        return np.einsum("pij,pj->pi", self.gradients[elem], p) + self.offsets[elem]
 
     def eval_gradients(self, points):
-        return self.gradients[self.element_ids(points)]
+        return self.gradients[self.locate(points)[0]]
 
     def eval_divergences(self, points):
-        return self.divergences[self.element_ids(points)]
-
-    def eval_blend(self, points):
-        return self.blend_mask[self.element_ids(points)]
+        return self.divergences[self.locate(points)[0]]
 
 
 @dataclass
@@ -207,7 +185,7 @@ class SmoothField:
 
     def check_inside(self, points):
         p = np.atleast_2d(points)
-        if np.any(p < self.box_lo - 1e-12) or np.any(p > self.box_hi + 1e-12):
+        if not np.all((p >= self.box_lo - 1e-12) & (p <= self.box_hi + 1e-12)):
             raise FlowDomainError(
                 "trajectory left the validated neighborhood; existence time exceeded")
 
@@ -334,32 +312,29 @@ class FlowResult:
         return float(np.abs(self.element_det - 1.0).max())
 
 
-def _rk4_flow(v, x_nodes, x_cents, t_final, steps):
+def _rk4_flow(v, x, n_nodes, t_final, steps):
+    """RK4 states (delta, y) after each step for the stacked nodes and centroids
+    x; the variational deviation y lives on the centroids x[n_nodes:]."""
     dt = t_final / steps
-    delta_n = np.zeros_like(x_nodes)
-    delta_c = np.zeros_like(x_cents)
-    y_c = np.zeros((x_cents.shape[0], 3, 3))
+    delta = np.zeros_like(x)
+    y_c = np.zeros((x.shape[0] - n_nodes, 3, 3))
     eye = np.eye(3)
 
-    def rhs(dn, dc, yc):
-        v.check_inside(x_nodes + dn)
-        v.check_inside(x_cents + dc)
-        dn_dot = v(x_nodes + dn)
-        pos_c = x_cents + dc
-        dc_dot = v(pos_c)
-        yc_dot = np.einsum("pij,pjk->pik", v.gradient(pos_c), eye + yc)
-        return dn_dot, dc_dot, yc_dot
+    def rhs(d, yc):
+        pos = x + d
+        v.check_inside(pos)
+        return v(pos), np.einsum("pij,pjk->pik", v.gradient(pos[n_nodes:]), eye + yc)
 
     states = []
     for _ in range(steps):
-        k1 = rhs(delta_n, delta_c, y_c)
-        k2 = rhs(delta_n + 0.5 * dt * k1[0], delta_c + 0.5 * dt * k1[1], y_c + 0.5 * dt * k1[2])
-        k3 = rhs(delta_n + 0.5 * dt * k2[0], delta_c + 0.5 * dt * k2[1], y_c + 0.5 * dt * k2[2])
-        k4 = rhs(delta_n + dt * k3[0], delta_c + dt * k3[1], y_c + dt * k3[2])
-        delta_n = delta_n + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        delta_c = delta_c + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        y_c = y_c + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        states.append((delta_n, delta_c, y_c))
+        k1 = rhs(delta, y_c)
+        k2 = rhs(delta + 0.5 * dt * k1[0], y_c + 0.5 * dt * k1[1])
+        k3 = rhs(delta + 0.5 * dt * k2[0], y_c + 0.5 * dt * k2[1])
+        k4 = rhs(delta + dt * k3[0], y_c + dt * k3[1])
+        delta = delta + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        y_c = y_c + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        states.append((delta[:n_nodes], y_c))
+    v.check_inside(x + delta)
     return states
 
 
@@ -369,18 +344,22 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8, max_steps=1024)
     The variational equation for the spatial gradient is integrated alongside
     at element centroids; the deviation form keeps det grad z - 1 accurate at
     roundoff level. Step count doubles until the determinant drift passes
-    1e-8, and one Richardson halving check is recorded. The ledger stores the
-    sampled verification of the four flow bounds against the recorded norms.
+    1e-8. The Richardson check compares the delivered run with the run at half
+    its steps, reused from the doubling when it made one, so it bounds the
+    error of the coarser run and is conservative for the delivered one. The
+    ledger stores the sampled verification of the four flow bounds against the
+    recorded norms.
     """
     x_nodes = mesh.nodes
-    x_cents = mesh.nodes[mesh.tets].mean(axis=1)
+    x = np.concatenate([x_nodes, mesh.nodes[mesh.tets].mean(axis=1)])
+    n = x_nodes.shape[0]
     v0_nodes = v(x_nodes)
 
     steps = max(4, int(steps))
-    prev_res = None
+    prev_res = coarse = None
     while True:
-        states = _rk4_flow(v, x_nodes, x_cents, t_final, steps)
-        det_res = np.abs(det_minus_one_from_deviation(states[-1][2])).max()
+        states = _rk4_flow(v, x, n, t_final, steps)
+        det_res = np.abs(det_minus_one_from_deviation(states[-1][1])).max()
         if det_res <= 1e-8 or steps >= max_steps:
             break
         if prev_res is not None and det_res > 0.5 * prev_res:
@@ -388,24 +367,24 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8, max_steps=1024)
             # error (the field is not divergence free along the trajectories)
             logger.info("determinant drift %.2e insensitive to refinement", det_res)
             break
-        prev_res = det_res
+        prev_res, coarse = det_res, states
         steps *= 2
 
-    if steps <= 512:
-        states_half = _rk4_flow(v, x_nodes, x_cents, t_final, 2 * steps)
-        rich = {
-            "delta_diff": float(np.abs(states[-1][0] - states_half[-1][0]).max()),
-            "det_diff": float(np.abs(det_minus_one_from_deviation(states[-1][2])
-                                     - det_minus_one_from_deviation(states_half[-1][2])).max()),
-        }
-    else:
-        rich = {"skipped": True}
+    if coarse is None:
+        coarse = _rk4_flow(v, x, n, t_final, steps // 2)
+    (dn_c, yc_c), (dn_f, yc_f) = coarse[-1], states[-1]
+    rich = {
+        "steps": (steps // 2, steps),
+        "delta_diff": float(np.abs(dn_f - dn_c).max()),
+        "det_diff": float(np.abs(det_minus_one_from_deviation(yc_f)
+                                 - det_minus_one_from_deviation(yc_c)).max()),
+    }
 
     ledger = []
     sample_every = max(1, steps // max(1, ledger_samples))
     guard = 1.0 + 1e-10
     for k in range(sample_every - 1, steps, sample_every):
-        dn, dc, yc = states[k]
+        dn, yc = states[k]
         t = t_final * (k + 1) / steps
         disp = float(np.linalg.norm(dn, axis=1).max())
         grow = np.exp(t * v.grad_norm)
@@ -425,7 +404,7 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8, max_steps=1024)
                                                  entry["nuova2"], entry["flux3"]))
         ledger.append(entry)
 
-    dn, dc, yc = states[-1]
+    dn, yc = states[-1]
     defgrad = np.eye(3) + yc
     det = 1.0 + det_minus_one_from_deviation(yc)
     return FlowResult(z_nodes=x_nodes + dn, delta_nodes=dn, element_defgrad=defgrad,
@@ -559,12 +538,12 @@ def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
         y[:, 2] += beta
         if obstacle.num_nodes:
             y3 = y[obstacle.node_indices, 2]
-            if float(y3.min()) < -1e-12:
+            if not float(y3.min()) >= -1e-12:
                 node = obstacle.node_indices[int(np.argmin(y3))]
                 raise SolveFailure(
                     f"recovery admissibility violated at node {node}: y3 = {y3.min():.3e}")
         defgrad = np.einsum("ij,ejk->eik", rmat, flow.element_defgrad)
-        if flow.max_det_residual > 1e-6:
+        if not flow.max_det_residual <= 1e-6:
             raise SolveFailure(
                 f"recovery determinant residual {flow.max_det_residual:.3e} exceeds 1e-6")
         steps.append(RecoveryStep(

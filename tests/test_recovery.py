@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.linalg import expm
 
 import signorini_lab as sl
 from conftest import random_divergence_free
 from signorini_lab import recovery
+from signorini_lab.geometry import KUHN_PERMS
 from signorini_lab.kinematics import DisplacementField
 from signorini_lab.recovery import (
     MOLLIFIER_K,
@@ -46,6 +49,81 @@ def test_reflected_extension_matches_inside(mesh2):
                 expected = (1 - lam.sum()) * u[tet[0]] + lam @ u[tet[1:]]
                 assert_allclose(v, expected, atol=1e-12)
                 break
+
+
+def _containing_elements(mesh, point, tol=1e-12):
+    """Brute force: every element of the mesh whose barycentric coordinates of
+    the point are all >= -tol, with those coordinates."""
+    verts = mesh.nodes[mesh.tets]
+    mats = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0],
+                     verts[:, 3] - verts[:, 0]], axis=2)
+    lam = np.linalg.solve(mats, (point - verts[:, 0])[:, :, None])[:, :, 0]
+    bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    hit = np.flatnonzero(bary.min(axis=1) >= -tol)
+    return hit, bary[hit]
+
+
+@pytest.mark.parametrize("divisions", [2, 3])
+def test_reflected_extension_matches_brute_force_oracle(divisions, mesh2, mesh3):
+    # values and gradients over the whole extended box, reflected layer
+    # included, against a search over every element of the extended mesh;
+    # grid-aligned points on faces, edges and nodes are the tie cases of the
+    # location (odd divisions give the extension parity 1)
+    mesh = {2: mesh2, 3: mesh3}[divisions]
+    rng = np.random.default_rng(20 + divisions)
+    ext = ReflectedExtension(mesh, rng.standard_normal((mesh.num_nodes, 3)))
+    assert np.all(ext.parity == divisions % 2)
+    spread = rng.uniform(ext.box_lo, ext.box_hi, size=(200, 3))
+    aligned = []
+    for k in (1, 2, 3):  # k grid coordinates: points on faces, edges and nodes
+        free = rng.uniform(ext.box_lo, ext.box_hi, size=(40, 3))
+        grid = ext.box_lo + rng.integers(0, 3 * ext.div + 1, size=(40, 3)) * ext.spacing
+        on_grid = rng.permuted(np.tile([0, 1, 2], (40, 1)), axis=1) < k
+        aligned.append(np.where(on_grid, grid, free))
+    pts = np.concatenate([spread] + aligned)
+    vals = ext.eval_values(pts)
+    grads = ext.eval_gradients(pts)
+    for p, val, grad in zip(pts, vals, grads):
+        hit, bary = _containing_elements(ext.mesh, p)
+        assert hit.size, p
+        expected = bary[0] @ ext.values[ext.mesh.tets[hit[0]]]
+        assert_allclose(val, expected, rtol=0, atol=1e-12)
+        assert any(np.array_equal(grad, ext.gradients[e]) for e in hit), p
+
+
+def test_reflected_extension_ties_follow_stable_argsort(mesh2):
+    # on a Kuhn face (equal parity-adjusted coordinates) the located element
+    # is the one a stable descending sort of those coordinates names
+    ext = ReflectedExtension(mesh2, np.zeros((mesh2.num_nodes, 3)))
+    levels = (0.0, 0.25, 0.5)
+    fracs = np.array(list(itertools.product(levels, repeat=3)))
+    for cell in ([0, 0, 0], [1, 2, 3], [5, 4, 1]):
+        cell = np.array(cell)
+        pts = ext.ext_origin + ext.spacing * (cell + fracs)   # exact in binary
+        elem, _ = ext.locate(pts)
+        flags = (cell + ext.parity) % 2
+        g = np.where(flags == 1, 1.0 - fracs, fracs)
+        order = np.argsort(-g, axis=1, kind="stable")
+        perm = [KUHN_PERMS.index(tuple(o)) for o in order]
+        lin = (cell[0] * ext.ext_div[1] + cell[1]) * ext.ext_div[2] + cell[2]
+        assert_array_equal(elem, lin * 6 + np.array(perm))
+
+
+def test_non_finite_points_raise(mesh2):
+    # a NaN position is outside every domain: the flow and the location stop
+    # with a FlowDomainError instead of returning NaN positions
+    nan_field = synthetic_field(lambda p: np.full(p.shape, np.nan),
+                                lambda p: np.zeros((p.shape[0], 3, 3)),
+                                sup_norm=1.0, grad_norm=0.0,
+                                box_lo=[-10, -10, -10], box_hi=[10, 10, 10])
+    with pytest.raises(recovery.FlowDomainError):
+        recovery.integrate_flow(nan_field, 0.1, mesh2, steps=4)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(recovery.FlowDomainError):
+            nan_field.check_inside([[0.5, bad, 0.5]])
+    ext = ReflectedExtension(mesh2, np.zeros((mesh2.num_nodes, 3)))
+    with pytest.raises(recovery.FlowDomainError):
+        ext.eval_values([[0.5, 0.5, 0.5], [np.nan, 0.5, 0.5]])
 
 
 def test_reflected_extension_divergence_free_outside_blend(mesh2):
@@ -192,6 +270,33 @@ def test_flow_det_drift_refines_steps(mesh2):
     assert res.max_det_residual <= 1e-8
     oracle = expm(0.4 * a)
     assert np.abs(res.element_defgrad - oracle).max() < 1e-7
+
+
+def test_flow_richardson_reuses_the_doubling_run(mesh2):
+    # the stiff field of the test above doubles 4 -> 8 -> 16 steps; the
+    # Richardson check compares 8 with 16 steps and runs nothing extra
+    a = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])
+    stages = []
+
+    def grad(p):
+        stages.append(p.shape[0])
+        return np.tile(a, (p.shape[0], 1, 1))
+
+    v = synthetic_field(lambda p: p @ a.T, grad, sup_norm=6.0,
+                        grad_norm=float(np.linalg.norm(a)),
+                        box_lo=[-50, -50, -50], box_hi=[50, 50, 50])
+    res = recovery.integrate_flow(v, 0.4, mesh2, steps=4)
+    assert res.steps == 16
+    assert len(stages) == 4 * (4 + 8 + 16)
+    assert res.richardson["steps"] == (8, 16)
+    true_err = np.abs(res.z_nodes - mesh2.nodes @ expm(0.4 * a).T).max()
+    assert res.richardson["delta_diff"] >= true_err > 0.0
+    # no doubling: one extra run at half the steps
+    stages.clear()
+    res = recovery.integrate_flow(v, 1e-3, mesh2, steps=16)
+    assert res.steps == 16
+    assert len(stages) == 4 * (16 + 8)
+    assert res.richardson["steps"] == (8, 16)
 
 
 # ---------------------------------------------------------------------------
