@@ -8,6 +8,7 @@ from signorini_lab import solvers
 from signorini_lab.geometry import volume_mass_matrix
 from signorini_lab.kinematics import DisplacementField
 from signorini_lab.loads import Rotation, load_vector
+from signorini_lab.material import det_minus_one_from_deviation
 from signorini_lab.solvers import (
     Variant,
     active_set_qp,
@@ -512,6 +513,86 @@ def test_strain_energy_matches_oracle(mesh2, yeoh):
     b = rng.standard_normal(2)
     assert_allclose(strain_energy_quadratic(u, yeoh, mesh2, b=b),
                     quad_energy_oracle(u, yeoh, mesh2, b=b), rtol=1e-12)
+
+
+@pytest.mark.parametrize("with_shear", [False, True])
+def test_strain_hessian_is_twice_the_energy(mesh2, yeoh, with_shear):
+    # 0.5 x^T H x is the quadratic energy of x = (u, b); the bilinear form
+    # of two fields is its polarization
+    rng = np.random.default_rng(11)
+    h = assemble_strain_hessian(mesh2, yeoh, with_shear=with_shear)
+    n3 = 3 * mesh2.num_nodes
+    assert h.shape == (n3 + 2 * with_shear,) * 2
+    assert np.abs(h - h.T).max() <= 1e-14 * np.abs(h).max()
+    for _ in range(3):
+        x1, x2 = rng.standard_normal((2, h.shape[0]))
+        b1, b2 = (x[n3:] if with_shear else None for x in (x1, x2))
+        u1, u2 = (DisplacementField.from_nodal(mesh2, x[:n3].reshape(-1, 3)) for x in (x1, x2))
+        q1 = strain_energy_quadratic(u1, yeoh, mesh2, b=b1)
+        assert_allclose(0.5 * x1 @ h @ x1, q1, rtol=1e-12)
+        u12 = DisplacementField.from_nodal(mesh2, (x1 + x2)[:n3].reshape(-1, 3))
+        b12 = (x1 + x2)[n3:] if with_shear else None
+        q12 = strain_energy_quadratic(u12, yeoh, mesh2, b=b12)
+        q2 = strain_energy_quadratic(u2, yeoh, mesh2, b=b2)
+        assert_allclose(x1 @ h @ x2, q12 - q1 - q2, rtol=1e-10, atol=1e-12 * q12)
+
+
+def _central_jacobian(fun, y, step):
+    """Columns d fun / d y_k by central differences."""
+    cols = []
+    for k in range(y.size):
+        e = np.zeros(y.size)
+        e[k] = step
+        cols.append((np.asarray(fun(y + e)) - np.asarray(fun(y - e))) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.fixture(scope="module")
+def nonlinear_point(mesh2, obstacle2, yeoh, gravity):
+    """An assembler on cube 2 at h = 0.2, a deformation 5% off the identity
+    and multipliers near the identity pressure."""
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                 obstacle=obstacle2, h=0.2, skip_admissibility_check=True)
+    rng = np.random.default_rng(12)
+    y = mesh2.nodes.ravel() + 0.05 * rng.standard_normal(3 * mesh2.num_nodes)
+    lam = -yeoh.pressure + 0.3 * rng.standard_normal(mesh2.num_elements)
+    return solvers._NonlinearAssembler(p), y, lam
+
+
+def _deviation(mesh, y):
+    """Per-element F - I and |F|^2 - 3 of a flat deformation."""
+    d_el = mesh.element_gradients(y.reshape(-1, 3) - mesh.nodes)
+    return d_el, 2.0 * np.trace(d_el, axis1=1, axis2=2) + (d_el * d_el).sum(axis=(1, 2))
+
+
+def test_al_gradient_matches_central_differences(nonlinear_point):
+    asm, y, lam = nonlinear_point
+    kappa = 50.0
+    _, grad = asm.al_value_grad(y, lam, kappa)
+    fd = _central_jacobian(lambda yy: asm.al_value_grad(yy, lam, kappa)[0], y, 1e-6)
+    assert np.abs(grad - fd).max() <= 1e-8 * np.abs(grad).max()
+
+
+def test_lagrangian_hessian_matches_central_differences(nonlinear_point):
+    # the gradient of h^-2 sum vol W + sum nu vol (det - 1) - L/h is the AL
+    # gradient with lam = h^2 nu and kappa = 0
+    asm, y, lam = nonlinear_point
+    h2 = asm.p.h**2
+    nu = lam / h2
+    d_el, g = _deviation(asm.mesh, y)
+    hess = asm.lagrangian_hessian(d_el, g, nu)
+    assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+    fd = _central_jacobian(lambda yy: asm.al_value_grad(yy, lam, 0.0)[1], y, 1e-6)
+    assert np.abs(hess - fd).max() <= 1e-8 * np.abs(hess).max()
+
+
+def test_constraint_jacobian_matches_central_differences(nonlinear_point):
+    asm, y, _ = nonlinear_point
+    jac = asm.constraint_jacobian(_deviation(asm.mesh, y)[0])
+    fd = _central_jacobian(
+        lambda yy: asm.vols * det_minus_one_from_deviation(_deviation(asm.mesh, yy)[0]), y, 1e-6)
+    assert jac.shape == fd.shape
+    assert np.abs(jac - fd).max() <= 1e-8 * np.abs(jac).max()
 
 
 # ---------------------------------------------------------------------------
