@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 
 class MeshError(Exception):
@@ -33,10 +34,13 @@ PLANE_TOL = 1e-12
 
 @dataclass
 class Mesh:
-    """Immutable tetrahedral mesh with per-element P1 gradient operators.
+    """Immutable tetrahedral mesh with its P1 gradient operator.
 
     element_gradient_maps[e] is the 3x4 matrix G with (G @ f_nodal) the
     constant gradient of the P1 interpolant of a scalar field f on element e.
+    gradient_operator is the same map for vector fields as one sparse
+    (9M, 3N) matrix D: row 9e + 3i + j and column 3a + i hold G_e[j, a], so
+    (D @ u.ravel()).reshape(M, 3, 3)[e, i, j] = d u_i / d x_j on element e.
     boundary_area_vectors hold outward-oriented triangle area vectors.
     """
 
@@ -46,6 +50,7 @@ class Mesh:
     boundary_area_vectors: np.ndarray  # (B, 3)
     element_volumes: np.ndarray       # (M,)
     element_gradient_maps: np.ndarray  # (M, 3, 4)
+    gradient_operator: scipy.sparse.csr_array  # (9M, 3N)
     analytic_volume: float | None = None
     box_origin: np.ndarray | None = None
     box_lengths: np.ndarray | None = None
@@ -75,10 +80,9 @@ class Mesh:
         (M, 3, 3) with entry [e, i, j] = d u_i / d x_j on element e.
         """
         u = np.asarray(u, dtype=float)
-        vals = u[self.tets]  # (M, 4) or (M, 4, 3)
-        if vals.ndim == 2:
-            return np.einsum("eja,ea->ej", self.element_gradient_maps, vals)
-        return np.einsum("eja,eai->eij", self.element_gradient_maps, vals)
+        if u.ndim == 1:
+            return self.element_gradients(np.repeat(u[:, None], 3, axis=1))[:, 0, :]
+        return (self.gradient_operator @ u.ravel()).reshape(-1, 3, 3)
 
     def validate(self, rtol=1e-12):
         if np.any(self.element_volumes <= 0.0):
@@ -93,12 +97,9 @@ class Mesh:
         if closure > 1e-12 * max(scale, 1.0):
             raise MeshError(f"boundary does not close (residual {closure:.3e})")
         # P1 exactness: gradient of the coordinate field is the identity.
-        for k in range(3):
-            g = self.element_gradients(self.nodes[:, k])
-            ident = np.zeros(3)
-            ident[k] = 1.0
-            if np.abs(g - ident).max() > 1e-12 * max(1.0, np.abs(self.nodes).max()):
-                raise MeshError("coordinate field gradient is not the identity")
+        ident = self.element_gradients(self.nodes)
+        if np.abs(ident - np.eye(3)).max() > 1e-12 * max(1.0, np.abs(self.nodes).max()):
+            raise MeshError("coordinate field gradient is not the identity")
         return True
 
 
@@ -131,6 +132,20 @@ def _grad_maps(nodes, tets):
     g[:, :, 1:] = dinv
     g[:, :, 0] = -g[:, :, 1:].sum(axis=2)
     return vols, g
+
+
+def _gradient_operator(tets, grads, num_nodes):
+    """Sparse (9M, 3N) map of flat nodal vectors to flat element gradients.
+
+    Row 9e + 3i + j holds G_e[j, a] at column 3 tets[e, a] + i, a = 0..3.
+    """
+    m = tets.shape[0]
+    shape = (m, 3, 3, 4)   # element e, component i, direction j, local node a
+    data = np.broadcast_to(grads[:, None, :, :], shape).ravel()
+    cols = np.broadcast_to(3 * tets[:, None, None, :] + np.arange(3)[:, None, None], shape)
+    indptr = np.arange(0, data.size + 1, 4, dtype=np.int32)
+    return scipy.sparse.csr_array((data, cols.ravel().astype(np.int32), indptr),
+                                  shape=(9 * m, 3 * num_nodes))
 
 
 def _boundary_faces(tets):
@@ -168,6 +183,7 @@ def _finish_mesh(nodes, tets, analytic_volume=None, box=None):
         boundary_area_vectors=areas,
         element_volumes=vols,
         element_gradient_maps=grads,
+        gradient_operator=_gradient_operator(tets, grads, nodes.shape[0]),
         analytic_volume=analytic_volume,
     )
     if box is not None:
@@ -365,16 +381,37 @@ def integrate_surface(mesh, integrand, region="all"):
     return np.tensordot(areas, centroid_vals, axes=(0, 0))
 
 
+def _block_diagonal(blocks):
+    """Sparse block diagonal of per-element blocks (M, r, c), shape (M r, M c)."""
+    m, r, c = blocks.shape
+    return scipy.sparse.bsr_array((blocks, np.arange(m), np.arange(m + 1)),
+                                  shape=(m * r, m * c))
+
+
+def gradient_rows(mesh, rows):
+    """Dense (M, 3N) matrix whose row e maps u to rows[e] . vec(grad u) on element e."""
+    return (_block_diagonal(rows[:, None, :]) @ mesh.gradient_operator).toarray()
+
+
+def gradient_form(mesh, blocks):
+    """Dense (3N, 3N) matrix of u, v -> sum_e vec(grad u)_e . blocks[e] vec(grad v)_e."""
+    d = mesh.gradient_operator
+    return (d.T @ _block_diagonal(blocks) @ d).toarray()
+
+
+def _scatter(cells, weights, base, n):
+    """Dense n x n sum over cells c of weights[c] * base on the nodes cells[c]."""
+    pairs = (cells[:, :, None] * n + cells[:, None, :]).ravel()
+    vals = (weights[:, None, None] * base).ravel()
+    return np.bincount(pairs, weights=vals, minlength=n * n).reshape(n, n)
+
+
 def volume_mass_matrix(mesh):
     """Consistent P1 mass matrix, exact for products of P1 fields."""
     key = "vol_mass"
     if key not in mesh._cache:
-        n = mesh.num_nodes
-        mm = np.zeros((n, n))
         base = (np.ones((4, 4)) + np.eye(4)) / 20.0
-        for tet, vol in zip(mesh.tets, mesh.element_volumes):
-            mm[np.ix_(tet, tet)] += vol * base
-        mesh._cache[key] = mm
+        mesh._cache[key] = _scatter(mesh.tets, mesh.element_volumes, base, mesh.num_nodes)
     return mesh._cache[key]
 
 
@@ -383,13 +420,9 @@ def surface_mass_matrix(mesh, region="all"):
     idx = _resolve_region(mesh, region)
     key = ("surf_mass", tuple(idx.tolist()))
     if key not in mesh._cache:
-        n = mesh.num_nodes
-        mm = np.zeros((n, n))
         base = (np.ones((3, 3)) + np.eye(3)) / 12.0
         areas = np.linalg.norm(mesh.boundary_area_vectors[idx], axis=1)
-        for tri, area in zip(mesh.boundary_tris[idx], areas):
-            mm[np.ix_(tri, tri)] += area * base
-        mesh._cache[key] = mm
+        mesh._cache[key] = _scatter(mesh.boundary_tris[idx], areas, base, mesh.num_nodes)
     return mesh._cache[key]
 
 

@@ -117,9 +117,6 @@ class LoadSpec:
     f: FieldDescriptor = None
     g: tuple = ()      # ((region, FieldDescriptor), ...)
 
-    def norm_estimate(self, mesh):
-        return _mesh_cached(mesh, "norm", self, estimate_load_norm)
-
 
 def _array_key(a):
     return None if a is None else (np.shape(a), np.asarray(a, dtype=float).tobytes())
@@ -249,8 +246,6 @@ class AdmissibilityReport:
     load_center_interior: bool = None
     axis_identity_residual: float = 0.0     # max |L((a^x)_alpha e_alpha)| over axes
     axis_compression_worst: float = 0.0     # max L((a^(a^x))_alpha e_alpha) over axes
-    remark_0l_residual: float = 0.0         # max(|L(x3 e1)|, |L(x3 e2)|)
-    l0_l1_gap: float = 0.0
     l0_unbounded: bool = False
     conditions_basic_ok: bool = False
     shear_ok: bool = False
@@ -404,8 +399,7 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0,
         kernel_class=kernel,
         load_center=center, load_center_residual=residual, load_center_interior=interior,
         axis_identity_residual=float(eq_worst), axis_compression_worst=float(comp_worst),
-        remark_0l_residual=float(max(abs(t_mom[0, 2]), abs(t_mom[1, 2]))),
-        l0_l1_gap=0.0, l0_unbounded=bool(l0_unbounded),
+        l0_unbounded=bool(l0_unbounded),
         conditions_basic_ok=bool(conditions_basic_ok),
         shear_ok=bool(worst_shear <= tol),
         global_phi_ok=bool(worst_phi <= tol),
@@ -460,46 +454,6 @@ def find_load_center(load, obstacle, mesh):
         raise LoadError("load center undetermined")
     center, residual, interior = _load_center(f_res, t_mom, obstacle.hull_vertices_2d)
     return center, residual, interior
-
-
-def estimate_load_norm(load, mesh):
-    """Operator-norm surrogate: exact norm of L on a low-order polynomial subspace.
-
-    Probe fields are nodal interpolants of e_i, x_j e_i and x_j x_k e_i; the
-    value is sqrt(l^T G^-1 l) with G the H1 Gram matrix of the probes. Feeds
-    diagnostics only.
-    """
-    probes = []
-    n = mesh.num_nodes
-    x = mesh.nodes
-    for i in range(3):
-        v = np.zeros((n, 3))
-        v[:, i] = 1.0
-        probes.append(v)
-    for i in range(3):
-        for j in range(3):
-            v = np.zeros((n, 3))
-            v[:, i] = x[:, j]
-            probes.append(v)
-    for i in range(3):
-        for j in range(3):
-            for k in range(j, 3):
-                v = np.zeros((n, 3))
-                v[:, i] = x[:, j] * x[:, k]
-                probes.append(v)
-    ell = load_vector(load, mesh)
-    lvec = np.array([(ell * v).sum() for v in probes])
-    mm = volume_mass_matrix(mesh)
-    vols = mesh.element_volumes
-    gram = np.empty((len(probes), len(probes)))
-    grads = [mesh.element_gradients(v) for v in probes]
-    for a in range(len(probes)):
-        for b in range(a, len(probes)):
-            l2 = sum(probes[a][:, k] @ mm @ probes[b][:, k] for k in range(3))
-            h1 = float(np.sum(vols * (grads[a] * grads[b]).sum(axis=(1, 2))))
-            gram[a, b] = gram[b, a] = l2 + h1
-    coef, *_ = np.linalg.lstsq(gram, lvec, rcond=None)
-    return float(np.sqrt(max(lvec @ coef, 0.0)))
 
 
 def read_load_file(path):

@@ -118,13 +118,14 @@ def det_minus_one_from_deviation(d):
 
 
 def cofactor(f):
-    """Cofactor matrix, d det / d F, batched; exact polynomial (no inverse)."""
+    """Cofactor matrix, d det / d F, batched; exact polynomial (no inverse).
+
+    Row i is the cross product of rows i + 1 and i + 2 (cyclic).
+    """
     f = np.asarray(f, dtype=float)
-    c = np.empty_like(f)
-    c[..., 0, :] = np.cross(f[..., 1, :], f[..., 2, :])
-    c[..., 1, :] = np.cross(f[..., 2, :], f[..., 0, :])
-    c[..., 2, :] = np.cross(f[..., 0, :], f[..., 1, :])
-    return c
+    r1 = f[..., [1, 2, 0], :]
+    r2 = f[..., [2, 0, 1], :]
+    return r1[..., [1, 2, 0]] * r2[..., [2, 0, 1]] - r1[..., [2, 0, 1]] * r2[..., [1, 2, 0]]
 
 
 def incompressible_energy(f, m, mode="strict"):

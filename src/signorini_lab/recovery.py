@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import build_box_mesh, h1_norm
+from .geometry import build_box_mesh, gradient_form, h1_norm
 from .kinematics import DeformationField, DisplacementField
 from .loads import Rotation, load_vector
 from .material import det_minus_one_from_deviation, yeoh_energy_from_deviation
 from .solvers import (
     SolveFailure,
     active_set_qp,
+    assemble_div_matrix,
     max_load_over_kernel,
     optimal_shear_b,
     strain_energy_quadratic,
@@ -415,16 +416,6 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8, max_steps=1024)
 # ---------------------------------------------------------------------------
 # Bogovskii corrector
 
-def _scalar_stiffness(mesh):
-    n = mesh.num_nodes
-    k = np.zeros((n, n))
-    g = mesh.element_gradient_maps
-    kel = np.einsum("e,eia,eib->eab", mesh.element_volumes, g, g)
-    for e, tet in enumerate(mesh.tets):
-        k[np.ix_(tet, tet)] += kel[e]
-    return k
-
-
 def bogovskii_correct(v_field, mesh, tol=1e-9):
     """Gradient-minimal w with per-element div w = -div v + mean(div v), w = 0 on the boundary.
 
@@ -442,14 +433,10 @@ def bogovskii_correct(v_field, mesh, tol=1e-9):
     interior = np.array([i for i in range(mesh.num_nodes) if i not in boundary], dtype=int)
     free = (3 * interior[:, None] + np.arange(3)[None, :]).ravel()
 
-    from .solvers import assemble_div_matrix
-
     b_full = assemble_div_matrix(mesh)
-    ks = _scalar_stiffness(mesh)
+    # vector Laplacian: integral of grad w : grad w' is D^T (vol (x) I_9) D
+    k_full = gradient_form(mesh, vols[:, None, None] * np.eye(9))
     n3 = 3 * mesh.num_nodes
-    k_full = np.zeros((n3, n3))
-    for c in range(3):
-        k_full[c::3, c::3] = ks
 
     rhs_norm = float(np.sqrt(vols @ rhs**2))
     w_flat = np.zeros(n3)
@@ -500,7 +487,6 @@ class RecoveryStep:
     element_defgrad: np.ndarray    # R (I + Y) at centroids
     flow: FlowResult
     rotation: Rotation
-    mollified: SmoothField
 
 
 def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
@@ -549,7 +535,7 @@ def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
         steps.append(RecoveryStep(
             h=h, eps=eps, beta=float(beta), beta_closed_form=float(beta_closed_form),
             field=DeformationField.from_nodal(mesh, y),
-            element_defgrad=defgrad, flow=flow, rotation=rot, mollified=fld,
+            element_defgrad=defgrad, flow=flow, rotation=rot,
         ))
     return steps
 

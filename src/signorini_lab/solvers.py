@@ -8,6 +8,12 @@ reuses it across iterations and angles. The nonlinear problems use an
 augmented Lagrangian on the per-element determinant with kappa continuation,
 projected L-BFGS-B inner solves, a seeded multistart, and an optional Newton
 polish of the KKT system on the identified active set.
+
+Both sides are built from the mesh's sparse P1 gradient operator D (nodal
+displacements to element gradients): the strain Hessian and the Newton
+Hessian are D^T blockdiag(9x9 element blocks) D, the div rows and constraint
+Jacobian are blockdiag(element rows) D, and nodal gradients are D^T applied
+to the volume-weighted Piola stress.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize, minimize_scalar
 
-from .geometry import Mesh, ObstacleSet
+from .geometry import Mesh, ObstacleSet, gradient_form, gradient_rows
 from .kinematics import DeformationField, DisplacementField
 from .loads import KernelClass, LoadSpec, Rotation, load_vector
 from .material import MaterialModel, cofactor, det_minus_one_from_deviation
@@ -42,6 +48,16 @@ class Variant(enum.Enum):
 _SHEAR_MANDEL = np.zeros((6, 2))
 _SHEAR_MANDEL[4, 0] = np.sqrt(2.0) / 2.0
 _SHEAR_MANDEL[3, 1] = np.sqrt(2.0) / 2.0
+
+# Mandel strain of a displacement gradient: v = _MANDEL9 @ vec(grad u), vec index 3i + j.
+_MANDEL9 = np.zeros((6, 9))
+_MANDEL9[[0, 1, 2], [0, 4, 8]] = 1.0
+_MANDEL9[[3, 3, 4, 4, 5, 5], [5, 7, 2, 6, 1, 3]] = np.sqrt(2.0) / 2.0
+
+# Second derivative of det: vec(d2 det / dF dF) = _DET_HESS @ vec(F), from
+# d2 det / dF_ip dF_jq = eps_ijk eps_pqr F_kr.
+_LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2.0, (3, 3, 3))
+_DET_HESS = np.einsum("ijk,pqr->ipjqkr", _LEVI_CIVITA, _LEVI_CIVITA).reshape(81, 9)
 
 
 @dataclass
@@ -115,65 +131,27 @@ def mandel_batch(strains):
     ], axis=1)
 
 
-def _element_strain_ops(mesh):
-    """Per-element 6x12 operators from local dofs (3a + i) to Mandel strain."""
-    m = mesh.num_elements
-    g = mesh.element_gradient_maps
-    d = np.zeros((m, 6, 12))
-    r = np.sqrt(2.0) / 2.0
-    for a in range(4):
-        d[:, 0, 3 * a + 0] = g[:, 0, a]
-        d[:, 1, 3 * a + 1] = g[:, 1, a]
-        d[:, 2, 3 * a + 2] = g[:, 2, a]
-        d[:, 3, 3 * a + 1] = r * g[:, 2, a]
-        d[:, 3, 3 * a + 2] += r * g[:, 1, a]
-        d[:, 4, 3 * a + 0] = r * g[:, 2, a]
-        d[:, 4, 3 * a + 2] += r * g[:, 0, a]
-        d[:, 5, 3 * a + 0] += r * g[:, 1, a]
-        d[:, 5, 3 * a + 1] += r * g[:, 0, a]
-    return d
-
-
-def _local_dofs(mesh):
-    return (3 * mesh.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(mesh.num_elements, 12)
-
-
 def assemble_strain_hessian(mesh, material, with_shear=False):
-    """Dense Hessian of u -> 2 * integral Q^I(E(u)); optionally with shear columns."""
-    n3 = 3 * mesh.num_nodes
+    """Dense Hessian of u -> 2 * integral Q^I(E(u)); optionally with shear columns.
+
+    It is D^T blockdiag(vol_e S^T A S) D, with D the mesh's gradient operator,
+    S the 9 -> 6 Mandel strain map and A the incompressible tensor. The shear
+    columns are D^T (vol (x) S^T A m) for the shear Mandel vectors m.
+    """
     a_inc = material.incompressible_tensor
-    d_ops = _element_strain_ops(mesh)
-    dofs = _local_dofs(mesh)
+    a_s = a_inc @ _MANDEL9
     vols = mesh.element_volumes
-    k_el = np.einsum("e,eki,kl,elj->eij", vols, d_ops, a_inc, d_ops)
-    h = np.zeros((n3, n3))
-    for e in range(mesh.num_elements):
-        idx = dofs[e]
-        h[np.ix_(idx, idx)] += k_el[e]
+    h = gradient_form(mesh, vols[:, None, None] * (_MANDEL9.T @ a_s))
     if not with_shear:
         return h
-    c_el = np.einsum("e,eki,kl,lb->eib", vols, d_ops, a_inc, _SHEAR_MANDEL)
-    c = np.zeros((n3, 2))
-    for e in range(mesh.num_elements):
-        c[dofs[e]] += c_el[e]
+    c = mesh.gradient_operator.T @ np.kron(vols[:, None], a_s.T @ _SHEAR_MANDEL)
     h_bb = float(vols.sum()) * (_SHEAR_MANDEL.T @ a_inc @ _SHEAR_MANDEL)
-    out = np.zeros((n3 + 2, n3 + 2))
-    out[:n3, :n3] = h
-    out[:n3, n3:] = c
-    out[n3:, :n3] = c.T
-    out[n3:, n3:] = h_bb
-    return out
+    return np.block([[h, c], [c.T, h_bb]])
 
 
 def assemble_div_matrix(mesh):
-    """Rows map nodal displacements to per-element divergences."""
-    m, n3 = mesh.num_elements, 3 * mesh.num_nodes
-    b = np.zeros((m, n3))
-    g = mesh.element_gradient_maps
-    for a in range(4):
-        for i in range(3):
-            np.add.at(b, (np.arange(m), 3 * mesh.tets[:, a] + i), g[:, i, a])
-    return b
+    """Rows map nodal displacements to per-element divergences: the trace rows of D."""
+    return gradient_rows(mesh, np.tile(np.eye(3).ravel(), (mesh.num_elements, 1)))
 
 
 def obstacle_bound_dofs(obstacle):
@@ -443,7 +421,11 @@ def minimize_limit(problem):
 # nonlinear problem
 
 class _NonlinearAssembler:
-    """Energy, augmented-Lagrangian value/gradient and Newton blocks for G_h."""
+    """Energy, augmented-Lagrangian value/gradient and Newton blocks for G_h.
+
+    Every element quantity is a function of the element gradients D @ (y - x)
+    and is pulled back to nodal y through D^T.
+    """
 
     def __init__(self, problem):
         self.p = problem
@@ -452,12 +434,23 @@ class _NonlinearAssembler:
         self.x_flat = self.mesh.nodes.ravel()
         self.ell_flat = load_vector(problem.load, self.mesh).ravel()
         self.vols = self.mesh.element_volumes
-        self.tets = self.mesh.tets
-        self.gmaps = self.mesh.element_gradient_maps
+        self.d = self.mesh.gradient_operator
+        self.dt = self.d.T
 
     def deviation(self, y_flat):
-        d = (y_flat - self.x_flat).reshape(-1, 3)
-        return d, np.einsum("eja,eai->eij", self.gmaps, d[self.tets])
+        """Per-element F - I, |F|^2 - 3 and det F - 1."""
+        d_el = (self.d @ (y_flat - self.x_flat)).reshape(-1, 3, 3)
+        g = 2.0 * np.trace(d_el, axis1=1, axis2=2) + (d_el * d_el).sum(axis=(1, 2))
+        return d_el, g, det_minus_one_from_deviation(d_el)
+
+    def _yeoh(self, g):
+        return self.mat.c1 * g + self.mat.c2 * g**2 + self.mat.c3 * g**3
+
+    def _yeoh_slope(self, g):
+        return self.mat.c1 + 2.0 * self.mat.c2 * g + 3.0 * self.mat.c3 * g**2
+
+    def _load(self, y_flat):
+        return float(self.ell_flat @ (y_flat - self.x_flat)) / self.p.h
 
     def energy_parts(self, y_flat):
         """Rescaled energy with the pressure-compensated density W - p0 (det - 1).
@@ -466,83 +459,49 @@ class _NonlinearAssembler:
         energy; off it the compensation removes the first-order sensitivity
         h^-2 p0 (det - 1) that would otherwise let roundoff-level determinant
         residuals dominate the reported value at small h (the Yeoh stress at
-        the identity is the nonzero pressure p0 = 2 c1).
+        the identity is the nonzero pressure p0 = 2 c1). Returns (value, r).
         """
-        d_nodal, d_el = self.deviation(y_flat)
-        g = 2.0 * np.trace(d_el, axis1=1, axis2=2) + (d_el * d_el).sum(axis=(1, 2))
-        w = self.mat.c1 * g + self.mat.c2 * g**2 + self.mat.c3 * g**3
-        r = det_minus_one_from_deviation(d_el)
-        elastic = float(self.vols @ (w - self.mat.pressure * r)) / self.p.h**2
-        load = float(self.ell_flat @ (y_flat - self.x_flat)) / self.p.h
-        return elastic - load, r, (d_nodal, d_el, g, w)
+        _, g, r = self.deviation(y_flat)
+        elastic = float(self.vols @ (self._yeoh(g) - self.mat.pressure * r)) / self.p.h**2
+        return elastic - self._load(y_flat), r
 
     def objective(self, y_flat):
-        value, r, _ = self.energy_parts(y_flat)
+        value, r = self.energy_parts(y_flat)
         return value, float(np.abs(r).max())
+
+    def lagrangian_gradient(self, d_el, g, nu):
+        """Nodal gradient of h^-2 sum vol W + sum nu vol (det - 1) - L(y - x) / h:
+        D^T of the volume-weighted Piola stress 2 W'(g) F / h^2 + nu cof F."""
+        f_el = d_el + np.eye(3)
+        p_el = ((2.0 * self._yeoh_slope(g) / self.p.h**2)[:, None, None] * f_el
+                + nu[:, None, None] * cofactor(f_el))
+        return self.dt @ (self.vols[:, None, None] * p_el).ravel() - self.ell_flat / self.p.h
 
     def al_value_grad(self, y_flat, lam, kappa):
         """Augmented Lagrangian with the penalty inside the h^-2 scaling, the
         penalized incompressible density being W + lam r + (kappa/2) r^2."""
-        h = self.p.h
-        d_nodal, d_el = self.deviation(y_flat)
-        g = 2.0 * np.trace(d_el, axis1=1, axis2=2) + (d_el * d_el).sum(axis=(1, 2))
-        w = self.mat.c1 * g + self.mat.c2 * g**2 + self.mat.c3 * g**3
-        w1 = self.mat.c1 + 2.0 * self.mat.c2 * g + 3.0 * self.mat.c3 * g**2
-        f_el = d_el + np.eye(3)
-        r = det_minus_one_from_deviation(d_el)
-        cof = cofactor(f_el)
-        value = (float(self.vols @ (w + lam * r + 0.5 * kappa * r**2)) / h**2
-                 - float(self.ell_flat @ (y_flat - self.x_flat)) / h)
-        p_el = ((2.0 * w1)[:, None, None] * f_el
-                + (lam + kappa * r)[:, None, None] * cof) / h**2
-        contrib = np.einsum("e,eij,eja->eai", self.vols, p_el, self.gmaps)
-        grad = np.zeros_like(d_nodal)
-        np.add.at(grad, self.tets, contrib)
-        grad = grad.ravel() - self.ell_flat / h
-        return value, grad
+        h2 = self.p.h**2
+        d_el, g, r = self.deviation(y_flat)
+        value = (float(self.vols @ (self._yeoh(g) + lam * r + 0.5 * kappa * r**2)) / h2
+                 - self._load(y_flat))
+        return value, self.lagrangian_gradient(d_el, g, (lam + kappa * r) / h2)
 
     def constraint_jacobian(self, d_el):
-        """J[e, dof] = vol_e d(det F_e - 1)/dy, the volume-weighted constraint rows."""
-        m, n3 = self.mesh.num_elements, 3 * self.mesh.num_nodes
+        """J[e, dof] = vol_e d(det F_e - 1)/dy = blockdiag(vol_e vec(cof F_e)^T) D."""
         cof = cofactor(d_el + np.eye(3))
-        rows = np.einsum("e,eij,eja->eai", self.vols, cof, self.gmaps)
-        j = np.zeros((m, n3))
-        dofs = _local_dofs(self.mesh)
-        flat = rows.reshape(m, 12)
-        for e in range(m):
-            j[e, dofs[e]] += flat[e]
-        return j
+        return gradient_rows(self.mesh, self.vols[:, None] * cof.reshape(-1, 9))
 
     def lagrangian_hessian(self, d_el, g, nu):
-        """Dense Hessian of h^-2 W + nu vol (det - 1) with respect to nodal y."""
-        m, n3 = self.mesh.num_elements, 3 * self.mesh.num_nodes
-        h2 = self.p.h**2
-        f_el = d_el + np.eye(3)
-        w1 = self.mat.c1 + 2.0 * self.mat.c2 * g + 3.0 * self.mat.c3 * g**2
+        """Dense Hessian of h^-2 W + nu vol (det - 1) with respect to nodal y:
+        D^T blockdiag(h9_e) D with the 9x9 Hessians h9_e in F."""
+        m = d_el.shape[0]
+        vec_f = (d_el + np.eye(3)).reshape(m, 9)
         w1p = 2.0 * self.mat.c2 + 6.0 * self.mat.c3 * g
-        eps = np.zeros((3, 3, 3))
-        for i, j, k, s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                           (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
-            eps[i, j, k] = s
-        h9 = np.zeros((m, 9, 9))
-        vec_f = f_el.reshape(m, 9)
-        idx = np.eye(9)
-        for e in range(m):
-            hw = 2.0 * w1[e] * idx + 4.0 * w1p[e] * np.outer(vec_f[e], vec_f[e])
-            hdet = np.einsum("ijk,pqr,kr->ipjq", eps, eps, f_el[e]).reshape(9, 9)
-            h9[e] = (self.vols[e] / h2) * hw + nu[e] * self.vols[e] * hdet
-        # local map L: vec(grad v)_{3i+j} = sum_a G[j,a] v[3a+i]
-        big = np.zeros((n3, n3))
-        dofs = _local_dofs(self.mesh)
-        for e in range(m):
-            l_op = np.zeros((9, 12))
-            for i in range(3):
-                for j in range(3):
-                    for a in range(4):
-                        l_op[3 * i + j, 3 * a + i] = self.gmaps[e, j, a]
-            k_el = l_op.T @ h9[e] @ l_op
-            big[np.ix_(dofs[e], dofs[e])] += k_el
-        return big
+        hw = (2.0 * self._yeoh_slope(g)[:, None, None] * np.eye(9)
+              + 4.0 * w1p[:, None, None] * vec_f[:, :, None] * vec_f[:, None, :])
+        hdet = (vec_f @ _DET_HESS.T).reshape(m, 9, 9)
+        h9 = (self.vols / self.p.h**2)[:, None, None] * hw + (nu * self.vols)[:, None, None] * hdet
+        return gradient_form(self.mesh, h9)
 
 
 def _al_solve(asm, y0, problem):
@@ -570,7 +529,7 @@ def _al_solve(asm, y0, problem):
                                 "gtol": pgtol, "maxcor": 30})
         y = res.x
         total_iter += res.nit
-        value, r, _ = asm.energy_parts(y)
+        value, r = asm.energy_parts(y)
         det_res = float(np.abs(r).max())
         lam = lam + kappa * r
         trace.append({"stage": stage, "kappa": kappa, "objective": value,
@@ -591,7 +550,8 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
     n3 = y.size
     bound_dofs = obstacle_bound_dofs(p.obstacle)
     active = set(int(i) for i in bound_dofs if y[i] <= 1e-8)
-    nu = lam / p.h**2   # AL multipliers live in material units
+    h2 = p.h**2
+    nu = lam / h2   # AL multipliers live in material units
     for _ in range(max_rounds):
         yk = y.copy()
         if active:
@@ -599,32 +559,26 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
         free = np.array([i for i in range(n3) if i not in active], dtype=int)
         converged = False
         for _ in range(20):
-            _, d_el = asm.deviation(yk)
-            g = 2.0 * np.trace(d_el, axis1=1, axis2=2) + (d_el * d_el).sum(axis=(1, 2))
-            w1 = asm.mat.c1 + 2.0 * asm.mat.c2 * g + 3.0 * asm.mat.c3 * g**2
-            f_el = d_el + np.eye(3)
-            r = det_minus_one_from_deviation(d_el)
-            p_el = (2.0 * w1 / p.h**2)[:, None, None] * f_el + nu[:, None, None] * cofactor(f_el)
-            contrib = np.einsum("e,eij,eja->eai", asm.vols, p_el, asm.gmaps)
-            grad_l = np.zeros(n3)
-            np.add.at(grad_l.reshape(-1, 3), asm.tets, contrib)
-            grad_l -= asm.ell_flat / p.h
+            d_el, g, r = asm.deviation(yk)
+            grad_l = asm.lagrangian_gradient(d_el, g, nu)
             r1 = grad_l[free]
             r2 = asm.vols * r
             res_norm = max(np.abs(r1).max() if r1.size else 0.0, np.abs(r2).max())
-            if res_norm <= 1e-11 * max(1.0, 1.0 / p.h**2):
+            if res_norm <= 1e-11 * max(1.0, 1.0 / h2):
                 converged = True
                 break
             hess = asm.lagrangian_hessian(d_el, g, nu)
             jac = asm.constraint_jacobian(d_el)
             nf, m = free.size, r2.size
             kkt = np.zeros((nf + m, nf + m))
-            kkt[:nf, :nf] = hess[np.ix_(free, free)]
+            # the stationarity rows carry h^2: unscaled, the h^-2 Hessian
+            # pushes the constraint directions under lstsq's cutoff at small h
+            kkt[:nf, :nf] = h2 * hess[np.ix_(free, free)]
             kkt[:nf, nf:] = jac[:, free].T
             kkt[nf:, :nf] = jac[:, free]
-            step, *_ = np.linalg.lstsq(kkt, -np.concatenate([r1, r2]), rcond=None)
+            step, *_ = np.linalg.lstsq(kkt, -np.concatenate([h2 * r1, r2]), rcond=None)
             yk[free] += step[:nf]
-            nu += step[nf:]
+            nu += step[nf:] / h2
         if not converged:
             return None, "no-convergence"
         # bound feasibility and multiplier signs on the active set
@@ -729,7 +683,7 @@ def minimize_nonlinear(problem):
 def nonlinear_energy(y_field, problem, mode="strict"):
     """Rescaled energy G_h at a deformation; +inf in strict mode off det = 1."""
     asm = _NonlinearAssembler(problem)
-    value, r, _ = asm.energy_parts(np.asarray(y_field.y, dtype=float).ravel())
+    value, r = asm.energy_parts(np.asarray(y_field.y, dtype=float).ravel())
     det_res = float(np.abs(r).max())
     if mode == "strict" and det_res > 1e-6:
         return np.inf, det_res

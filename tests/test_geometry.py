@@ -57,6 +57,25 @@ def test_coordinate_gradient_is_identity(mesh2):
         assert np.abs(g - expected).max() < 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_gradient_operator_matches_element_maps(n):
+    mesh = sl.build_unit_cube_mesh(n)
+    d = mesh.gradient_operator
+    m = mesh.num_elements
+    assert d.shape == (9 * m, 3 * mesh.num_nodes)
+    # the coordinate map has gradient I on every element
+    ident = (d @ mesh.nodes.ravel()).reshape(m, 3, 3)
+    assert np.abs(ident - np.eye(3)).max() < 1e-13
+    # reference oracle: [e, i, j] = sum_a G_e[j, a] u[tets[e, a], i]
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        u = rng.standard_normal((mesh.num_nodes, 3))
+        want = np.einsum("eja,eai->eij", mesh.element_gradient_maps, u[mesh.tets])
+        assert_allclose((d @ u.ravel()).reshape(m, 3, 3), want, rtol=0, atol=1e-13)
+        assert_allclose(mesh.element_gradients(u), want, rtol=0, atol=1e-13)
+        assert_allclose(mesh.element_gradients(u[:, 0]), want[:, 0, :], rtol=0, atol=1e-13)
+
+
 def test_boundary_tiles_once(mesh2):
     # every boundary triangle appears exactly once and the surface closes up
     keys = {tuple(sorted(t)) for t in mesh2.boundary_tris}

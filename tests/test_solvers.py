@@ -641,6 +641,20 @@ def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity):
     assert solvers._newton_polish(asm, y, lam, p, max_rounds=0) == (None, "active-set-cycling")
 
 
+@pytest.mark.parametrize("h", [1e-3, 1e-4])
+def test_newton_polish_converges_at_small_h(mesh2, obstacle2, yeoh, gravity, h):
+    # the stationarity rows scale as h^-2 against O(1) constraint rows; an
+    # unbalanced KKT matrix loses the constraint directions to the least-squares
+    # cutoff and the polish ends with a worse determinant than it started from
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                 obstacle=obstacle2, h=h, n_random_starts=0,
+                                 skip_admissibility_check=True)
+    res = solvers.minimize_nonlinear(p)
+    assert res.polish == "ok"
+    assert res.residuals["det"] <= 1e-14
+    assert res.residuals["bound_min"] >= -1e-12
+
+
 @pytest.mark.parametrize("reason", ["rejected-det", "rejected-bound"])
 def test_discarded_newton_polish_is_named(mesh1, yeoh, gravity, monkeypatch, reason):
     obstacle = sl.extract_obstacle(mesh1)
