@@ -34,8 +34,6 @@ class ExperimentConfig:
     h_list: tuple = (0.2, 0.1, 0.05, 0.025)
     solver_maxiter: int = 5000
     solver_tol: float = 1e-8
-    multistart_seed: int = 1234
-    multistart_n: int = 1
     recovery_gamma: float = 0.25
     recovery_steps_per_h: int = 32
     recovery_ledger_samples: int = 8
@@ -134,8 +132,8 @@ def parse_config(source):
             cfg.solver_maxiter = int(tok[1])
             cfg.solver_tol = float(tok[2])
         elif key == "multistart":
-            cfg.multistart_seed = int(tok[1])
-            cfg.multistart_n = int(tok[2])
+            logger.warning("config directive 'multistart' has no effect: the nonlinear "
+                           "solver runs one warm-started path per h")
         elif key == "recovery":
             cfg.recovery_gamma = float(tok[1])
             cfg.recovery_steps_per_h = int(tok[2])
@@ -221,13 +219,12 @@ def run_experiment(cfg):
 
     records = []
     warm = None
-    for h in cfg.h_list:
+    for h, h_next in zip(cfg.h_list, (*cfg.h_list[1:], None)):
         problem = solvers.NonlinearProblem(
             mesh=mesh, material=mat, load=load, obstacle=obstacle, h=h,
             kappa0=cfg.penalty[0] * mat.c1, kappa_factor=cfg.penalty[1],
             kappa_stages=cfg.penalty[2], maxiter=cfg.solver_maxiter,
-            gtol=cfg.solver_tol, seed=cfg.multistart_seed,
-            n_random_starts=cfg.multistart_n, warm_start=warm,
+            gtol=cfg.solver_tol, warm_start=warm,
             kernel_class=kernel, skip_admissibility_check=True)
         try:
             res = solvers.minimize_nonlinear(problem)
@@ -257,10 +254,8 @@ def run_experiment(cfg):
             termination=res.termination))
         # chain the sweep: the next h starts from the current minimizer, rescaled
         warm = None
-        idx = list(cfg.h_list).index(h)
-        if idx + 1 < len(cfg.h_list):
-            scale = cfg.h_list[idx + 1] / h
-            warm = (mesh.nodes + scale * (y_field.y - mesh.nodes)).ravel()
+        if h_next is not None:
+            warm = (mesh.nodes + (h_next / h) * (y_field.y - mesh.nodes)).ravel()
 
     recovery_report = None
     if cfg.run_recovery:

@@ -109,12 +109,19 @@ def yeoh_stress(f, m):
 
 
 def det_minus_one_from_deviation(d):
-    """det(I + D) - 1 via the exact expansion tr D + m2(D) + det D (batched)."""
+    """det(I + D) - 1 via the exact expansion tr D + m2(D) + det D (batched).
+
+    m2 is the sum of the principal 2x2 minors; det D is the cofactor expansion
+    along the first row, whose first minor is also one of them.
+    """
     d = np.asarray(d, dtype=float)
-    tr = np.trace(d, axis1=-2, axis2=-1)
-    tr2 = np.trace(d @ d if d.ndim == 2 else np.einsum("...ij,...jk->...ik", d, d),
-                   axis1=-2, axis2=-1)
-    return tr + 0.5 * (tr**2 - tr2) + np.linalg.det(d)
+    d00, d01, d02 = d[..., 0, 0], d[..., 0, 1], d[..., 0, 2]
+    d10, d11, d12 = d[..., 1, 0], d[..., 1, 1], d[..., 1, 2]
+    d20, d21, d22 = d[..., 2, 0], d[..., 2, 1], d[..., 2, 2]
+    minor12 = d11 * d22 - d12 * d21
+    m2 = (d00 * d11 - d01 * d10) + (d00 * d22 - d02 * d20) + minor12
+    det = d00 * minor12 - d01 * (d10 * d22 - d12 * d20) + d02 * (d10 * d21 - d11 * d20)
+    return (d00 + d11 + d22) + m2 + det
 
 
 def cofactor(f):

@@ -5,9 +5,10 @@ load term turns the objective into min over a rotation angle of convex QPs
 (min_u [quad(u) - L(R_theta u)] swapped with the max), each solved by a primal
 active-set method that factors the KKT matrix of each working set once and
 reuses it across iterations and angles. The nonlinear problems use an
-augmented Lagrangian on the per-element determinant with kappa continuation,
-projected L-BFGS-B inner solves, a seeded multistart, and an optional Newton
-polish of the KKT system on the identified active set.
+augmented Lagrangian on the per-element determinant with kappa continuation
+and projected L-BFGS-B inner solves, run once per h from the identity or from
+a warm start (h-continuation along a sweep), followed by a Newton polish of
+the KKT system on the identified active set when it succeeds.
 
 Both sides are built from the mesh's sparse P1 gradient operator D (nodal
 displacements to element gradients): the strain Hessian and the Newton
@@ -73,8 +74,6 @@ class NonlinearProblem:
     det_target: float = 1e-6
     maxiter: int = 5000
     gtol: float = 1e-8
-    seed: int = 0
-    n_random_starts: int = 1
     warm_start: np.ndarray = None
     kernel_class: KernelClass = None
     skip_admissibility_check: bool = False
@@ -602,50 +601,29 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
 
 
 def minimize_nonlinear(problem):
-    """Best-effort global minimization of the rescaled incompressible energy.
+    """Minimize the rescaled incompressible energy along one solver path.
 
-    Multistart (identity, a kernel rotation, seeded random perturbations and an
-    optional warm start) feeds the augmented-Lagrangian solver; the best result
-    is polished by a Newton solve of the KKT system when possible. The reported
-    objective is the plain rescaled energy at the returned iterate, with the
-    determinant residual reported alongside.
+    One augmented-Lagrangian solve starts from the warm start when one is
+    given (in an h-sweep, the previous minimizer rescaled to this h) and from
+    the identity otherwise; a Newton solve of the KKT system on the identified
+    active set then polishes its result when it can. The reported objective is
+    the plain rescaled energy at the returned iterate, with the determinant
+    residual reported alongside. A failed AL solve raises SolveFailure naming
+    the start.
     """
     p = problem
     if not p.skip_admissibility_check:
         _check_basic_admissibility(p)
     asm = _NonlinearAssembler(p)
-    x_flat = p.mesh.nodes.ravel()
-    rng = np.random.default_rng(p.seed)
-
-    starts = [("identity", x_flat.copy())]
-    rot = Rotation.about_e3(0.3).matrix
-    y_rot = (p.mesh.nodes @ rot.T).ravel()
-    starts.append(("rotated", y_rot))
-    for k in range(p.n_random_starts):
-        pert = p.h * 0.1 * rng.standard_normal(x_flat.size)
-        y_r = x_flat + pert
-        y_r = y_r.reshape(-1, 3)
-        idx = p.obstacle.node_indices
-        y_r[idx, 2] = np.maximum(y_r[idx, 2], 0.0)
-        starts.append((f"random{k}", y_r.ravel()))
-    if p.warm_start is not None:
-        starts.insert(0, ("warm", np.asarray(p.warm_start, dtype=float).ravel().copy()))
-
-    best = None
-    for name, y0 in starts:
-        try:
-            y, lam, det_res, trace, iters = _al_solve(asm, y0, p)
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.warning("start %s failed: %s", name, exc)
-            continue
-        value, _ = asm.objective(y)
-        feasible = det_res <= 10.0 * p.det_target
-        cand = (not feasible, value, name, y, lam, det_res, trace, iters)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    if best is None:
-        raise SolveFailure("all starts diverged")
-    _, value, name, y, lam, det_res, trace, iters = best
+    if p.warm_start is None:
+        name, y0 = "identity", p.mesh.nodes.ravel().copy()
+    else:
+        name, y0 = "warm", np.asarray(p.warm_start, dtype=float).ravel().copy()
+    try:
+        y, lam, det_res, trace, iters = _al_solve(asm, y0, p)
+    except Exception as exc:
+        raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
+    value, _ = asm.objective(y)
 
     termination = f"augmented-lagrangian({name})"
     polished, polish = _newton_polish(asm, y, lam, p)

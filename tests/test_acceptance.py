@@ -127,7 +127,7 @@ def test_criterion_05_rotation_diagnostics(mesh2, obstacle2, yeoh, gravity):
     phis = []
     for i, h in enumerate(h_list):
         p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                     obstacle=obstacle2, h=h, n_random_starts=0,
+                                     obstacle=obstacle2, h=h,
                                      warm_start=warm, kernel_class=kernel,
                                      skip_admissibility_check=True)
         res = solvers.minimize_nonlinear(p)

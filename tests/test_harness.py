@@ -15,7 +15,6 @@ penalty 100 10 3
 f constant 0 0 -1
 h_list 0.3 0.15
 solver 4000 1e-8
-multistart 7 0
 output {out}
 seed 7
 budget 1000
@@ -30,7 +29,7 @@ def fake_record(h, gap, min_gtilde=-0.02):
         c=np.zeros(3))
 
 
-def test_parse_config_full(tmp_path):
+def test_parse_config_full(tmp_path, caplog):
     text = """domain box 2 3 1 1.0 2.0 0.5
 material yeoh 1.5 0.1 0.05
 penalty 50 5 4
@@ -47,14 +46,18 @@ tol_conv 1e-2
 budget 1200
 require_global_phi 0
 """
-    cfg = harness.parse_config(text)
+    with caplog.at_level(logging.WARNING, logger="signorini_lab.harness"):
+        cfg = harness.parse_config(text)
     assert cfg.domain == ("box", (2, 3, 1), (1.0, 2.0, 0.5))
     assert cfg.material == (1.5, 0.1, 0.05)
     assert cfg.penalty == (50.0, 5.0, 4)
     assert cfg.f_desc.kind == "affine"
     assert cfg.g_descs[0][0] == "top"
     assert cfg.h_list == (0.2, 0.1)
-    assert cfg.multistart_seed == 42 and cfg.multistart_n == 2
+    # multistart is accepted so that old configs parse, and only warns
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "multistart" in warnings[0] and "no effect" in warnings[0]
+    assert not hasattr(cfg, "multistart_seed") and not hasattr(cfg, "multistart_n")
     assert cfg.recovery_gamma == 0.5
     assert cfg.run_recovery
     assert cfg.tol_conv == 1e-2
@@ -115,6 +118,13 @@ def test_gap_recomputable(tmp_path):
         assert abs(rec.gap - (rec.inf_gh - report.min_gtilde)) < 1e-12
 
 
+def test_sweep_runs_one_warm_started_path(tmp_path):
+    cfg = harness.parse_config(FAST_CONFIG.format(out=tmp_path.as_posix()))
+    first, second = harness.run_experiment(cfg).records
+    assert first.termination.startswith("augmented-lagrangian(identity)")
+    assert second.termination.startswith("augmented-lagrangian(warm)")
+
+
 def test_run_experiment_byte_stable(tmp_path):
     cfg1 = harness.parse_config(FAST_CONFIG.format(out=(tmp_path / "r1").as_posix()))
     cfg2 = harness.parse_config(FAST_CONFIG.format(out=(tmp_path / "r2").as_posix()))
@@ -127,7 +137,7 @@ def test_run_experiment_byte_stable(tmp_path):
 def test_zero_load_run(tmp_path):
     cfg = harness.parse_config(
         "domain cube 1\nmaterial yeoh 1 0.2 0.1\nh_list 0.3 0.15\n"
-        f"output {tmp_path.as_posix()}\nbudget 1000\nmultistart 3 0")
+        f"output {tmp_path.as_posix()}\nbudget 1000")
     report = harness.run_experiment(cfg)
     assert report.degenerate
     for rec in report.records:
@@ -235,7 +245,6 @@ recovery 0.75 8 2
 run_recovery 1
 output {out}
 budget 1000
-multistart 5 0
 """
 
 
@@ -254,7 +263,7 @@ def test_recovery_error_is_reported_not_raised(tmp_path):
     cfg = harness.parse_config(
         "domain cube 2\nmaterial yeoh 1 0.2 0.1\nf constant 0 0 -1\n"
         "h_list 0.3 0.15\nrecovery 0.25 8 2\nrun_recovery 1\n"
-        f"output {tmp_path.as_posix()}\nbudget 1000\nmultistart 5 0")
+        f"output {tmp_path.as_posix()}\nbudget 1000")
     report = harness.run_experiment(cfg)
     assert report.recovery_report is not None
     assert "error" in report.recovery_report

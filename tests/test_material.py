@@ -169,6 +169,37 @@ def test_volume_correction_solves_det():
         assert abs(det_minus_one_from_deviation(d)) < 1e-14 * max(1.0, step**2)
 
 
+def _exact_det_minus_one(d):
+    """det(I + D) - 1 in rational arithmetic from the float entries of D."""
+    from fractions import Fraction
+
+    f = [[Fraction(float(d[i, j])) + (i == j) for j in range(3)] for i in range(3)]
+    det = (f[0][0] * (f[1][1] * f[2][2] - f[1][2] * f[2][1])
+           - f[0][1] * (f[1][0] * f[2][2] - f[1][2] * f[2][0])
+           + f[0][2] * (f[1][0] * f[2][1] - f[1][1] * f[2][0]))
+    return float(det - 1)
+
+
+def test_det_minus_one_matches_det():
+    rng = np.random.default_rng(11)
+    eye = np.eye(3)
+    for shape, scale in (((162,), 0.3), ((4, 5), 1.0)):
+        d = scale * rng.standard_normal(shape + (3, 3))
+        got = det_minus_one_from_deviation(d)
+        assert got.shape == shape
+        assert_allclose(got, np.linalg.det(eye + d) - 1.0, rtol=0, atol=1e-13)
+    d = rng.standard_normal((3, 3))
+    got = det_minus_one_from_deviation(d)
+    assert np.ndim(got) == 0
+    assert abs(got - (np.linalg.det(eye + d) - 1.0)) <= 1e-13
+    # at |D| ~ 1e-6 det(I + D) - 1 in floating point loses six digits to
+    # cancellation; the expansion must not, so the oracle is exact
+    for _ in range(20):
+        d = 1e-6 * rng.standard_normal((3, 3))
+        exact = _exact_det_minus_one(d)
+        assert abs(det_minus_one_from_deviation(d) - exact) <= 1e-12 * abs(exact)
+
+
 def test_taylor_remainder_table(yeoh):
     table = sl.verify_taylor_remainder(yeoh)
     hs = sorted(table, reverse=True)

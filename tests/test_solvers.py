@@ -600,7 +600,7 @@ def test_constraint_jacobian_matches_central_differences(nonlinear_point):
 
 def test_nonlinear_zero_load(mesh2, obstacle2, yeoh):
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=sl.LoadSpec(),
-                                 obstacle=obstacle2, h=0.2, n_random_starts=0,
+                                 obstacle=obstacle2, h=0.2,
                                  skip_admissibility_check=True)
     res = solvers.minimize_nonlinear(p)
     assert abs(res.objective) < 1e-10
@@ -611,7 +611,7 @@ def test_nonlinear_gravity_between_bounds(mesh2, obstacle2, yeoh, gravity,
                                           limit_gravity):
     res_lim, kernel = limit_gravity
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.1, n_random_starts=1,
+                                 obstacle=obstacle2, h=0.1,
                                  skip_admissibility_check=True)
     res = solvers.minimize_nonlinear(p)
     # no better than the identity (value 0), no worse than the limit minus slack
@@ -625,12 +625,68 @@ def test_nonlinear_gravity_between_bounds(mesh2, obstacle2, yeoh, gravity,
     assert all(b <= o + 1e-12 for b, o in zip(best_so_far, objs))
 
 
+def _random_start_oracle(p, n_starts=4, seed=0):
+    """Best polished value over seeded random starts, each an AL solve plus a
+    Newton polish, with the start perturbation the former multistart used."""
+    asm = solvers._NonlinearAssembler(p)
+    rng = np.random.default_rng(seed)
+    bound = obstacle_bound_dofs(p.obstacle)
+    best = np.inf
+    for _ in range(n_starts):
+        y0 = p.mesh.nodes.ravel() + p.h * 0.1 * rng.standard_normal(3 * p.mesh.num_nodes)
+        y0[bound] = np.maximum(y0[bound], 0.0)
+        y, lam, det_res, _, _ = solvers._al_solve(asm, y0, p)
+        value, _ = asm.objective(y)
+        polished, _ = solvers._newton_polish(asm, y, lam, p)
+        if polished is not None:
+            val_pol, det_pol = asm.objective(polished[0])
+            if det_pol <= det_res + 1e-12 and polished[0][bound].min() >= -1e-12:
+                value, det_res = val_pol, det_pol
+        if det_res <= 10.0 * p.det_target:
+            best = min(best, value)
+    return best
+
+
+def test_single_path_matches_random_multistart(mesh2, obstacle2, yeoh, gravity):
+    # the acceptance h list with the harness's warm chain; the deleted
+    # multistart serves as the oracle at every h
+    h_list = (0.2, 0.1, 0.05, 0.025)
+    warm = None
+    for h, h_next in zip(h_list, (*h_list[1:], None)):
+        p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                     obstacle=obstacle2, h=h, warm_start=warm,
+                                     skip_admissibility_check=True)
+        res = solvers.minimize_nonlinear(p)
+        assert res.polish == "ok"
+        oracle = _random_start_oracle(p)
+        assert np.isfinite(oracle)
+        assert res.objective <= oracle + 1e-12 * (1.0 + abs(res.objective)), (h, oracle)
+        if h_next is not None:
+            warm = (mesh2.nodes + (h_next / h) * (res.field.y - mesh2.nodes)).ravel()
+
+
+@pytest.mark.parametrize("start", ["identity", "warm"])
+def test_failed_al_solve_names_its_start(mesh2, obstacle2, yeoh, gravity, monkeypatch, start):
+    def fail(asm, y0, problem):
+        raise FloatingPointError("inner solve blew up")
+
+    monkeypatch.setattr(solvers, "_al_solve", fail)
+    warm = mesh2.nodes.ravel() if start == "warm" else None
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                 obstacle=obstacle2, h=0.2, warm_start=warm,
+                                 skip_admissibility_check=True)
+    message = f"augmented Lagrangian from start {start} failed: inner solve blew up"
+    with pytest.raises(solvers.SolveFailure, match=message) as info:
+        solvers.minimize_nonlinear(p)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 POLISH_FAILURES = {"no-convergence", "active-set-cycling", "rejected-det", "rejected-bound"}
 
 
 def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity):
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.2, n_random_starts=0,
+                                 obstacle=obstacle2, h=0.2,
                                  skip_admissibility_check=True)
     res = solvers.minimize_nonlinear(p)
     assert (res.polish == "ok") == ("+newton" in res.termination)
@@ -647,7 +703,7 @@ def test_newton_polish_converges_at_small_h(mesh2, obstacle2, yeoh, gravity, h):
     # unbalanced KKT matrix loses the constraint directions to the least-squares
     # cutoff and the polish ends with a worse determinant than it started from
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=h, n_random_starts=0,
+                                 obstacle=obstacle2, h=h,
                                  skip_admissibility_check=True)
     res = solvers.minimize_nonlinear(p)
     assert res.polish == "ok"
@@ -659,7 +715,7 @@ def test_newton_polish_converges_at_small_h(mesh2, obstacle2, yeoh, gravity, h):
 def test_discarded_newton_polish_is_named(mesh1, yeoh, gravity, monkeypatch, reason):
     obstacle = sl.extract_obstacle(mesh1)
     p = solvers.NonlinearProblem(mesh=mesh1, material=yeoh, load=gravity,
-                                 obstacle=obstacle, h=0.3, n_random_starts=0,
+                                 obstacle=obstacle, h=0.3,
                                  skip_admissibility_check=True)
     # a dilation breaks det = 1; a downward translation keeps det = 1 but
     # pushes the contact nodes below the plane
@@ -677,7 +733,7 @@ def test_discarded_newton_polish_is_named(mesh1, yeoh, gravity, monkeypatch, rea
 
 def test_nonlinear_objective_recomputable(mesh2, obstacle2, yeoh, gravity):
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.2, n_random_starts=0,
+                                 obstacle=obstacle2, h=0.2,
                                  skip_admissibility_check=True)
     res = solvers.minimize_nonlinear(p)
     value, det_res = solvers.nonlinear_energy(res.field, p, mode="penalized")
