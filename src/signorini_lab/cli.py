@@ -50,8 +50,9 @@ def main(argv=None):
         print(f"torque about e3     = {rep.torque_about_e3:.6e}")
         print(f"planar compression  = {rep.planar_compression:.6e}")
         print(f"worst shear         = {rep.worst_shear:.6e}")
-        print(f"worst Phi           = {rep.worst_phi:.6e} "
-              f"(axis {rep.worst_phi_rotation.axis}, angle {rep.worst_phi_rotation.angle:.4f})")
+        print(f"sup Phi in          [{rep.worst_phi_lower:.6e}, {rep.worst_phi:.6e}] "
+              f"(width {rep.worst_phi - rep.worst_phi_lower:.1e}; lower bound at axis "
+              f"{rep.worst_phi_rotation.axis}, angle {rep.worst_phi_rotation.angle:.4f})")
         if rep.kernel_class is not None:
             print(f"kernel              = {rep.kernel_class.value}")
         if rep.load_center is not None:

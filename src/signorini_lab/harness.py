@@ -169,12 +169,13 @@ def build_setup(cfg):
 
 
 def _admissibility_gate(report, cfg, zero_load):
-    """The enforced conditions are the linear-order ones plus the shear sweep.
+    """The enforced conditions are the linear-order ones plus the shear supremum.
 
-    The global Phi supremum is reported but only enforced on request: every
-    load with negative vertical moment (gravity included) is beaten by the
-    edge-flip rotations at angle pi, while the identity-neighborhood sweep and
-    the limit functionals are governed by the local conditions.
+    The global Phi supremum (its certified upper bound) is reported but only
+    enforced on request: every load with negative vertical moment (gravity
+    included) is beaten by the edge-flip rotations at angle pi, while the
+    identity-neighborhood sweep and the limit functionals are governed by the
+    local conditions.
     """
     if zero_load:
         return
@@ -224,8 +225,7 @@ def run_experiment(cfg):
             mesh=mesh, material=mat, load=load, obstacle=obstacle, h=h,
             kappa0=cfg.penalty[0] * mat.c1, kappa_factor=cfg.penalty[1],
             kappa_stages=cfg.penalty[2], maxiter=cfg.solver_maxiter,
-            gtol=cfg.solver_tol, warm_start=warm,
-            kernel_class=kernel, skip_admissibility_check=True)
+            gtol=cfg.solver_tol, warm_start=warm, skip_admissibility_check=True)
         try:
             res = solvers.minimize_nonlinear(problem)
         except solvers.SolveFailure as exc:

@@ -210,8 +210,8 @@ def _holder_seminorm_bound(lip, sup, gamma, diam):
                      lip * diam ** (1.0 - gamma)))
 
 
-def mollify(u_field, mesh, eps, gamma=0.25, nq=8, div_check=True):
-    """Discrete mollification of an extended displacement field.
+def mollify(ext, eps, gamma=0.25, nq=8, div_check=True):
+    """Discrete mollification of `ext`, the reflected extension of a displacement.
 
     The convolution v = u * rho_eps and its gradient are evaluated by one
     fixed nonnegative quadrature rule on the ball (exactly unit mass), so v is
@@ -221,7 +221,7 @@ def mollify(u_field, mesh, eps, gamma=0.25, nq=8, div_check=True):
     """
     if nq < 4:
         raise UnderResolvedError("eps is below two sampling-grid spacings (nq < 4)")
-    ext = ReflectedExtension(mesh, u_field.u if isinstance(u_field, DisplacementField) else u_field)
+    mesh = ext.base
     if eps <= 0.0 or eps >= 0.9 * float(ext.lengths.min()):
         raise UnderResolvedError("mollification radius must sit inside the reflected layer")
     offsets, weights = _ball_quadrature(eps, nq)
@@ -509,11 +509,12 @@ def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
     lifted = tilde_lift(u_field, b_star, mesh)
     maxval, rot = max_load_over_kernel(lifted, load, kernel_class, mesh)
     rmat = rot.matrix
+    ext = ReflectedExtension(mesh, lifted.u)    # only eps changes with h
 
     steps = []
     for h in h_list:
         eps = h ** (gamma / 2.0)
-        fld = mollify(lifted, mesh, eps, gamma=gamma, nq=nq)
+        fld = mollify(ext, eps, gamma=gamma, nq=nq)
         flow = integrate_flow(fld, h, mesh, steps=steps_per_h, ledger_samples=ledger_samples)
         norm = fld.holder_norm
         beta_closed_form = h * norm * (eps**gamma + np.expm1(MOLLIFIER_K * h / eps * norm))

@@ -75,7 +75,6 @@ class NonlinearProblem:
     maxiter: int = 5000
     gtol: float = 1e-8
     warm_start: np.ndarray = None
-    kernel_class: KernelClass = None
     skip_admissibility_check: bool = False
 
     def __post_init__(self):

@@ -121,15 +121,13 @@ def test_criterion_04_kernel_dichotomy(mesh2, obstacle2, gravity):
 def test_criterion_05_rotation_diagnostics(mesh2, obstacle2, yeoh, gravity):
     from signorini_lab import kinematics
 
-    kernel = sl.classify_kernel(gravity, obstacle2, mesh2)
     h_list = (1e-2, 1e-3, 1e-4, 2e-5)
     warm = None
     phis = []
     for i, h in enumerate(h_list):
         p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
                                      obstacle=obstacle2, h=h,
-                                     warm_start=warm, kernel_class=kernel,
-                                     skip_admissibility_check=True)
+                                     warm_start=warm, skip_admissibility_check=True)
         res = solvers.minimize_nonlinear(p)
         rot = kinematics.optimal_rotation(res.field, mesh2)
         phis.append(abs(sl.phi(gravity, obstacle2, rot, mesh2)))
@@ -207,7 +205,8 @@ def test_criterion_08_flow_ledger(mesh2, mesh3):
     for count in range(10):
         mesh, eps, t = cases[count % len(cases)]
         u = random_divergence_free(mesh, rng, scale=0.2)
-        fld = recovery.mollify(u, mesh, eps=eps, gamma=0.25, nq=6)
+        ext = recovery.ReflectedExtension(mesh, u.u)
+        fld = recovery.mollify(ext, eps=eps, gamma=0.25, nq=6)
         res = recovery.integrate_flow(fld, t, mesh, steps=8, ledger_samples=4)
         worst_det = max(worst_det, res.max_det_residual)
         for entry in res.ledger:

@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy.optimize import minimize
+from scipy.spatial.transform import Rotation as ScipyRotation
+
 import signorini_lab as sl
-from signorini_lab.loads import Rotation, load_moments, load_vector, shear_functional
+from signorini_lab.loads import (
+    Rotation,
+    _davenport,
+    _phi_batch,
+    _quaternion_rotation,
+    _shear_batch,
+    load_moments,
+    load_vector,
+    shear_functional,
+)
 
 
 def quadrature_oracle(load, field_fn, n=6):
@@ -143,6 +155,143 @@ def test_verify_admissibility_failures(mesh2, obstacle2):
     rep2 = sl.verify_global_admissibility(side, obstacle2, mesh2, budget=1000, seed=0)
     assert any("L(e1)" in v for v in rep2.violations)
     assert_allclose(rep2.L_e1, 1.0, rtol=1e-12)
+
+
+def sampled_suprema(load, obstacle, mesh, budget=1500, seed=0):
+    """Independent oracle: lower estimates of sup Phi and sup shear over SO(3).
+
+    A structured net of rotations (13 axes times 6 angles, and the identity),
+    `budget` uniform random rotations, and Nelder-Mead ascent in the rotation
+    vector from the ten best of them, for each functional; floored at the
+    identity's value 0.
+    """
+    f_res, t_mom = load_moments(load, mesh)
+    hull = obstacle.hull_vertices_2d
+    axes = [*np.eye(3)]
+    for s1 in (-1.0, 1.0):
+        axes += [np.array([s1, 1.0, 0.0]) / np.sqrt(2), np.array([s1, 0.0, 1.0]) / np.sqrt(2),
+                 np.array([0.0, s1, 1.0]) / np.sqrt(2), np.array([s1, 1.0, 1.0]) / np.sqrt(3)]
+    angles = np.pi * np.arange(1, 7) / 6
+    net = ScipyRotation.from_rotvec([ax * ang for ax in axes for ang in angles]).as_matrix()
+    quats = np.random.default_rng(seed).standard_normal((budget, 4))
+    mats = np.concatenate([np.eye(3)[None], net, ScipyRotation.from_quat(quats).as_matrix()])
+    out = []
+    for objective in (lambda m: _phi_batch(m, f_res, t_mom, hull),
+                      lambda m: _shear_batch(m, t_mom)):
+        vals = objective(mats)
+        best = float(vals.max())
+        for mat in mats[np.argsort(vals)[-10:]]:
+            res = minimize(
+                lambda w: -objective(ScipyRotation.from_rotvec(w).as_matrix()[None])[0],
+                ScipyRotation.from_matrix(mat).as_rotvec(), method="Nelder-Mead",
+                options={"maxiter": 300, "xatol": 1e-12, "fatol": 1e-14})
+            best = max(best, -res.fun)
+        out.append(max(best, 0.0))
+    return out
+
+
+def test_davenport_identity():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        b = rng.standard_normal((3, 3))
+        rmat = _quaternion_rotation(q)
+        assert_allclose(rmat @ rmat.T, np.eye(3), atol=1e-14)
+        assert abs(np.linalg.det(rmat) - 1.0) < 1e-14
+        assert abs(q @ _davenport(b) @ q - (rmat * b).sum()) < 1e-14 * (1 + np.abs(b).sum())
+    batch = rng.standard_normal((2, 5, 3, 3))
+    assert_allclose(_davenport(batch)[1, 3], _davenport(batch[1, 3]), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("cube", [2, 3])
+def test_bracket_contains_the_sampled_supremum(cube, request, test_loads):
+    mesh = request.getfixturevalue(f"mesh{cube}")
+    obstacle = request.getfixturevalue(f"obstacle{cube}")
+    for load in test_loads:
+        rep = sl.verify_global_admissibility(load, obstacle, mesh, budget=1500, seed=0)
+        phi_sampled, shear_sampled = sampled_suprema(load, obstacle, mesh)
+        assert phi_sampled <= rep.worst_phi + 1e-12
+        assert rep.worst_phi_lower >= phi_sampled - 1e-12
+        assert rep.worst_phi - rep.worst_phi_lower <= 1e-12
+        assert abs(sl.phi(load, obstacle, rep.worst_phi_rotation, mesh)
+                   - rep.worst_phi_lower) <= 1e-12
+        assert shear_sampled <= rep.worst_shear + 1e-12
+        assert abs(max(shear_functional(load, rep.worst_shear_rotation, mesh), 0.0)
+                   - rep.worst_shear) <= 1e-12
+
+
+def test_bracket_holds_for_loads_failing_the_conditions(mesh2, obstacle2):
+    # these loads fail the linear-order conditions, so the load center is no
+    # dual optimum: the bracket comes from the SLSQP dual and the Nelder-Mead
+    # ascent. It stays certified; for the random affine load it is left open
+    # (the SDP relaxation is not tight there).
+    side = sl.LoadSpec(f=sl.constant_field([1.0, 0.0, -1.0]))
+    a = np.array([[-0.96, 1.6, 0.2], [-1.73, -0.08, -1.16], [-0.63, -0.49, -0.71]])
+    affine = sl.LoadSpec(f=sl.affine_field(a, [0.55, -0.06, -0.59]))
+    widths = []
+    for load in (side, affine):
+        rep = sl.verify_global_admissibility(load, obstacle2, mesh2)
+        phi_sampled, shear_sampled = sampled_suprema(load, obstacle2, mesh2)
+        assert not rep.conditions_basic_ok and not rep.global_phi_ok
+        assert phi_sampled <= rep.worst_phi + 1e-12
+        assert rep.worst_phi_lower >= phi_sampled - 1e-12
+        assert shear_sampled <= rep.worst_shear + 1e-12
+        widths.append(rep.worst_phi - rep.worst_phi_lower)
+    assert widths[0] <= 1e-12
+    assert 1e-3 < widths[1] < 0.05
+
+
+def test_bracket_degenerate_loads(mesh2, obstacle2, identity_only_load):
+    zero = sl.verify_global_admissibility(sl.LoadSpec(), obstacle2, mesh2)
+    assert (zero.worst_phi_lower, zero.worst_phi, zero.worst_shear) == (0.0, 0.0, 0.0)
+    assert zero.worst_phi_rotation.angle == 0.0 and zero.global_phi_ok
+    # F3 > 0: the exact branch; the third row u of R maximizes
+    # (u1 + u2 + u3 - 1) / 2 - min(0, u1, u2, u1 + u2) at u = (-1, -1, 1) / sqrt(3)
+    up = sl.verify_global_admissibility(sl.LoadSpec(f=sl.constant_field([0, 0, 1])),
+                                        obstacle2, mesh2)
+    assert_allclose(up.worst_phi, (np.sqrt(3.0) - 1.0) / 2.0, rtol=1e-14)
+    assert_allclose(up.worst_phi, 0.3660254037844, atol=1e-13)
+    assert up.worst_phi - up.worst_phi_lower <= 1e-15
+    ident = sl.verify_global_admissibility(identity_only_load, obstacle2, mesh2)
+    assert ident.kernel_class == sl.KernelClass.IDENTITY_ONLY
+    assert ident.basic_admissible and not ident.global_phi_ok
+    assert_allclose([ident.worst_phi_lower, ident.worst_phi], 1.0, rtol=1e-14)
+
+
+def test_bottom_weighted_is_certified(mesh3, obstacle3, bottom_weighted):
+    # the upper bound itself is 0, where sampling could only show Phi <= 1e-17
+    rep = sl.verify_global_admissibility(bottom_weighted, obstacle3, mesh3)
+    assert rep.worst_phi == 0.0 and rep.global_phi_ok
+    assert rep.worst_phi_rotation.angle == 0.0
+
+
+def test_axis_identities_are_exact_maxima(mesh2, obstacle2, test_loads):
+    side = sl.LoadSpec(f=sl.constant_field([1.0, 0.0, -1.0]))
+    a = np.array([[0.3, -0.2, 0.1], [0.4, -0.6, 0.5], [0.0, 0.2, 0.0]])
+    skew = sl.LoadSpec(f=sl.affine_field(a, [0.0, 0.0, -1.0]))
+    axes = np.random.default_rng(22).standard_normal((20000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    for load in [*test_loads, side, skew]:
+        rep = sl.verify_global_admissibility(load, obstacle2, mesh2)
+        _, t = load_moments(load, mesh2)
+        eq = (axes[:, 1] * t[0, 2] - axes[:, 2] * t[0, 1]
+              + axes[:, 2] * t[1, 0] - axes[:, 0] * t[1, 2])
+        comp = sum(axes[:, al] * (axes @ t[al]) - t[al, al] for al in (0, 1))
+        for sampled, exact in ((np.abs(eq).max(), rep.axis_identity_residual),
+                               (comp.max(), rep.axis_compression_worst)):
+            assert sampled <= exact + 1e-12
+            assert exact - sampled <= 1e-2 * (1.0 + abs(exact))
+
+
+def test_kernel_closed_form_maximum():
+    theta = np.linspace(0.0, 2 * np.pi, 200_001)
+    rng = np.random.default_rng(23)
+    for p, q in [*rng.standard_normal((20, 2)), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)]:
+        grid = np.abs((np.cos(theta) - 1.0) * p + np.sin(theta) * q).max()
+        exact = abs(p) + np.hypot(p, q)
+        assert grid <= exact + 1e-12
+        assert exact - grid <= 1e-9 * (1.0 + exact)
 
 
 def test_verify_admissibility_budget_precondition(mesh2, obstacle2, gravity):

@@ -149,7 +149,7 @@ def test_reflected_extension_norm_bounds(mesh2):
 def test_mollify_constant_field(mesh2):
     u = DisplacementField.from_nodal(
         mesh2, np.tile([0.3, -0.2, 0.5], (mesh2.num_nodes, 1)))
-    fld = recovery.mollify(u, mesh2, eps=0.1, gamma=0.5)
+    fld = recovery.mollify(ReflectedExtension(mesh2, u.u), eps=0.1, gamma=0.5)
     pts = np.array([[0.5, 0.5, 0.5], [0.3, 0.4, 0.6], [0.2, 0.8, 0.35]])
     assert np.abs(fld(pts) - [0.3, -0.2, 0.5]).max() < 1e-12
     assert np.abs(fld.gradient(pts)).max() < 1e-12
@@ -161,7 +161,7 @@ def test_mollify_affine_divfree_on_shrunk_domain(mesh2):
     assert abs(np.trace(a)) < 1e-15
     u = DisplacementField.from_nodal(mesh2, mesh2.nodes @ a.T)
     eps = 0.12
-    fld = recovery.mollify(u, mesh2, eps=eps, gamma=0.5)
+    fld = recovery.mollify(ReflectedExtension(mesh2, u.u), eps=eps, gamma=0.5)
     rng = np.random.default_rng(3)
     pts = rng.uniform(eps + 0.01, 1 - eps - 0.01, size=(40, 3))
     assert np.abs(fld(pts) - pts @ a.T).max() < 1e-12
@@ -172,7 +172,7 @@ def test_mollify_affine_divfree_on_shrunk_domain(mesh2):
 def test_mollify_divergence_invariant(mesh2):
     rng = np.random.default_rng(4)
     u = random_divergence_free(mesh2, rng)
-    fld = recovery.mollify(u, mesh2, eps=0.08, gamma=0.25)
+    fld = recovery.mollify(ReflectedExtension(mesh2, u.u), eps=0.08, gamma=0.25)
     assert fld.diagnostics["div_probe_max"] < 1e-10
     assert fld.diagnostics["estsup_ok"]
 
@@ -180,7 +180,7 @@ def test_mollify_divergence_invariant(mesh2):
 def test_mollify_deviation_and_gradient_ledger(mesh2):
     rng = np.random.default_rng(5)
     u = random_divergence_free(mesh2, rng, scale=0.3)
-    fld = recovery.mollify(u, mesh2, eps=0.06, gamma=0.25)
+    fld = recovery.mollify(ReflectedExtension(mesh2, u.u), eps=0.06, gamma=0.25)
     d = fld.diagnostics
     assert d["deviation_max"] <= d["deviation_bound"] + 1e-12
     assert d["deviation_max"] <= fld.eps**fld.holder_gamma * fld.holder_norm + 1e-12
@@ -190,9 +190,9 @@ def test_mollify_deviation_and_gradient_ledger(mesh2):
 def test_mollify_under_resolution_guard(mesh2):
     u = DisplacementField.from_nodal(mesh2, np.zeros((mesh2.num_nodes, 3)))
     with pytest.raises(recovery.UnderResolvedError):
-        recovery.mollify(u, mesh2, eps=0.05, nq=3)
+        recovery.mollify(ReflectedExtension(mesh2, u.u), eps=0.05, nq=3)
     with pytest.raises(recovery.UnderResolvedError):
-        recovery.mollify(u, mesh2, eps=2.0)
+        recovery.mollify(ReflectedExtension(mesh2, u.u), eps=2.0)
 
 
 def test_flow_constant_field(mesh2):
@@ -250,7 +250,7 @@ def test_flow_ledger_mollified_fields(mesh2, mesh3):
     while count < 10:
         mesh, eps, t = cases[count % len(cases)]
         u = random_divergence_free(mesh, rng, scale=0.2)
-        fld = recovery.mollify(u, mesh, eps=eps, gamma=0.25, nq=6)
+        fld = recovery.mollify(ReflectedExtension(mesh, u.u), eps=eps, gamma=0.25, nq=6)
         res = recovery.integrate_flow(fld, t, mesh, steps=8, ledger_samples=4)
         assert res.max_det_residual <= 1e-6
         for entry in res.ledger:
@@ -379,6 +379,24 @@ def test_recovery_zero_field(mesh2, obstacle2, yeoh, gravity):
     assert abs(rep["g_tilde"]) < 1e-14
     for row in rep["rows"]:
         assert abs(row["gap"]) <= 1e-6
+
+
+def test_recovery_builds_one_extension_per_sequence(monkeypatch, mesh2, obstacle2, yeoh,
+                                                    gravity):
+    # only eps changes with h, so the reflected extension is built once
+    built = []
+
+    class CountedExtension(ReflectedExtension):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(recovery, "ReflectedExtension", CountedExtension)
+    zero = DisplacementField.from_nodal(mesh2, np.zeros((mesh2.num_nodes, 3)))
+    steps = recovery.build_recovery_sequence(zero, yeoh, gravity, obstacle2, mesh2,
+                                             (1e-2, 1e-3, 1e-4), gamma=0.5,
+                                             kernel_class=sl.KernelClass.ROTATIONS_ABOUT_E3)
+    assert len(steps) == 3 and len(built) == 1
 
 
 def test_recovery_beta_vanishes_relative_to_h(mesh2, obstacle2, yeoh, gravity,
