@@ -67,7 +67,6 @@ class ConvergenceRecord:
     rotation_axis: np.ndarray
     rotation_angle: float
     c: np.ndarray
-    u_h1: float = 0.0
     u_ref_l2: float = 0.0
     termination: str = ""
 
@@ -168,6 +167,30 @@ def build_setup(cfg):
     return mesh, obstacle, mat, load
 
 
+def is_zero_load(load, mesh):
+    """Whether the load vector vanishes: a degenerate but bounded load."""
+    return float(np.abs(loads.load_vector(load, mesh)).max()) <= 1e-14
+
+
+def limit_kernel(load, obstacle, mesh):
+    """Kernel class of the limit problems: all rotations about e3 for the zero
+    load, else `loads.classify_kernel` (which needs L(e3) < 0)."""
+    if is_zero_load(load, mesh):
+        return loads.KernelClass.ROTATIONS_ABOUT_E3
+    return loads.classify_kernel(load, obstacle, mesh)
+
+
+def limit_triple(mesh, mat, load, obstacle, kernel):
+    """{variant: SolveResult} of the three limit problems E^I, G^I and G~^I."""
+    results = {}
+    for variant in (solvers.Variant.EI, solvers.Variant.GI, solvers.Variant.GTILDE):
+        problem = solvers.QuadraticProblem(mesh=mesh, material=mat, load=load,
+                                           obstacle=obstacle, variant=variant,
+                                           kernel_class=kernel)
+        results[variant] = solvers.minimize_limit(problem)
+    return results
+
+
 def _admissibility_gate(report, cfg, zero_load):
     """The enforced conditions are the linear-order ones plus the shear supremum.
 
@@ -192,24 +215,13 @@ def _admissibility_gate(report, cfg, zero_load):
 def run_experiment(cfg):
     cfg.validate()
     mesh, obstacle, mat, load = build_setup(cfg)
-    ell = loads.load_vector(load, mesh)
-    zero_load = float(np.abs(ell).max()) <= 1e-14
-
+    zero_load = is_zero_load(load, mesh)
     adm = loads.verify_global_admissibility(load, obstacle, mesh,
                                             budget=cfg.budget, seed=cfg.seed)
     _admissibility_gate(adm, cfg, zero_load)
+    kernel = limit_kernel(load, obstacle, mesh)
 
-    if zero_load:
-        kernel = loads.KernelClass.ROTATIONS_ABOUT_E3
-    else:
-        kernel = loads.classify_kernel(load, obstacle, mesh)
-
-    results = {}
-    for variant in (solvers.Variant.EI, solvers.Variant.GI, solvers.Variant.GTILDE):
-        problem = solvers.QuadraticProblem(mesh=mesh, material=mat, load=load,
-                                           obstacle=obstacle, variant=variant,
-                                           kernel_class=kernel)
-        results[variant] = solvers.minimize_limit(problem)
+    results = limit_triple(mesh, mat, load, obstacle, kernel)
     min_ei = results[solvers.Variant.EI].objective
     min_gi = results[solvers.Variant.GI].objective
     min_gtilde = results[solvers.Variant.GTILDE].objective
@@ -249,7 +261,6 @@ def run_experiment(cfg):
             t_j=t_j, phi_rj=phi_rj, det_residual=res.residuals["det"],
             active_nodes=int(res.active_nodes.size),
             rotation_axis=rot.axis, rotation_angle=rot.angle, c=c,
-            u_h1=geometry.h1_norm(mesh, u_j.u),
             u_ref_l2=geometry.l2_norm(mesh, u_diff),
             termination=res.termination))
         # chain the sweep: the next h starts from the current minimizer, rescaled

@@ -184,16 +184,44 @@ def _assemble_moments(load, mesh):
     return ell.sum(axis=0), ell.T @ mesh.nodes
 
 
-def resultant_and_torque(load, mesh, pivot=(0.0, 0.0, 0.0)):
-    """Force resultant and torque T with T . a = L(a ^ (x - pivot))."""
-    f_res, t_mom = load_moments(load, mesh)
-    pivot = np.asarray(pivot, dtype=float)
-    torque0 = np.array([
+def _torque(t_mom):
+    """Torque about the origin from the moment matrix: T0 . a = L(a ^ x)."""
+    return np.array([
         -t_mom[1, 2] + t_mom[2, 1],
         t_mom[0, 2] - t_mom[2, 0],
         -t_mom[0, 1] + t_mom[1, 0],
     ])
-    return f_res.copy(), torque0 - np.cross(pivot, f_res)
+
+
+def resultant_and_torque(load, mesh, pivot=(0.0, 0.0, 0.0)):
+    """Force resultant and torque T with T . a = L(a ^ (x - pivot))."""
+    f_res, t_mom = load_moments(load, mesh)
+    pivot = np.asarray(pivot, dtype=float)
+    return f_res.copy(), _torque(t_mom) - np.cross(pivot, f_res)
+
+
+def _planar_compression(t_mom):
+    """L(e3 ^ (e3 ^ x)) = -L(x1 e1 + x2 e2)."""
+    return -(t_mom[0, 0] + t_mom[1, 1])
+
+
+def linear_order_violations(f_res, t_mom, tol):
+    """Messages of the violated linear-order conditions L(e1) = L(e2) = 0,
+    L(e3) <= 0, L(e3 ^ x) = 0, L(e3 ^ (e3 ^ x)) <= 0, from F and T up to tol."""
+    torque_e3 = _torque(t_mom)[2]
+    planar_comp = _planar_compression(t_mom)
+    violations = []
+    if abs(f_res[0]) > tol:
+        violations.append(f"L(e1) = {f_res[0]:.3e} != 0")
+    if abs(f_res[1]) > tol:
+        violations.append(f"L(e2) = {f_res[1]:.3e} != 0")
+    if f_res[2] > tol:
+        violations.append(f"L(e3) = {f_res[2]:.3e} > 0")
+    if abs(torque_e3) > tol:
+        violations.append(f"L(e3 ^ x) = {torque_e3:.3e} != 0")
+    if planar_comp > tol:
+        violations.append(f"L(e3 ^ (e3 ^ x)) = {planar_comp:.3e} > 0")
+    return violations
 
 
 def _phi_batch(rmats, f_res, t_mom, hull):
@@ -389,18 +417,17 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0,
         raise LoadError("empty obstacle set")
     f_res, t_mom = load_moments(load, mesh)
     hull = obstacle.hull_vertices_2d
-
-    torque_e3 = -t_mom[0, 1] + t_mom[1, 0]
-    planar_comp = -(t_mom[0, 0] + t_mom[1, 1])
+    torque_e3 = _torque(t_mom)[2]
+    planar_comp = _planar_compression(t_mom)
 
     # axis identities implied by the shear condition, maximized over unit axes
     # a: L((a^x)_alpha e_alpha) = a . w, and the compression is a^T A a minus
     # the planar trace, with A the horizontal rows of T over a zero row
-    eq_worst = float(np.linalg.norm([-t_mom[1, 2], t_mom[0, 2], t_mom[1, 0] - t_mom[0, 1]]))
+    eq_worst = float(np.linalg.norm([-t_mom[1, 2], t_mom[0, 2], torque_e3]))
     shear_t = t_mom.copy()      # P T with P = diag(1, 1, 0)
     shear_t[2] = 0.0
     comp_worst = float(scipy.linalg.eigvalsh(shear_t + shear_t.T)[-1] / 2
-                       - (t_mom[0, 0] + t_mom[1, 1]))
+                       + planar_comp)
 
     center = residual = interior = None
     if abs(f_res[2]) > 1e-12 * max(1.0, float(np.abs(f_res).sum())):
@@ -417,17 +444,7 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0,
     shear_q = v[:, -1] if worst_shear > 0.0 else _IDENTITY_QUATERNION
     worst_shear = max(worst_shear, 0.0)
 
-    violations = []
-    if abs(f_res[0]) > tol:
-        violations.append(f"L(e1) = {f_res[0]:.3e} != 0")
-    if abs(f_res[1]) > tol:
-        violations.append(f"L(e2) = {f_res[1]:.3e} != 0")
-    if f_res[2] > tol:
-        violations.append(f"L(e3) = {f_res[2]:.3e} > 0")
-    if abs(torque_e3) > tol:
-        violations.append(f"L(e3 ^ x) = {torque_e3:.3e} != 0")
-    if planar_comp > tol:
-        violations.append(f"L(e3 ^ (e3 ^ x)) = {planar_comp:.3e} > 0")
+    violations = linear_order_violations(f_res, t_mom, tol)
     if eq_worst > tol:
         violations.append(f"axis identity L((a^x)_a e_a) residual {eq_worst:.3e}")
     if comp_worst > tol:
@@ -477,18 +494,14 @@ def classify_kernel(load, obstacle, mesh, tol=ADMISSIBILITY_TOL):
     if f_res[2] >= -tol:
         raise LoadError("kernel classification requires L(e3) < 0")
     p = t_mom[0, 0] + t_mom[1, 1]
-    q = -t_mom[0, 1] + t_mom[1, 0]
+    q = _torque(t_mom)[2]
     if abs(p) + np.hypot(p, q) <= tol:
         return KernelClass.ROTATIONS_ABOUT_E3
     return KernelClass.IDENTITY_ONLY
 
 
 def _load_center(f_res, t_mom, hull):
-    torque0 = np.array([
-        -t_mom[1, 2] + t_mom[2, 1],
-        t_mom[0, 2] - t_mom[2, 0],
-        -t_mom[0, 1] + t_mom[1, 0],
-    ])
+    torque0 = _torque(t_mom)
     p = -torque0[1] / f_res[2]
     q = torque0[0] / f_res[2]
     center = np.array([p, q, 0.0])

@@ -8,6 +8,10 @@ term from the det F = 1 manifold: along F(h) = I + hH + h^2 K with
 det F(h) = 1 one has h^-2 W(F(h)) -> (1/2) H : D2W(I) : H + 2 c1 tr K and
 tr K = tr(H^2)/2 is forced by the constraint. quadratic_form_QI implements
 that manifold form; elastic_tensor stores the plain Hessian.
+
+W, its g-derivatives (g = |F|^2 - 3), the pressure-compensated density and the
+Mandel form of Q^I are defined here once, batched; solvers and recovery call
+them, so G_h and its limit functionals come from one constitutive definition.
 """
 
 from __future__ import annotations
@@ -29,22 +33,25 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def sym_to_mandel(e):
+    """(..., 3, 3) symmetric strains to (..., 6) Mandel vectors."""
     e = np.asarray(e, dtype=float)
-    v = np.empty(6)
-    for k, (i, j) in enumerate(_MANDEL_IDX):
-        v[k] = e[i, j] if i == j else _SQRT2 * e[i, j]
-    return v
+    return np.stack([e[..., i, j] if i == j else _SQRT2 * e[..., i, j]
+                     for i, j in _MANDEL_IDX], axis=-1)
+
+
+# Mandel vector of sym G from vec(G), vec index 3i + j: v = MANDEL9 @ vec(G).
+_UNIT9 = np.eye(9).reshape(9, 3, 3)
+MANDEL9 = np.ascontiguousarray(sym_to_mandel(0.5 * (_UNIT9 + _UNIT9.transpose(0, 2, 1))).T)
+# vec indices of the shear-lift gradients e_a (x) e3, a = 1, 2, and the Mandel
+# vectors of their strains (1/2)(e_a (x) e3 + e3 (x) e_a)
+SHEAR_VEC = [2, 5]
+SHEAR_MANDEL = MANDEL9[:, SHEAR_VEC]
 
 
 def mandel_to_sym(v):
+    """(..., 6) Mandel vectors to (..., 3, 3) symmetric strains."""
     v = np.asarray(v, dtype=float)
-    e = np.zeros((3, 3))
-    for k, (i, j) in enumerate(_MANDEL_IDX):
-        if i == j:
-            e[i, j] = v[k]
-        else:
-            e[i, j] = e[j, i] = v[k] / _SQRT2
-    return e
+    return (v @ MANDEL9).reshape(v.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -80,32 +87,45 @@ def yeoh_material(c1, c2=0.0, c3=0.0, penalty_kappa=100.0):
                          penalty_kappa=float(penalty_kappa))
 
 
-def _g_from_deviation(d):
-    """|I + D|^2 - 3 evaluated without cancellation, batched over leading axes."""
+def g_from_deviation(d):
+    """The Yeoh invariant g = |I + D|^2 - 3 = 2 tr D + |D|^2, batched over
+    leading axes; evaluated from D, so without cancellation for small D."""
     d = np.asarray(d, dtype=float)
     tr = np.trace(d, axis1=-2, axis2=-1)
     return 2.0 * tr + (d * d).sum(axis=(-2, -1))
 
 
+def yeoh_density(g, m):
+    """The Yeoh law W = c1 g + c2 g^2 + c3 g^3 as a function of g = |F|^2 - 3."""
+    return m.c1 * g + m.c2 * g**2 + m.c3 * g**3
+
+
+def yeoh_slope(g, m):
+    """W'(g) = c1 + 2 c2 g + 3 c3 g^2; the Piola stress is DW(F) = 2 W'(g) F."""
+    return m.c1 + 2.0 * m.c2 * g + 3.0 * m.c3 * g**2
+
+
+def yeoh_curvature(g, m):
+    """W''(g) = 2 c2 + 6 c3 g; D2W(F) = 2 W'(g) Id + 4 W''(g) F (x) F."""
+    return 2.0 * m.c2 + 6.0 * m.c3 * g
+
+
+def compensated_density(g, r, m):
+    """W(g) - p0 r with r = det F - 1 and p0 = 2 c1, the Yeoh pressure at the
+    identity: W on det F = 1, without the first-order sensitivity p0 r through
+    which h^-2 scaling would turn roundoff-level residuals r into energy."""
+    return yeoh_density(g, m) - m.pressure * r
+
+
 def yeoh_energy(f, m):
     """Stored energy W(F); exact polynomial in |F|^2 - 3."""
     f = np.asarray(f, dtype=float)
-    g = (f * f).sum(axis=(-2, -1)) - 3.0
-    return m.c1 * g + m.c2 * g**2 + m.c3 * g**3
+    return yeoh_density((f * f).sum(axis=(-2, -1)) - 3.0, m)
 
 
 def yeoh_energy_from_deviation(d, m):
     """W(I + D) computed stably for small D (batched)."""
-    g = _g_from_deviation(d)
-    return m.c1 * g + m.c2 * g**2 + m.c3 * g**3
-
-
-def yeoh_stress(f, m):
-    """First derivative DW(F) = 2 (c1 + 2 c2 g + 3 c3 g^2) F."""
-    f = np.asarray(f, dtype=float)
-    g = (f * f).sum(axis=(-2, -1)) - 3.0
-    w1 = m.c1 + 2.0 * m.c2 * g + 3.0 * m.c3 * g**2
-    return 2.0 * w1[..., None, None] * f if f.ndim > 2 else 2.0 * w1 * f
+    return yeoh_density(g_from_deviation(d), m)
 
 
 def det_minus_one_from_deviation(d):
@@ -186,9 +206,16 @@ def elastic_tensor(m, fd_step=1e-4, rtol=1e-6):
 
 
 def qi_bilinear(e1, e2, m):
-    """Bilinear form of the incompressible quadratic: Q^I(E) = qi_bilinear(E, E, m)."""
+    """Bilinear form of the incompressible quadratic, batched over leading
+    axes: Q^I(E) = qi_bilinear(E, E, m) = (1/2) v^T A v for the Mandel vector
+    v of E and A = m.incompressible_tensor."""
     v1, v2 = sym_to_mandel(e1), sym_to_mandel(e2)
-    return 0.5 * float(v1 @ m.incompressible_tensor @ v2)
+    return 0.5 * np.einsum("...k,kl,...l->...", v1, m.incompressible_tensor, v2)
+
+
+def qi_gradient_hessian(m):
+    """9x9 Hessian S^T A S of G -> Q^I(sym G) in vec(G), with S = MANDEL9."""
+    return MANDEL9.T @ (m.incompressible_tensor @ MANDEL9)
 
 
 def quadratic_form_QI(e, m, trace_tol=DET_TOL):

@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import build_box_mesh, gradient_form, h1_norm
 from .kinematics import DeformationField, DisplacementField
 from .loads import Rotation, load_vector
-from .material import det_minus_one_from_deviation, yeoh_energy_from_deviation
+from .material import compensated_density, det_minus_one_from_deviation, g_from_deviation
 from .solvers import (
     SolveFailure,
     active_set_qp,
@@ -53,6 +53,9 @@ MOLLIFIER_K = 315.0 / 64.0
 # the chain walks the axes by decreasing g, lower axis first on ties, as a
 # stable argsort of -g does. Codes 2 and 5 are cyclic, so no real g reaches them.
 _KUHN_LUT = np.array([5, 3, -1, 2, 4, -1, 1, 0])
+
+# Largest RK4 step count the step doubling of integrate_flow reaches.
+FLOW_MAX_STEPS = 1024
 
 
 def rho_bump(r):
@@ -210,7 +213,7 @@ def _holder_seminorm_bound(lip, sup, gamma, diam):
                      lip * diam ** (1.0 - gamma)))
 
 
-def mollify(ext, eps, gamma=0.25, nq=8, div_check=True):
+def mollify(ext, eps, gamma=0.25, nq=8):
     """Discrete mollification of `ext`, the reflected extension of a displacement.
 
     The convolution v = u * rho_eps and its gradient are evaluated by one
@@ -264,7 +267,7 @@ def mollify(ext, eps, gamma=0.25, nq=8, div_check=True):
     safe = cents[depth > eps * 1.0001]
     diag = {"blend_fraction": float(ext.blend_mask.mean()),
             "input_div_max": float(np.abs(ext.divergences[~ext.blend_mask]).max())}
-    if safe.shape[0] and div_check:
+    if safe.shape[0]:
         diag["div_probe_max"] = float(np.abs(div_fn(safe)).max())
     base_vals = ext.eval_values(cents)
     dev = np.linalg.norm(eval_fn(cents) - base_vals, axis=1).max() if cents.size else 0.0
@@ -339,17 +342,17 @@ def _rk4_flow(v, x, n_nodes, t_final, steps):
     return states
 
 
-def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8, max_steps=1024):
+def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8):
     """RK4 transport of mesh nodes and element centroids by a velocity field.
 
     The variational equation for the spatial gradient is integrated alongside
     at element centroids; the deviation form keeps det grad z - 1 accurate at
     roundoff level. Step count doubles until the determinant drift passes
-    1e-8. The Richardson check compares the delivered run with the run at half
-    its steps, reused from the doubling when it made one, so it bounds the
-    error of the coarser run and is conservative for the delivered one. The
-    ledger stores the sampled verification of the four flow bounds against the
-    recorded norms.
+    1e-8 or the count reaches FLOW_MAX_STEPS. The Richardson check compares
+    the delivered run with the run at half its steps, reused from the doubling
+    when it made one, so it bounds the error of the coarser run and is
+    conservative for the delivered one. The ledger stores the sampled
+    verification of the four flow bounds against the recorded norms.
     """
     x_nodes = mesh.nodes
     x = np.concatenate([x_nodes, mesh.nodes[mesh.tets].mean(axis=1)])
@@ -361,7 +364,7 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8, max_steps=1024)
     while True:
         states = _rk4_flow(v, x, n, t_final, steps)
         det_res = np.abs(det_minus_one_from_deviation(states[-1][1])).max()
-        if det_res <= 1e-8 or steps >= max_steps:
+        if det_res <= 1e-8 or steps >= FLOW_MAX_STEPS:
             break
         if prev_res is not None and det_res > 0.5 * prev_res:
             # the drift does not shrink with the step: it is not integration
@@ -550,13 +553,12 @@ def recovery_energy(step, material, load, mesh):
     """
     h = step.h
     yc = step.flow.element_defgrad - np.eye(3)
-    w = (yeoh_energy_from_deviation(yc, material)
-         - material.pressure * det_minus_one_from_deviation(yc))
+    w = compensated_density(g_from_deviation(yc), det_minus_one_from_deviation(yc), material)
     elastic = float(mesh.element_volumes @ w) / h**2
     ell = load_vector(load, mesh)
     disp = step.field.y - mesh.nodes
     load_term = float((ell * disp).sum()) / h
-    err_bar = 2.0 * material.c1 * step.flow.max_det_residual / h**2 * float(
+    err_bar = material.pressure * step.flow.max_det_residual / h**2 * float(
         mesh.element_volumes.sum())
     return elastic - load_term, err_bar
 

@@ -29,8 +29,12 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .geometry import Mesh, ObstacleSet, gradient_form, gradient_rows
 from .kinematics import DeformationField, DisplacementField
-from .loads import KernelClass, LoadSpec, Rotation, load_vector
-from .material import MaterialModel, cofactor, det_minus_one_from_deviation
+from .loads import (KernelClass, LoadSpec, Rotation, linear_order_violations, load_moments,
+                    load_vector)
+from .material import (SHEAR_MANDEL, SHEAR_VEC, MaterialModel, cofactor, compensated_density,
+                       det_minus_one_from_deviation, g_from_deviation, qi_bilinear,
+                       qi_gradient_hessian, sym_to_mandel, yeoh_curvature, yeoh_density,
+                       yeoh_slope)
 
 logger = logging.getLogger(__name__)
 
@@ -45,15 +49,8 @@ class Variant(enum.Enum):
     GTILDE = "GTildeI"
 
 
-# Mandel vectors of the shear directions (1/2)(e_a ox e3 + e3 ox e_a).
-_SHEAR_MANDEL = np.zeros((6, 2))
-_SHEAR_MANDEL[4, 0] = np.sqrt(2.0) / 2.0
-_SHEAR_MANDEL[3, 1] = np.sqrt(2.0) / 2.0
-
-# Mandel strain of a displacement gradient: v = _MANDEL9 @ vec(grad u), vec index 3i + j.
-_MANDEL9 = np.zeros((6, 9))
-_MANDEL9[[0, 1, 2], [0, 4, 8]] = 1.0
-_MANDEL9[[3, 3, 4, 4, 5, 5], [5, 7, 2, 6, 1, 3]] = np.sqrt(2.0) / 2.0
+# Most negative bound multiplier an optimal active-set working set may carry.
+QP_MULTIPLIER_TOL = 1e-9
 
 # Second derivative of det: vec(d2 det / dF dF) = _DET_HESS @ vec(F), from
 # d2 det / dF_ip dF_jq = eps_ijk eps_pqr F_kr.
@@ -119,32 +116,26 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # assembly
 
-def mandel_batch(strains):
-    """(M, 3, 3) symmetric strains to (M, 6) Mandel vectors."""
-    s = np.asarray(strains, dtype=float)
-    r2 = np.sqrt(2.0)
-    return np.stack([
-        s[:, 0, 0], s[:, 1, 1], s[:, 2, 2],
-        r2 * s[:, 1, 2], r2 * s[:, 0, 2], r2 * s[:, 0, 1],
-    ], axis=1)
+def _shear_block(material, mesh):
+    """Hessian of b -> integral Q^I(shear(b)): volume times H9's shear block."""
+    h9 = qi_gradient_hessian(material)
+    return float(mesh.element_volumes.sum()) * h9[np.ix_(SHEAR_VEC, SHEAR_VEC)]
 
 
 def assemble_strain_hessian(mesh, material, with_shear=False):
     """Dense Hessian of u -> 2 * integral Q^I(E(u)); optionally with shear columns.
 
-    It is D^T blockdiag(vol_e S^T A S) D, with D the mesh's gradient operator,
-    S the 9 -> 6 Mandel strain map and A the incompressible tensor. The shear
-    columns are D^T (vol (x) S^T A m) for the shear Mandel vectors m.
+    It is D^T blockdiag(vol_e H9) D, with D the mesh's gradient operator and
+    H9 = `material.qi_gradient_hessian`. The shear columns are
+    D^T (vol (x) H9[:, shear]) for the shear-lift gradients e_a (x) e3.
     """
-    a_inc = material.incompressible_tensor
-    a_s = a_inc @ _MANDEL9
+    h9 = qi_gradient_hessian(material)
     vols = mesh.element_volumes
-    h = gradient_form(mesh, vols[:, None, None] * (_MANDEL9.T @ a_s))
+    h = gradient_form(mesh, vols[:, None, None] * h9)
     if not with_shear:
         return h
-    c = mesh.gradient_operator.T @ np.kron(vols[:, None], a_s.T @ _SHEAR_MANDEL)
-    h_bb = float(vols.sum()) * (_SHEAR_MANDEL.T @ a_inc @ _SHEAR_MANDEL)
-    return np.block([[h, c], [c.T, h_bb]])
+    c = mesh.gradient_operator.T @ np.kron(vols[:, None], h9[:, SHEAR_VEC])
+    return np.block([[h, c], [c.T, _shear_block(material, mesh)]])
 
 
 def assemble_div_matrix(mesh):
@@ -182,8 +173,7 @@ def _kkt_factor(h, a_eq, working):
     return v[:, keep], lam[keep]
 
 
-def active_set_qp(h, g, a_eq, b_eq, bound_idx, tol_mu=1e-9, max_iter=None,
-                  warm_working=None, factors=None):
+def active_set_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
     """min (1/2) x^T H x + g^T x  s.t.  A_eq x = b_eq,  x_i >= 0 for i in bound_idx.
 
     Primal active-set method. The KKT matrix of each working set is factored
@@ -192,7 +182,9 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, tol_mu=1e-9, max_iter=None,
     minimum-norm step keeps flat directions pinned). `factors` maps
     tuple(working set) to a factorization and may be shared by calls with the
     same H and A_eq (g and b_eq may differ), as across an angle scan; by
-    default it is local to the call. Returns (x, info) with the bound
+    default it is local to the call. A working set is optimal when no bound
+    multiplier is below -QP_MULTIPLIER_TOL; the method gives up after
+    3 max(#bounds, 1) + 30 iterations. Returns (x, info) with the bound
     multipliers of the final working set.
     """
     n = h.shape[0]
@@ -203,11 +195,9 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, tol_mu=1e-9, max_iter=None,
         factors = {}
     x = np.zeros(n)
     working = list(bound_idx) if warm_working is None else list(warm_working)
-    if max_iter is None:
-        max_iter = 3 * max(len(bound_idx), 1) + 30
     iters = 0
     mu = np.zeros(0)
-    for _ in range(max_iter):
+    for _ in range(3 * max(len(bound_idx), 1) + 30):
         iters += 1
         key = tuple(working)
         if key not in factors:
@@ -220,7 +210,7 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, tol_mu=1e-9, max_iter=None,
         p = x_star - x
         if np.abs(p).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(x).max(initial=0.0)):
             mu = -nu[n_eq:]
-            if mu.size == 0 or mu.min() >= -tol_mu:
+            if mu.size == 0 or mu.min() >= -QP_MULTIPLIER_TOL:
                 x = x_star
                 break
             working.pop(int(np.argmin(mu)))
@@ -261,10 +251,7 @@ def strain_energy_quadratic(u_field, material, mesh, b=None):
         shear[0, 2] = shear[2, 0] = 0.5 * b[0]
         shear[1, 2] = shear[2, 1] = 0.5 * b[1]
         strains = strains + shear[None, :, :]
-    v = mandel_batch(strains)
-    a_inc = material.incompressible_tensor
-    dens = 0.5 * np.einsum("ek,kl,el->e", v, a_inc, v)
-    return float(np.dot(mesh.element_volumes, dens))
+    return float(np.dot(mesh.element_volumes, qi_bilinear(strains, strains, material)))
 
 
 def max_load_over_kernel(u, load, kernel_class, mesh):
@@ -290,11 +277,9 @@ def optimal_shear_b(u_field, material, mesh, div_tol=1e-8):
     """Minimizer of b -> integral Q^I(E(u) + shear(b)): a 2x2 SPD solve."""
     if float(np.abs(u_field.divergence).max()) > div_tol:
         raise SolveFailure("optimal shear requires a divergence-free field")
-    a_inc = material.incompressible_tensor
-    vols = mesh.element_volumes
-    mean_strain = np.einsum("e,ek->k", vols, mandel_batch(u_field.strains))
-    sys_mat = float(vols.sum()) * (_SHEAR_MANDEL.T @ a_inc @ _SHEAR_MANDEL)
-    rhs = -_SHEAR_MANDEL.T @ (a_inc @ mean_strain)
+    mean_strain = np.einsum("e,ek->k", mesh.element_volumes, sym_to_mandel(u_field.strains))
+    sys_mat = _shear_block(material, mesh)
+    rhs = -SHEAR_MANDEL.T @ (material.incompressible_tensor @ mean_strain)
     if np.linalg.cond(sys_mat) > 1e12:
         raise SolveFailure("degenerate shear system")
     return np.linalg.solve(sys_mat, rhs)
@@ -311,9 +296,9 @@ def tilde_lift(u_field, b, mesh):
 def eval_limit(u_field, problem, b=None):
     """Value of the requested limit functional at a given displacement.
 
-    Feasibility (trace-free strain, obstacle) is the caller's business; use
-    `limit_feasibility` to check it. For the shear-reduced variant the inner
-    minimum over b is solved in closed form unless b is supplied.
+    Feasibility (trace-free strain, obstacle) is the caller's business. For
+    the shear-reduced variant the inner minimum over b is solved in closed
+    form unless b is supplied.
     """
     p = problem
     if p.variant == Variant.EI:
@@ -325,12 +310,6 @@ def eval_limit(u_field, problem, b=None):
     if b is None:
         b = optimal_shear_b(u_field, p.material, p.mesh, div_tol=np.inf)
     return strain_energy_quadratic(u_field, p.material, p.mesh, b=b) - maxload
-
-
-def limit_feasibility(u_field, problem, div_tol=1e-8):
-    div = float(np.abs(u_field.divergence).max())
-    bound = float(u_field.u[problem.obstacle.node_indices, 2].min()) if problem.obstacle.num_nodes else 0.0
-    return {"div": div, "bound_min": bound, "feasible": div <= div_tol and bound >= -1e-12}
 
 
 def _limit_load_vector(problem, theta):
@@ -438,29 +417,17 @@ class _NonlinearAssembler:
     def deviation(self, y_flat):
         """Per-element F - I, |F|^2 - 3 and det F - 1."""
         d_el = (self.d @ (y_flat - self.x_flat)).reshape(-1, 3, 3)
-        g = 2.0 * np.trace(d_el, axis1=1, axis2=2) + (d_el * d_el).sum(axis=(1, 2))
-        return d_el, g, det_minus_one_from_deviation(d_el)
-
-    def _yeoh(self, g):
-        return self.mat.c1 * g + self.mat.c2 * g**2 + self.mat.c3 * g**3
-
-    def _yeoh_slope(self, g):
-        return self.mat.c1 + 2.0 * self.mat.c2 * g + 3.0 * self.mat.c3 * g**2
+        return d_el, g_from_deviation(d_el), det_minus_one_from_deviation(d_el)
 
     def _load(self, y_flat):
         return float(self.ell_flat @ (y_flat - self.x_flat)) / self.p.h
 
     def energy_parts(self, y_flat):
-        """Rescaled energy with the pressure-compensated density W - p0 (det - 1).
-
-        On the constraint set det = 1 this is exactly the incompressible
-        energy; off it the compensation removes the first-order sensitivity
-        h^-2 p0 (det - 1) that would otherwise let roundoff-level determinant
-        residuals dominate the reported value at small h (the Yeoh stress at
-        the identity is the nonzero pressure p0 = 2 c1). Returns (value, r).
-        """
+        """Rescaled energy with the pressure-compensated density
+        (`material.compensated_density`), exactly the incompressible energy on
+        the constraint set det = 1. Returns (value, r), r = det F - 1."""
         _, g, r = self.deviation(y_flat)
-        elastic = float(self.vols @ (self._yeoh(g) - self.mat.pressure * r)) / self.p.h**2
+        elastic = float(self.vols @ compensated_density(g, r, self.mat)) / self.p.h**2
         return elastic - self._load(y_flat), r
 
     def objective(self, y_flat):
@@ -471,7 +438,7 @@ class _NonlinearAssembler:
         """Nodal gradient of h^-2 sum vol W + sum nu vol (det - 1) - L(y - x) / h:
         D^T of the volume-weighted Piola stress 2 W'(g) F / h^2 + nu cof F."""
         f_el = d_el + np.eye(3)
-        p_el = ((2.0 * self._yeoh_slope(g) / self.p.h**2)[:, None, None] * f_el
+        p_el = ((2.0 * yeoh_slope(g, self.mat) / self.p.h**2)[:, None, None] * f_el
                 + nu[:, None, None] * cofactor(f_el))
         return self.dt @ (self.vols[:, None, None] * p_el).ravel() - self.ell_flat / self.p.h
 
@@ -480,8 +447,8 @@ class _NonlinearAssembler:
         penalized incompressible density being W + lam r + (kappa/2) r^2."""
         h2 = self.p.h**2
         d_el, g, r = self.deviation(y_flat)
-        value = (float(self.vols @ (self._yeoh(g) + lam * r + 0.5 * kappa * r**2)) / h2
-                 - self._load(y_flat))
+        density = yeoh_density(g, self.mat) + lam * r + 0.5 * kappa * r**2
+        value = float(self.vols @ density) / h2 - self._load(y_flat)
         return value, self.lagrangian_gradient(d_el, g, (lam + kappa * r) / h2)
 
     def constraint_jacobian(self, d_el):
@@ -494,9 +461,9 @@ class _NonlinearAssembler:
         D^T blockdiag(h9_e) D with the 9x9 Hessians h9_e in F."""
         m = d_el.shape[0]
         vec_f = (d_el + np.eye(3)).reshape(m, 9)
-        w1p = 2.0 * self.mat.c2 + 6.0 * self.mat.c3 * g
-        hw = (2.0 * self._yeoh_slope(g)[:, None, None] * np.eye(9)
-              + 4.0 * w1p[:, None, None] * vec_f[:, :, None] * vec_f[:, None, :])
+        hw = (2.0 * yeoh_slope(g, self.mat)[:, None, None] * np.eye(9)
+              + 4.0 * yeoh_curvature(g, self.mat)[:, None, None]
+              * vec_f[:, :, None] * vec_f[:, None, :])
         hdet = (vec_f @ _DET_HESS.T).reshape(m, 9, 9)
         h9 = (self.vols / self.p.h**2)[:, None, None] * hw + (nu * self.vols)[:, None, None] * hdet
         return gradient_form(self.mesh, h9)
@@ -612,7 +579,13 @@ def minimize_nonlinear(problem):
     """
     p = problem
     if not p.skip_admissibility_check:
-        _check_basic_admissibility(p)
+        # the linear-order load conditions at a load-scaled tolerance; the
+        # zero load is degenerate but bounded
+        f_res, t_mom = load_moments(p.load, p.mesh)
+        scale = max(1.0, float(np.abs(t_mom).max()), float(np.abs(f_res).max()))
+        failures = linear_order_violations(f_res, t_mom, 1e-9 * scale)
+        if failures and np.abs(f_res).max() > 1e-14:
+            raise SolveFailure("load admissibility violated: " + "; ".join(failures))
     asm = _NonlinearAssembler(p)
     if p.warm_start is None:
         name, y0 = "identity", p.mesh.nodes.ravel().copy()
@@ -665,25 +638,3 @@ def nonlinear_energy(y_field, problem, mode="strict"):
     if mode == "strict" and det_res > 1e-6:
         return np.inf, det_res
     return value, det_res
-
-
-def _check_basic_admissibility(problem):
-    """Cheap linear-order load checks; the full SO(3) sweep is the caller's job."""
-    from .loads import load_moments
-
-    f_res, t_mom = load_moments(problem.load, problem.mesh)
-    scale = max(1.0, float(np.abs(t_mom).max()), float(np.abs(f_res).max()))
-    tol = 1e-9 * scale
-    if np.abs(f_res).max() <= 1e-14:
-        return  # zero load, degenerate but bounded
-    failures = []
-    if abs(f_res[0]) > tol or abs(f_res[1]) > tol:
-        failures.append("L(e1) = L(e2) = 0")
-    if f_res[2] > tol:
-        failures.append("L(e3) <= 0")
-    if abs(-t_mom[0, 1] + t_mom[1, 0]) > tol:
-        failures.append("L(e3 ^ x) = 0")
-    if -(t_mom[0, 0] + t_mom[1, 1]) > tol:
-        failures.append("L(e3 ^ (e3 ^ x)) <= 0")
-    if failures:
-        raise SolveFailure("load admissibility violated: " + "; ".join(failures))

@@ -278,6 +278,18 @@ def test_cli_recover(tmp_path, capsys):
     assert "upper-bound trend: PASS" in out
 
 
+def test_cli_zero_load_limit_and_recover(tmp_path, capsys):
+    # the zero load has every rotation about e3 in its kernel; classify_kernel
+    # raises LoadError for it, so no command may call it on this config
+    cfg_path = tmp_path / "zero.txt"
+    cfg_path.write_text(RECOVERY_CONFIG.replace("f constant 0 0 -1", "f constant 0 0 0")
+                        .format(out=(tmp_path / "out").as_posix()))
+    assert cli_main(["limit", cfg_path.as_posix()]) == 0
+    assert "ordering and equality: PASS" in capsys.readouterr().out
+    assert cli_main(["recover", cfg_path.as_posix()]) == 0
+    assert "upper-bound trend: PASS" in capsys.readouterr().out
+
+
 def test_report_render_contains_summary(tmp_path):
     cfg = harness.parse_config(FAST_CONFIG.format(out=tmp_path.as_posix()))
     report = harness.run_experiment(cfg)

@@ -10,7 +10,7 @@ import signorini_lab as sl
 from conftest import random_divergence_free
 from signorini_lab import recovery
 from signorini_lab.geometry import KUHN_PERMS
-from signorini_lab.kinematics import DisplacementField
+from signorini_lab.kinematics import DeformationField, DisplacementField
 from signorini_lab.recovery import (
     MOLLIFIER_K,
     ReflectedExtension,
@@ -379,6 +379,34 @@ def test_recovery_zero_field(mesh2, obstacle2, yeoh, gravity):
     assert abs(rep["g_tilde"]) < 1e-14
     for row in rep["rows"]:
         assert abs(row["gap"]) <= 1e-6
+
+
+@pytest.mark.parametrize("diag", [(1.1, 1.0, 1.0 / 1.1), (1.0, 1.0, 1.1)])
+def test_recovery_energy_at_affine_map(mesh2, obstacle2, yeoh, gravity, diag):
+    # y = F x with constant F: the recovery energy, the sweep's energy and
+    # h^-2 vol (W(F) - p0 (det F - 1)) - L(y - x) / h agree, both on det F = 1
+    # (F = diag(a, 1, 1/a)) and off it, where the pressure compensation counts
+    h = 0.05
+    f = np.diag(diag)
+    y = mesh2.nodes @ f.T
+    defgrad = np.tile(f, (mesh2.num_elements, 1, 1))
+    flow = recovery.FlowResult(z_nodes=y, delta_nodes=y - mesh2.nodes,
+                               element_defgrad=defgrad, element_det=np.linalg.det(defgrad),
+                               t_final=h, steps=1, ledger=[], richardson={})
+    step = recovery.RecoveryStep(h=h, eps=0.0, beta=0.0, beta_closed_form=0.0,
+                                 field=DeformationField.from_nodal(mesh2, y),
+                                 element_defgrad=defgrad, flow=flow,
+                                 rotation=sl.Rotation.identity())
+    value, _ = recovery.recovery_energy(step, yeoh, gravity, mesh2)
+    problem = sl.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                  obstacle=obstacle2, h=h, skip_admissibility_check=True)
+    sweep_value, _ = sl.nonlinear_energy(step.field, problem, mode="penalized")
+    load_term = sl.eval_load(gravity, y - mesh2.nodes, mesh2)
+    density = sl.yeoh_energy(f, yeoh) - yeoh.pressure * (np.prod(diag) - 1.0)
+    closed = float(mesh2.element_volumes.sum()) * density / h**2 - load_term / h
+    assert load_term != 0.0
+    assert_allclose(value, sweep_value, rtol=1e-12)
+    assert_allclose(value, closed, rtol=1e-12)
 
 
 def test_recovery_builds_one_extension_per_sequence(monkeypatch, mesh2, obstacle2, yeoh,
