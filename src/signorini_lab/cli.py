@@ -58,9 +58,11 @@ def main(argv=None):
                   f"(residual {rep.load_center_residual:.2e}, interior {rep.load_center_interior})")
         for v in rep.violations:
             print(f"violation: {v}")
-        gate_ok = rep.basic_admissible and rep.L_e3 < -rep.tol
-        print(f"gate: {'PASS' if gate_ok else 'FAIL'}")
-        return 0 if gate_ok else 1
+        failure = harness.admissibility_failure(rep, cfg, loads.is_zero_load(load, mesh))
+        if failure is not None:
+            print(f"gate failure: {failure}")
+        print(f"gate: {'PASS' if failure is None else 'FAIL'}")
+        return 0 if failure is None else 1
 
     if args.command == "limit":
         results = harness.limit_triple(mesh, mat, load, obstacle,

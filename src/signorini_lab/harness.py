@@ -167,15 +167,10 @@ def build_setup(cfg):
     return mesh, obstacle, mat, load
 
 
-def is_zero_load(load, mesh):
-    """Whether the load vector vanishes: a degenerate but bounded load."""
-    return float(np.abs(loads.load_vector(load, mesh)).max()) <= 1e-14
-
-
 def limit_kernel(load, obstacle, mesh):
     """Kernel class of the limit problems: all rotations about e3 for the zero
     load, else `loads.classify_kernel` (which needs L(e3) < 0)."""
-    if is_zero_load(load, mesh):
+    if loads.is_zero_load(load, mesh):
         return loads.KernelClass.ROTATIONS_ABOUT_E3
     return loads.classify_kernel(load, obstacle, mesh)
 
@@ -191,34 +186,38 @@ def limit_triple(mesh, mat, load, obstacle, kernel):
     return results
 
 
-def _admissibility_gate(report, cfg, zero_load):
-    """The enforced conditions are the linear-order ones plus the shear supremum.
+def admissibility_failure(report, cfg, zero_load):
+    """Why the load gate rejects a load, or None when it passes; `lab run`
+    and `lab check-load` decide by this one rule.
 
-    The global Phi supremum (its certified upper bound) is reported but only
-    enforced on request: every load with negative vertical moment (gravity
-    included) is beaten by the edge-flip rotations at angle pi, while the
+    The enforced conditions are the linear-order ones plus the shear supremum;
+    the zero load is degenerate but bounded and passes. The global Phi
+    supremum (its certified upper bound) is reported but only enforced on
+    request: every load with negative vertical moment (gravity included) is
+    beaten by the edge-flip rotations at angle pi, while the
     identity-neighborhood sweep and the limit functionals are governed by the
     local conditions.
     """
     if zero_load:
-        return
+        return None
     if not report.conditions_basic_ok or not report.shear_ok:
-        raise ExperimentError("admissibility failure: " + "; ".join(report.violations))
+        return "; ".join(report.violations)
     if report.L_e3 > -report.tol:
-        raise ExperimentError("admissibility failure: L(e3) <= 0 violated "
-                              f"(L(e3) = {report.L_e3:.3e})")
+        return f"L(e3) <= 0 violated (L(e3) = {report.L_e3:.3e})"
     if cfg.require_global_phi and not report.global_phi_ok:
-        raise ExperimentError(
-            f"admissibility failure: global Phi condition (worst {report.worst_phi:.3e})")
+        return f"global Phi condition (worst {report.worst_phi:.3e})"
+    return None
 
 
 def run_experiment(cfg):
     cfg.validate()
     mesh, obstacle, mat, load = build_setup(cfg)
-    zero_load = is_zero_load(load, mesh)
+    zero_load = loads.is_zero_load(load, mesh)
     adm = loads.verify_global_admissibility(load, obstacle, mesh,
                                             budget=cfg.budget, seed=cfg.seed)
-    _admissibility_gate(adm, cfg, zero_load)
+    failure = admissibility_failure(adm, cfg, zero_load)
+    if failure is not None:
+        raise ExperimentError(f"admissibility failure: {failure}")
     kernel = limit_kernel(load, obstacle, mesh)
 
     results = limit_triple(mesh, mat, load, obstacle, kernel)

@@ -150,6 +150,11 @@ def load_vector(load, mesh):
     return _mesh_cached(mesh, "ell", load, _assemble_load_vector)
 
 
+def is_zero_load(load, mesh):
+    """Whether the load vector vanishes: a degenerate but bounded load."""
+    return float(np.abs(load_vector(load, mesh)).max()) <= 1e-14
+
+
 def _assemble_load_vector(load, mesh):
     ell = np.zeros((mesh.num_nodes, 3))
     if load.f is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,10 @@ class FlowDomainError(Exception):
 
 
 class UnderResolvedError(Exception):
-    """Mollification radius too small for the sampling grid."""
+    """The mollification radius does not fit the mesh: too small for the
+    sampling grid, too large for the reflected layer, or large enough that the
+    quadrature ball of a flowed point meets the blend layer, where the
+    extension is not divergence free, while the flow's determinants fail."""
 
 
 # Polynomial bump rho(r) = C (1 - r^2)^3 on r <= 1; unit mass in 3-D.
@@ -56,6 +60,10 @@ _KUHN_LUT = np.array([5, 3, -1, 2, 4, -1, 1, 0])
 
 # Largest RK4 step count the step doubling of integrate_flow reaches.
 FLOW_MAX_STEPS = 1024
+
+# Points per location call while a FlowAnchor is built; arrays of this many
+# points stay small enough for the allocator to reuse them.
+_ANCHOR_CHUNK = 4096
 
 
 def rho_bump(r):
@@ -123,12 +131,13 @@ class ReflectedExtension:
         self.box_lo = self.ext_origin.copy()
         self.box_hi = self.ext_origin + 3 * self.lengths
 
-    def locate(self, points):
-        """Element ids of the points, with the points as a float array.
+    def _cell_frame(self, points):
+        """The points as a float array, their cells and the parity-adjusted
+        coordinates g in those cells.
 
         Within a cell of parity flags sigma the Kuhn chains run in the
-        coordinates g = f (sigma = 0) or g = 1 - f (sigma = 1), so the element
-        is fixed by the order of g exactly as for the unreflected subdivision.
+        coordinates g = f (sigma = 0) or g = 1 - f (sigma = 1) of the
+        fractional position f, exactly as for the unreflected subdivision.
         """
         p = np.asarray(points, dtype=float)
         rel = (p - self.ext_origin) / self.spacing
@@ -138,11 +147,36 @@ class ReflectedExtension:
         cell = np.clip(np.floor(rel).astype(int), 0, self.ext_div - 1)
         frac = rel - cell
         g = np.where(((cell + self.parity) & 1).astype(bool), 1.0 - frac, frac)
+        return p, cell, g
+
+    def locate(self, points):
+        """Element ids of the points, with the points as a float array; the
+        element is fixed by the order of g in the point's cell."""
+        p, cell, g = self._cell_frame(points)
         code = (4 * (g[:, 0] >= g[:, 1]) + 2 * (g[:, 0] >= g[:, 2])
                 + (g[:, 1] >= g[:, 2]))
         ny, nz = self.ext_div[1], self.ext_div[2]
         lin = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
         return lin * 6 + _KUHN_LUT[code], p
+
+    def face_distance(self, points):
+        """Lower bound on each point's distance to the faces of its element.
+
+        In g the element is the chain 1 >= g_max >= g_mid >= g_min >= 0, whose
+        faces lie at distances 1 - g_max, (g_max - g_mid)/sqrt 2,
+        (g_mid - g_min)/sqrt 2 and g_min; a step dx moves g by at most
+        |dx| / min(spacing). A point on a face (a tie of the location) gets 0.
+        """
+        g_min, g_mid, g_max = np.sort(self._cell_frame(points)[2], axis=1).T
+        gap = np.minimum(np.minimum(g_min, 1.0 - g_max),
+                         np.minimum(g_max - g_mid, g_mid - g_min) / np.sqrt(2.0))
+        return gap * float(self.spacing.min())
+
+    def blend_distance(self, points):
+        """Distance from points of the base box to the blend layer, the shell
+        of elements just outside the box, whose inner boundary is the box's."""
+        p = np.asarray(points, dtype=float)
+        return np.minimum(p - self.origin, self.origin + self.lengths - p).min(axis=1)
 
     def eval_values(self, points):
         elem, p = self.locate(points)
@@ -161,7 +195,8 @@ class SmoothField:
 
     sup_norm and grad_norm are rigorous upper bounds for the field and its
     gradient; holder_seminorm bounds the gamma-Hoelder seminorm. The ledger
-    dictionary carries the deviation and gradient-bound checks.
+    dictionary carries the deviation and gradient-bound checks. anchor_fn,
+    when set, builds the FlowAnchor that integrate_flow evaluates through.
     """
 
     eval_fn: callable
@@ -175,6 +210,7 @@ class SmoothField:
     box_hi: np.ndarray
     kernel_constant: float = MOLLIFIER_K
     div_fn: callable = None
+    anchor_fn: callable = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -182,16 +218,116 @@ class SmoothField:
         return self.sup_norm + self.holder_seminorm
 
     def __call__(self, points):
-        return self.eval_fn(np.atleast_2d(np.asarray(points, dtype=float)))
+        return self.eval_fn(_query(points))
 
     def gradient(self, points):
-        return self.grad_fn(np.atleast_2d(np.asarray(points, dtype=float)))
+        return self.grad_fn(_query(points))
+
+    def anchor(self, x, reach):
+        """FlowAnchor of the field at base points x for displacements up to
+        reach, or None for a field that has none (closed-form fields)."""
+        return None if self.anchor_fn is None else self.anchor_fn(x, reach)
 
     def check_inside(self, points):
         p = np.atleast_2d(points)
         if not np.all((p >= self.box_lo - 1e-12) & (p <= self.box_hi + 1e-12)):
             raise FlowDomainError(
                 "trajectory left the validated neighborhood; existence time exceeded")
+
+
+class AnchoredPoints(NamedTuple):
+    """Positions of the rows start, start + 1, ... of a FlowAnchor's base
+    points: a query that the eval_fn and grad_fn of the anchored field take."""
+
+    anchor: FlowAnchor
+    pos: np.ndarray
+    start: int = 0
+
+
+def _query(points):
+    if isinstance(points, AnchoredPoints):
+        return points
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
+class FlowAnchor:
+    """The mollified field of `ext` near base points x, for displacements up
+    to a reach.
+
+    Every pair (p, q), the point x_p - o_q, is located once. A pair farther
+    than the reach from the faces of its Kuhn element keeps that element at
+    every position within the reach of x_p, so its share of the quadrature
+    sum is affine in the position. Those pairs fold into a per-point map
+    A_p y + b_p, A_p = sum w_q G_e and b_p = sum w_q (c_e - G_e o_q); only
+    the other (live) pairs are located again at each evaluation. Each pair
+    uses the element the all-pairs sum uses, so values and gradients differ
+    from it only by the order of summation. A position farther than the
+    reach from its base point raises FlowDomainError.
+    """
+
+    def __init__(self, ext, offsets, weights, x, reach):
+        self.ext, self.offsets, self.weights = ext, offsets, weights
+        self.x = np.array(x, dtype=float)
+        # roundoff can carry an RK stage a few ulps past t sup|v|
+        self.reach = float(reach) * (1.0 + 1e-9)
+        nq, npts = offsets.shape[0], self.x.shape[0]
+        # location roundoff is far below 1e-12 cell widths
+        slack = 1e-12 * float(ext.spacing.min())
+        folded = np.empty((nq, npts), dtype=bool)
+        self.lin = np.zeros((npts, 3, 3))
+        self.const = np.zeros((npts, 3))
+        # a few offsets per location call and one per accumulation, so no
+        # temporary grows much past _ANCHOR_CHUNK points
+        per_call = max(1, _ANCHOR_CHUNK // npts)
+        for q0 in range(0, nq, per_call):
+            qs = np.arange(q0, min(q0 + per_call, nq))
+            elem, pts = ext.locate((self.x[None, :, :] - offsets[qs, None, :]).reshape(-1, 3))
+            folded[qs] = (ext.face_distance(pts) > self.reach + slack).reshape(-1, npts)
+            for q, e in zip(qs, elem.reshape(-1, npts)):
+                w = weights[q] * folded[q]
+                grads = ext.gradients[e]
+                self.lin += w[:, None, None] * grads
+                self.const += w[:, None] * (ext.offsets[e] - grads @ offsets[q])
+        self.live_p, self.live_q = np.nonzero(~folded.T)       # sorted by point
+        self.live_rows, starts = np.unique(self.live_p, return_index=True)
+        self.live_bounds = np.append(starts, self.live_p.size)
+
+    def at(self, pos, start=0):
+        """The query for positions pos of the base rows start, start + 1, ..."""
+        return AnchoredPoints(self, np.asarray(pos, dtype=float), start)
+
+    def values(self, pos, start=0):
+        rows = self._rows(pos, start)
+        out = np.einsum("pij,pj->pi", self.lin[rows], pos) + self.const[rows]
+        self._add_live(out, pos, start, self.ext.eval_values)
+        return out
+
+    def gradients(self, pos, start=0):
+        rows = self._rows(pos, start)
+        out = self.lin[rows].copy()
+        self._add_live(out, pos, start, self.ext.eval_gradients)
+        return out
+
+    def _rows(self, pos, start):
+        rows = slice(start, start + pos.shape[0])
+        d = pos - self.x[rows]
+        if not np.einsum("pi,pi->p", d, d).max(initial=0.0) <= self.reach**2:
+            raise FlowDomainError(f"displacement beyond the anchor's reach {self.reach:.3e}")
+        return rows
+
+    def _add_live(self, out, pos, start, evaluate):
+        """Add to out the weighted sums of `evaluate` over the live pairs of
+        the rows of pos."""
+        j0, j1 = np.searchsorted(self.live_rows, (start, start + pos.shape[0]))
+        if j0 == j1:
+            return
+        bounds = self.live_bounds[j0:j1 + 1]
+        pairs = slice(bounds[0], bounds[-1])
+        p, q = self.live_p[pairs], self.live_q[pairs]
+        vals = evaluate(pos[p - start] - self.offsets[q])
+        w = self.weights[q].reshape((-1,) + (1,) * (vals.ndim - 1))
+        out[self.live_rows[j0:j1] - start] += np.add.reduceat(w * vals, bounds[:-1] - bounds[0],
+                                                              axis=0)
 
 
 def _ball_quadrature(eps, nq):
@@ -221,6 +357,11 @@ def mollify(ext, eps, gamma=0.25, nq=8):
     piecewise linear, bounded by the nodal bound of u, and its divergence is a
     convex combination of per-element divergences: exactly as divergence free
     as the input wherever the quadrature ball avoids the blend layer.
+
+    A point list is evaluated by locating every (point, quadrature offset)
+    pair. The field's `anchor` builds a FlowAnchor at fixed base points,
+    which folds the pairs that cannot change element within the reach into
+    per-point affine maps; `integrate_flow` evaluates through it.
     """
     if nq < 4:
         raise UnderResolvedError("eps is below two sampling-grid spacings (nq < 4)")
@@ -235,11 +376,15 @@ def mollify(ext, eps, gamma=0.25, nq=8):
         return pts.shape[0], big
 
     def eval_fn(points):
+        if isinstance(points, AnchoredPoints):
+            return points.anchor.values(points.pos, points.start)
         npts, big = _shifted(points)
         vals = ext.eval_values(big).reshape(offsets.shape[0], npts, 3)
         return np.einsum("q,qpi->pi", weights, vals)
 
     def grad_fn(points):
+        if isinstance(points, AnchoredPoints):
+            return points.anchor.gradients(points.pos, points.start)
         npts, big = _shifted(points)
         grads = ext.eval_gradients(big).reshape(offsets.shape[0], npts, 3, 3)
         return np.einsum("q,qpij->pij", weights, grads)
@@ -253,6 +398,7 @@ def mollify(ext, eps, gamma=0.25, nq=8):
     semi = _holder_seminorm_bound(ext.lip_bound, ext.sup_bound, gamma, diam)
     fld = SmoothField(
         eval_fn=eval_fn, grad_fn=grad_fn, div_fn=div_fn,
+        anchor_fn=lambda x, reach: FlowAnchor(ext, offsets, weights, x, reach),
         sup_norm=ext.sup_bound, grad_norm=ext.lip_bound,
         holder_gamma=gamma, holder_seminorm=semi, eps=eps,
         box_lo=ext.box_lo + eps, box_hi=ext.box_hi - eps,
@@ -261,10 +407,7 @@ def mollify(ext, eps, gamma=0.25, nq=8):
     # Probe the advertised properties on element centroids that keep their
     # quadrature ball clear of the blend layer.
     cents = mesh.nodes[mesh.tets].mean(axis=1)
-    lo = mesh.box_origin
-    hi = mesh.box_origin + mesh.box_lengths
-    depth = np.minimum(cents - lo, hi - cents).min(axis=1)
-    safe = cents[depth > eps * 1.0001]
+    safe = cents[ext.blend_distance(cents) > eps * 1.0001]
     diag = {"blend_fraction": float(ext.blend_mask.mean()),
             "input_div_max": float(np.abs(ext.divergences[~ext.blend_mask]).max())}
     if safe.shape[0]:
@@ -316,9 +459,11 @@ class FlowResult:
         return float(np.abs(self.element_det - 1.0).max())
 
 
-def _rk4_flow(v, x, n_nodes, t_final, steps):
+def _rk4_flow(v, x, n_nodes, t_final, steps, anchor):
     """RK4 states (delta, y) after each step for the stacked nodes and centroids
-    x; the variational deviation y lives on the centroids x[n_nodes:]."""
+    x; the variational deviation y lives on the centroids x[n_nodes:]. With an
+    anchor of v at x (None for a field without one), each stage evaluates
+    through it."""
     dt = t_final / steps
     delta = np.zeros_like(x)
     y_c = np.zeros((x.shape[0] - n_nodes, 3, 3))
@@ -327,7 +472,11 @@ def _rk4_flow(v, x, n_nodes, t_final, steps):
     def rhs(d, yc):
         pos = x + d
         v.check_inside(pos)
-        return v(pos), np.einsum("pij,pjk->pik", v.gradient(pos[n_nodes:]), eye + yc)
+        if anchor is None:
+            vals, grads = v(pos), v.gradient(pos[n_nodes:])
+        else:
+            vals, grads = v(anchor.at(pos)), v.gradient(anchor.at(pos[n_nodes:], n_nodes))
+        return vals, np.einsum("pij,pjk->pik", grads, eye + yc)
 
     states = []
     for _ in range(steps):
@@ -353,16 +502,22 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8):
     when it made one, so it bounds the error of the coarser run and is
     conservative for the delivered one. The ledger stores the sampled
     verification of the four flow bounds against the recorded norms.
+
+    Every RK stage moves a point by dt times convex combinations of field
+    values, so no further than the reach t_final sup|v|. The field is
+    anchored once at the nodes and centroids for that reach (`v.anchor`), and
+    every run, the Richardson one included, evaluates through the anchor.
     """
     x_nodes = mesh.nodes
     x = np.concatenate([x_nodes, mesh.nodes[mesh.tets].mean(axis=1)])
     n = x_nodes.shape[0]
     v0_nodes = v(x_nodes)
+    anchor = v.anchor(x, t_final * v.sup_norm)
 
     steps = max(4, int(steps))
     prev_res = coarse = None
     while True:
-        states = _rk4_flow(v, x, n, t_final, steps)
+        states = _rk4_flow(v, x, n, t_final, steps, anchor)
         det_res = np.abs(det_minus_one_from_deviation(states[-1][1])).max()
         if det_res <= 1e-8 or steps >= FLOW_MAX_STEPS:
             break
@@ -375,7 +530,7 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8):
         steps *= 2
 
     if coarse is None:
-        coarse = _rk4_flow(v, x, n, t_final, steps // 2)
+        coarse = _rk4_flow(v, x, n, t_final, steps // 2, anchor)
     (dn_c, yc_c), (dn_f, yc_f) = coarse[-1], states[-1]
     rich = {
         "steps": (steps // 2, steps),
@@ -492,6 +647,21 @@ class RecoveryStep:
     rotation: Rotation
 
 
+def _raise_det_failure(ext, mesh, det_residual, eps, reach):
+    """Name the determinant failure of a flow of reach `reach`: UnderResolvedError
+    when some centroid's quadrature ball can meet the blend layer along its
+    trajectory (radius eps + reach), SolveFailure otherwise."""
+    message = f"recovery determinant residual {det_residual:.3e} exceeds 1e-6"
+    depth = float(ext.blend_distance(mesh.nodes[mesh.tets].mean(axis=1)).min())
+    if depth <= eps + reach:
+        raise UnderResolvedError(
+            f"{message}: eps = {eps:.4g} plus the flow reach {reach:.3g} exceeds the "
+            f"distance {depth:.4g} from a centroid to the blend layer, so the quadrature "
+            "ball meets the blend layer, where the extension is not divergence free "
+            "(eps = h^(gamma/2) shrinks with smaller h or larger gamma)")
+    raise SolveFailure(message)
+
+
 def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
                             gamma=0.25, kernel_class=None, steps_per_h=32,
                             ledger_samples=8, nq=8, div_tol=1e-9):
@@ -502,7 +672,9 @@ def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
     vertically by beta_h computed from the recorded norm bounds (the larger of
     the closed-form constant and the rigorous discrete bound). Nodal
     admissibility on the obstacle and unit determinants are verified, and a
-    violation is a hard failure.
+    violation is a hard failure: a determinant failure whose quadrature balls
+    reach the blend layer raises UnderResolvedError naming eps, any other
+    violation SolveFailure.
     """
     if float(np.abs(u_field.divergence).max()) > div_tol:
         raise SolveFailure("recovery input must be divergence free")
@@ -534,8 +706,7 @@ def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
                     f"recovery admissibility violated at node {node}: y3 = {y3.min():.3e}")
         defgrad = np.einsum("ij,ejk->eik", rmat, flow.element_defgrad)
         if not flow.max_det_residual <= 1e-6:
-            raise SolveFailure(
-                f"recovery determinant residual {flow.max_det_residual:.3e} exceeds 1e-6")
+            _raise_det_failure(ext, mesh, flow.max_det_residual, eps, h * fld.sup_norm)
         steps.append(RecoveryStep(
             h=h, eps=eps, beta=float(beta), beta_closed_form=float(beta_closed_form),
             field=DeformationField.from_nodal(mesh, y),

@@ -290,6 +290,16 @@ def test_cli_zero_load_limit_and_recover(tmp_path, capsys):
     assert "upper-bound trend: PASS" in capsys.readouterr().out
 
 
+def test_cli_check_load_passes_the_zero_load(tmp_path, capsys):
+    # `lab run`, `limit` and `recover` accept the zero load as degenerate but
+    # bounded; `check-load` gives the same verdict
+    cfg_path = tmp_path / "zero.txt"
+    cfg_path.write_text(RECOVERY_CONFIG.replace("f constant 0 0 -1", "f constant 0 0 0")
+                        .format(out=(tmp_path / "out").as_posix()))
+    assert cli_main(["check-load", cfg_path.as_posix()]) == 0
+    assert "gate: PASS" in capsys.readouterr().out
+
+
 def test_report_render_contains_summary(tmp_path):
     cfg = harness.parse_config(FAST_CONFIG.format(out=tmp_path.as_posix()))
     report = harness.run_experiment(cfg)

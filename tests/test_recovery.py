@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -299,6 +300,93 @@ def test_flow_richardson_reuses_the_doubling_run(mesh2):
     assert res.richardson["steps"] == (8, 16)
 
 
+@pytest.mark.parametrize("lengths", [(1.0, 1.0, 1.0), (1.0, 0.6, 1.4)])
+def test_face_distance_is_a_lower_bound(lengths):
+    # a point moved by less than its face distance stays in its element, in
+    # the base box and in the reflected layer, also on an anisotropic grid
+    mesh = sl.build_box_mesh((2, 3, 2), lengths=lengths)
+    ext = ReflectedExtension(mesh, np.zeros((mesh.num_nodes, 3)))
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(ext.box_lo + 0.05, ext.box_hi - 0.05, size=(400, 3))
+    dist = ext.face_distance(pts)
+    assert dist.min() >= 0.0 and dist.max() > 0.0
+    elem, _ = ext.locate(pts)
+    for _ in range(20):
+        step = rng.standard_normal(pts.shape)
+        step *= (0.999 * dist / np.linalg.norm(step, axis=1))[:, None]
+        assert_array_equal(ext.locate(pts + step)[0], elem)
+    # grid-aligned points lie on faces: the ties of the location get 0
+    nodes = ext.mesh.nodes[rng.integers(0, ext.mesh.num_nodes, 50)]
+    assert np.all(ext.face_distance(nodes) == 0.0)
+
+
+def _anchor_setup(mesh, reach, seed):
+    """A mollified random P1 field and its anchor at the nodes, the centroids
+    and random points of the mesh."""
+    rng = np.random.default_rng(seed)
+    ext = ReflectedExtension(mesh, rng.standard_normal((mesh.num_nodes, 3)))
+    fld = recovery.mollify(ext, eps=0.1, gamma=0.5, nq=8)
+    x = np.concatenate([mesh.nodes, mesh.nodes[mesh.tets].mean(axis=1),
+                        rng.uniform(0.0, 1.0, size=(40, 3))])
+    return fld, x, fld.anchor(x, reach), rng
+
+
+def test_anchored_field_matches_all_pairs(mesh2):
+    # values and gradients through the anchor against the sum over every
+    # (point, offset) pair, at the base points (node offsets tie on Kuhn
+    # faces there) and displaced by up to the reach, where a pair folded
+    # into the affine map would pick the wrong element if it could cross
+    reach = 0.01
+    fld, x, anchor, rng = _anchor_setup(mesh2, reach, 41)
+    live = anchor.live_p.size / (x.shape[0] * anchor.offsets.shape[0])
+    assert 0.0 < live < 0.5
+    n = mesh2.num_nodes
+    direction = rng.standard_normal(x.shape)
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    for scale in (np.zeros(x.shape[0]), rng.uniform(0.0, reach, x.shape[0]),
+                  np.full(x.shape[0], reach)):
+        pos = x + scale[:, None] * direction
+        vals, grads = fld(pos), fld.gradient(pos)
+        assert np.abs(fld(anchor.at(pos)) - vals).max() <= 1e-14 * np.abs(vals).max()
+        assert np.abs(fld.gradient(anchor.at(pos)) - grads).max() <= 1e-14 * np.abs(grads).max()
+        tail = fld.gradient(anchor.at(pos[n:], n))
+        assert np.abs(tail - grads[n:]).max() <= 1e-14 * np.abs(grads).max()
+
+
+def test_anchor_rejects_a_displacement_beyond_its_reach(mesh2):
+    reach = 0.01
+    fld, x, anchor, _ = _anchor_setup(mesh2, reach, 42)
+    pos = x.copy()
+    pos[7, 1] += 1.01 * reach
+    for evaluate in (fld, fld.gradient):
+        with pytest.raises(recovery.FlowDomainError, match="reach"):
+            evaluate(anchor.at(pos))
+    pos[7, 1] = np.nan
+    with pytest.raises(recovery.FlowDomainError, match="reach"):
+        fld(anchor.at(pos))
+
+
+def test_anchored_flow_matches_the_all_pairs_flow(mesh2):
+    # integrate_flow anchors a mollified field once per call and reuses the
+    # anchor for the step doubling and the Richardson run; the all-pairs
+    # evaluation of the same field gives the same flow up to summation order
+    rng = np.random.default_rng(43)
+    u = random_divergence_free(mesh2, rng, scale=0.2)
+    fld = recovery.mollify(ReflectedExtension(mesh2, u.u), eps=0.08, gamma=0.25, nq=6)
+    built = []
+    anchor_fn = fld.anchor_fn
+    fld.anchor_fn = lambda x, reach: built.append(reach) or anchor_fn(x, reach)
+    res = recovery.integrate_flow(fld, 0.05, mesh2, steps=8, ledger_samples=4)
+    plain = recovery.integrate_flow(dataclasses.replace(fld, anchor_fn=None), 0.05, mesh2,
+                                    steps=8, ledger_samples=4)
+    assert built == [0.05 * fld.sup_norm]
+    assert res.steps == plain.steps and res.richardson["steps"] == plain.richardson["steps"]
+    scale = np.abs(plain.delta_nodes).max()
+    assert np.abs(res.z_nodes - plain.z_nodes).max() <= 1e-14 * scale
+    assert_allclose(res.element_defgrad, plain.element_defgrad, rtol=0, atol=1e-14)
+    assert [e["all_hold"] for e in res.ledger] == [e["all_hold"] for e in plain.ledger]
+
+
 # ---------------------------------------------------------------------------
 # Bogovskii corrector
 
@@ -469,6 +557,19 @@ def test_recovery_affine_shear_after_lift(mesh2, obstacle2, yeoh, gravity):
     expected = mesh2.nodes @ st.rotation.matrix.T
     expected[:, 2] += st.beta
     assert np.abs(st.field.y - expected).max() < 1e-12
+
+
+def test_recovery_names_a_ball_that_meets_the_blend_layer(tmp_path):
+    # run_recovery 1 on the acceptance config: at h = 0.2, eps = h^(gamma/2)
+    # = 0.82 and the determinants fail; the report names eps and the blend
+    # layer instead of a bare residual
+    from test_acceptance import ACCEPTANCE_CONFIG
+
+    cfg = sl.parse_config(ACCEPTANCE_CONFIG.format(out=tmp_path.as_posix()) + "run_recovery 1\n")
+    error = sl.run_experiment(cfg).recovery_report["error"]
+    assert "determinant residual" in error and "eps = 0.8178" in error
+    assert "blend layer" in error
+    assert f"recovery: error: {error}" in (tmp_path / "report.txt").read_text()
 
 
 def test_recovery_requires_divergence_free(mesh2, obstacle2, yeoh, gravity):

@@ -749,6 +749,20 @@ def test_nonlinear_rejects_inadmissible_load(mesh2, obstacle2, yeoh):
         solvers.minimize_nonlinear(p)
 
 
+def test_nonlinear_rejects_a_pure_couple(mesh1, yeoh, monkeypatch):
+    # f = (0.5 - x2, x1 - 0.5, 0) has zero resultant and torque L(e3 ^ x) = 1/6:
+    # it is not the zero load, so the linear-order check runs and fails
+    def never(asm, y0, problem):
+        raise AssertionError("the augmented-Lagrangian solve ran")
+
+    monkeypatch.setattr(solvers, "_al_solve", never)
+    couple = sl.LoadSpec(f=sl.affine_field([[0, -1, 0], [1, 0, 0], [0, 0, 0]], [0.5, -0.5, 0]))
+    p = solvers.NonlinearProblem(mesh=mesh1, material=yeoh, load=couple,
+                                 obstacle=sl.extract_obstacle(mesh1), h=0.2)
+    with pytest.raises(solvers.SolveFailure, match=r"L\(e3 \^ x\)"):
+        solvers.minimize_nonlinear(p)
+
+
 def test_nonlinear_problem_validation(mesh2, obstacle2, yeoh, gravity):
     with pytest.raises(ValueError):
         solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
