@@ -149,17 +149,14 @@ def _gradient_operator(tets, grads, num_nodes):
 
 
 def _boundary_faces(tets):
-    faces = {}
-    for e, tet in enumerate(tets):
-        for loc in _TET_FACES:
-            tri = tuple(int(tet[i]) for i in loc)
-            key = tuple(sorted(tri))
-            if key in faces:
-                faces[key] = None
-            else:
-                faces[key] = tri
-    out = [tri for tri in faces.values() if tri is not None]
-    return np.array(out, dtype=int)
+    """Faces met by exactly one tet, in the orientation and order of their first
+    occurrence (element-major, `_TET_FACES` order within an element)."""
+    faces = tets[:, _TET_FACES].reshape(-1, 3)
+    keys = np.sort(faces, axis=1)
+    n = int(tets.max(initial=0)) + 1
+    codes = (keys[:, 0] * n + keys[:, 1]) * n + keys[:, 2]
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return faces[np.sort(first[counts == 1])]
 
 
 def _finish_mesh(nodes, tets, analytic_volume=None, box=None):
@@ -219,24 +216,17 @@ def build_box_mesh(divisions, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
     )
     nodes = np.stack([g.ravel() for g in grid], axis=1)
 
-    def nid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    tets = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                cell = np.array([i, j, k])
-                flags = (cell + parity) % 2
-                start = cell + flags
-                dirs = 1 - 2 * flags
-                for perm in KUHN_PERMS:
-                    chain = [start.copy()]
-                    for ax in perm:
-                        nxt = chain[-1].copy()
-                        nxt[ax] += dirs[ax]
-                        chain.append(nxt)
-                    tets.append([nid(*v) for v in chain])
+    # cells in (i, j, k) C order, six chains per cell in KUHN_PERMS order
+    cells = np.indices((nx, ny, nz)).reshape(3, -1).T
+    flags = (cells + parity) % 2
+    start, dirs = cells + flags, 1 - 2 * flags
+    # steps[q, c, ax] = 1 when chain q has stepped along ax within its first c moves
+    steps = np.zeros((len(KUHN_PERMS), 4, 3), dtype=int)
+    for q, perm in enumerate(KUHN_PERMS):
+        for c, ax in enumerate(perm):
+            steps[q, c + 1:, ax] = 1
+    v = start[:, None, None, :] + dirs[:, None, None, :] * steps[None]
+    tets = ((v[..., 0] * (ny + 1) + v[..., 1]) * (nz + 1) + v[..., 2]).reshape(-1, 4)
     mesh = _finish_mesh(
         nodes,
         tets,

@@ -60,7 +60,9 @@ class Rotation:
 
     @classmethod
     def about_e3(cls, angle):
-        return cls.from_axis_angle(np.array([0.0, 0.0, 1.0]), angle)
+        c, s = np.cos(angle), np.sin(angle)
+        mat = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return cls(matrix=mat, axis=np.array([0.0, 0.0, 1.0]), angle=float(angle))
 
     def validate(self, tol=1e-12):
         r = self.matrix

@@ -3,8 +3,12 @@
 The quadratic limit problems are solved exactly: the kernel maximum in the
 load term turns the objective into min over a rotation angle of convex QPs
 (min_u [quad(u) - L(R_theta u)] swapped with the max), each solved by a primal
-active-set method that factors the KKT matrix of each working set once and
-reuses it across iterations and angles. The nonlinear problems use an
+active-set method in the null space of the div rows: a pivoted QR of B^T,
+computed once per mesh, gives an orthonormal basis Z of null(B) (the
+per-element rows of a Kuhn mesh are far from independent: rank 96 of 162 on
+cube 3), and only the reduced KKT matrix [[Z^T H Z, Z_W^T], [Z_W, 0]] of each
+working set W is factored, once, and reused across iterations and angles.
+The nonlinear problems use an
 augmented Lagrangian on the per-element determinant with kappa continuation
 and projected L-BFGS-B inner solves, run once per h from the identity or from
 a warm start (h-continuation along a sweep), followed by a Newton polish of
@@ -22,6 +26,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -150,24 +155,76 @@ def obstacle_bound_dofs(obstacle):
 # ---------------------------------------------------------------------------
 # exact QP
 
-def _kkt_factor(h, a_eq, working):
-    """Truncated eigendecomposition of the symmetric KKT matrix of one working set.
+class _NullSpaceFrame(NamedTuple):
+    """Pivoted QR of A_eq^T = [Q1 Q2] R P^T, split at the numerical rank.
+
+    `z` = Q2 is an orthonormal basis of null(A_eq). The independent rows
+    `rows` = P[:rank] satisfy A_eq[rows] = r11^T Q1^T with Q1 = `range_basis`,
+    so a particular solution in the row space is Q1 r11^-T b_eq[rows].
+    """
+
+    z: np.ndarray            # (n, n - rank)
+    range_basis: np.ndarray  # (n, rank)
+    r11: np.ndarray          # (rank, rank) upper triangular
+    rows: np.ndarray         # (rank,) independent rows of A_eq
+
+    def particular(self, b_eq):
+        """Minimum-norm x with A_eq[rows] x = b_eq[rows]; exactly 0 for b_eq = 0."""
+        b_eq = np.asarray(b_eq, dtype=float)
+        if not b_eq[self.rows].any():
+            return np.zeros(self.z.shape[0])
+        c = scipy.linalg.solve_triangular(self.r11, b_eq[self.rows], trans="T")
+        return self.range_basis @ c
+
+    def padded(self, extra):
+        """Frame of [A_eq, 0] with `extra` zero columns appended."""
+        n, k = self.z.shape
+        z = np.zeros((n + extra, k + extra))
+        z[:n, :k] = self.z
+        z[n:, k:] = np.eye(extra)
+        q1 = np.vstack([self.range_basis, np.zeros((extra, self.range_basis.shape[1]))])
+        return _NullSpaceFrame(z, q1, self.r11, self.rows)
+
+
+def _null_space_frame(a_eq, n):
+    """Frame of the (m, n) rows A_eq; diagonal entries of R at or below
+    eps * max(m, n) * |R_00| count as dependent (the gap is 1e-14 against O(1)
+    for the Kuhn divergence rows)."""
+    m = a_eq.shape[0] if a_eq is not None and len(a_eq) else 0
+    if m == 0 or n == 0:
+        return _NullSpaceFrame(np.eye(n), np.zeros((n, 0)), np.zeros((0, 0)),
+                               np.zeros(0, dtype=int))
+    q, r, piv = scipy.linalg.qr(np.asarray(a_eq, dtype=float).T, mode="full", pivoting=True)
+    d = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(d > np.finfo(float).eps * max(m, n) * d.max()))
+    # copies, so that a cached frame does not keep all of Q and R alive
+    return _NullSpaceFrame(q[:, rank:].copy(), q[:, :rank].copy(), r[:rank, :rank].copy(),
+                           piv[:rank])
+
+
+def _div_null_space(mesh):
+    """Frame of the mesh's divergence rows, computed once per mesh."""
+    key = ("div_null_space",)
+    if key not in mesh._cache:
+        mesh._cache[key] = _null_space_frame(assemble_div_matrix(mesh), 3 * mesh.num_nodes)
+    return mesh._cache[key]
+
+
+def _kkt_factor(hz, z, working):
+    """Truncated eigendecomposition of the reduced KKT matrix of one working set,
+    [[Z^T H Z, Z_W^T], [Z_W, 0]] with Z_W the rows of Z at the working bounds.
 
     Eigenpairs with |lambda| <= eps * dim * max|lambda| are dropped, which is
     lstsq's default cutoff (the singular values are the |lambda|), so
     v @ ((v.T @ rhs) / lambda) is the same minimum-norm solution.
     """
-    n = h.shape[0]
-    n_eq = a_eq.shape[0] if a_eq is not None and len(a_eq) else 0
-    dim = n + n_eq + len(working)
+    k = hz.shape[0]
+    z_w = z[np.asarray(working, dtype=int)]
+    dim = k + len(working)
     kkt = np.zeros((dim, dim))
-    kkt[:n, :n] = h
-    if n_eq:
-        kkt[:n, n:n + n_eq] = a_eq.T
-        kkt[n:n + n_eq, :n] = a_eq
-    for r, i in enumerate(working):
-        kkt[i, n + n_eq + r] = 1.0
-        kkt[n + n_eq + r, i] = 1.0
+    kkt[:k, :k] = hz
+    kkt[:k, k:] = z_w.T
+    kkt[k:, :k] = z_w
     lam, v = scipy.linalg.eigh(kkt, driver="evr")
     keep = np.abs(lam) > np.finfo(float).eps * dim * np.abs(lam).max(initial=0.0)
     return v[:, keep], lam[keep]
@@ -176,15 +233,22 @@ def _kkt_factor(h, a_eq, working):
 def active_set_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
     """min (1/2) x^T H x + g^T x  s.t.  A_eq x = b_eq,  x_i >= 0 for i in bound_idx.
 
-    Primal active-set method. The KKT matrix of each working set is factored
-    once and reused for every later step on that working set; its solves give
-    the minimum-norm solution (H may be singular and A_eq rank-deficient; the
-    minimum-norm step keeps flat directions pinned). `factors` maps
-    tuple(working set) to a factorization and may be shared by calls with the
-    same H and A_eq (g and b_eq may differ), as across an angle scan; by
-    default it is local to the call. A working set is optimal when no bound
-    multiplier is below -QP_MULTIPLIER_TOL; the method gives up after
-    3 max(#bounds, 1) + 30 iterations. Returns (x, info) with the bound
+    Primal active-set method in the null space of the equality rows
+    (Nocedal & Wright, sec. 16.2): x = x0 + Z y with Z an orthonormal basis of
+    null(A_eq) and x0 = `_NullSpaceFrame.particular(b_eq)`, so dependent rows
+    of A_eq never enter a factorization. The reduced KKT matrix of each
+    working set is factored once and reused for every later step on that
+    working set; its solves give the minimum-norm y, and as Z is orthonormal
+    and x0 lies in the row space the step has no component along flat
+    directions of H (H may be singular and A_eq rank-deficient). `factors`
+    holds the frame ("null_space"), Z^T H Z ("reduced_hessian") and one
+    factorization per tuple(working set); it may be shared by calls with the
+    same H and A_eq (g and b_eq may differ), as across an angle scan, and a
+    caller may seed its "null_space"; by default it is local to the call. A
+    working set is optimal when no bound multiplier is below
+    -QP_MULTIPLIER_TOL; the method gives up after 3 max(#bounds, 1) + 30
+    iterations, and raises SolveFailure when the result violates any row of
+    A_eq (inconsistent equalities). Returns (x, info) with the bound
     multipliers of the final working set.
     """
     n = h.shape[0]
@@ -193,6 +257,15 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
     n_eq = a_eq.shape[0] if a_eq is not None and len(a_eq) else 0
     if factors is None:
         factors = {}
+    if "null_space" not in factors:
+        factors["null_space"] = _null_space_frame(a_eq, n)
+    frame = factors["null_space"]
+    z = frame.z
+    if "reduced_hessian" not in factors:
+        factors["reduced_hessian"] = z.T @ h @ z
+    hz = factors["reduced_hessian"]
+    x0 = frame.particular(b_eq) if n_eq else np.zeros(n)
+    rhs_y = -(z.T @ (g + h @ x0))
     x = np.zeros(n)
     working = list(bound_idx) if warm_working is None else list(warm_working)
     iters = 0
@@ -201,30 +274,31 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
         iters += 1
         key = tuple(working)
         if key not in factors:
-            factors[key] = _kkt_factor(h, a_eq, working)
+            factors[key] = _kkt_factor(hz, z, working)
         v, lam = factors[key]
-        rhs = np.concatenate([-g, np.asarray(b_eq, dtype=float) if n_eq else np.zeros(0),
-                              np.zeros(len(working))])
-        sol = v @ ((v.T @ rhs) / lam)
-        x_star, nu = sol[:n], sol[n:]
+        w_idx = np.asarray(working, dtype=int)
+        sol = v @ ((v.T @ np.concatenate([rhs_y, -x0[w_idx]])) / lam)
+        x_star, nu = x0 + z @ sol[:z.shape[1]], sol[z.shape[1]:]
         p = x_star - x
         if np.abs(p).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(x).max(initial=0.0)):
-            mu = -nu[n_eq:]
+            mu = -nu
             if mu.size == 0 or mu.min() >= -QP_MULTIPLIER_TOL:
                 x = x_star
                 break
             working.pop(int(np.argmin(mu)))
             continue
-        alpha, blocker = 1.0, None
-        for i in bound_idx:
-            if i in working:
-                continue
-            if p[i] < -1e-14:
-                cand = max(x[i], 0.0) / (-p[i])
-                if cand < alpha:
-                    alpha, blocker = cand, i
+        # ratio test: the first minimal step to a bound outside the working
+        # set, in bound_idx order
+        p_b = p[bound_idx]
+        in_working = np.zeros(n, dtype=bool)
+        in_working[w_idx] = True
+        open_ = (p_b < -1e-14) & ~in_working[bound_idx]
+        ratio = np.full(bound_idx.size, np.inf)
+        np.divide(np.maximum(x[bound_idx], 0.0), -p_b, out=ratio, where=open_)
+        alpha = ratio.min(initial=1.0)
         x = x + alpha * p
-        if blocker is not None:
+        if alpha < 1.0:
+            blocker = bound_idx[int(np.argmin(ratio))]
             x[blocker] = 0.0
             working.append(blocker)
     else:
@@ -341,7 +415,10 @@ def minimize_limit(problem):
     zeros = np.zeros(b_mat.shape[0])
     total_iters = 0
     last_working = [None]
-    factors = {}   # H and B are fixed here: one factorization per working set
+    # H and B are fixed here: one factorization per working set, and the div
+    # null space is the mesh's (the shear coordinates are free)
+    frame = _div_null_space(p.mesh)
+    factors = {"null_space": frame.padded(2) if with_shear else frame}
 
     def solve_theta(theta):
         nonlocal total_iters

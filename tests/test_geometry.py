@@ -85,6 +85,53 @@ def test_boundary_tiles_once(mesh2):
     assert_allclose(area, 6.0, rtol=1e-12)
 
 
+def box_mesh_loop_oracle(n, parity):
+    """Tets and boundary triangles of the n^3 box, built cell by cell and
+    face by face as `build_box_mesh` once did."""
+    from signorini_lab.geometry import _TET_FACES, KUHN_PERMS
+
+    def nid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    nodes = np.array([[i, j, k] for i in range(n + 1) for j in range(n + 1)
+                      for k in range(n + 1)], dtype=float) / n
+    tets = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                cell = np.array([i, j, k])
+                flags = (cell + np.asarray(parity)) % 2
+                start, dirs = cell + flags, 1 - 2 * flags
+                for perm in KUHN_PERMS:
+                    chain = [start.copy()]
+                    for ax in perm:
+                        nxt = chain[-1].copy()
+                        nxt[ax] += dirs[ax]
+                        chain.append(nxt)
+                    tets.append([nid(*v) for v in chain])
+    tets = np.array(tets)
+    for tet in tets:
+        p = nodes[tet]
+        if np.linalg.det(p[1:] - p[0]) < 0:
+            tet[[2, 3]] = tet[[3, 2]]
+    faces = {}
+    for tet in tets:
+        for loc in _TET_FACES:
+            tri = tuple(int(tet[i]) for i in loc)
+            key = tuple(sorted(tri))
+            faces[key] = None if key in faces else tri
+    return tets, np.array([tri for tri in faces.values() if tri is not None])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_box_mesh_matches_loop_oracle(n):
+    for parity in np.ndindex(2, 2, 2):
+        mesh = sl.build_box_mesh((n, n, n), parity_offset=parity)
+        tets, tris = box_mesh_loop_oracle(n, parity)
+        assert np.array_equal(mesh.tets, tets), parity
+        assert np.array_equal(mesh.boundary_tris, tris), parity
+
+
 def test_obstacle_nodes_n2(mesh2, obstacle2):
     assert obstacle2.num_nodes == 9
     assert np.abs(mesh2.nodes[obstacle2.node_indices, 2]).max() <= 1e-12

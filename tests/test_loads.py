@@ -90,6 +90,16 @@ def test_torque_matches_affine_route(mesh2, test_loads):
             assert abs(val - a @ t0) < 1e-12 * max(1.0, abs(val))
 
 
+def test_about_e3_closed_form_matches_axis_angle():
+    for theta in (0.0, 1e-9, 0.3, np.pi / 2, 2.0, np.pi, 4.4, 2.0 * np.pi - 1e-3, -0.8, 7.5):
+        r = Rotation.about_e3(theta)
+        ref = Rotation.from_axis_angle([0.0, 0.0, 1.0], theta)
+        assert np.abs(r.matrix - ref.matrix).max() <= 1e-15, theta
+        assert_allclose(r.axis, ref.axis, rtol=0, atol=0)
+        assert r.angle == ref.angle
+        assert r.validate()
+
+
 def test_phi_identity_and_symmetry(mesh2, obstacle2, gravity):
     assert sl.phi(gravity, obstacle2, Rotation.identity(), mesh2) == 0.0
     for theta in (0.3, 1.1, 2.0):

@@ -236,28 +236,36 @@ def test_active_set_qp_shared_factors_over_angles(mesh2, obstacle2, yeoh, monkey
     b = assemble_div_matrix(mesh2)
     zeros = np.zeros(b.shape[0])
     bound = obstacle_bound_dofs(obstacle2)
-    factored = []
+    factored, frames = [], []
     kkt_factor = solvers._kkt_factor
+    null_space_frame = solvers._null_space_frame
 
-    def counting(h_, a_eq, working):
+    def counting(hz, z, working):
         factored.append(tuple(working))
-        return kkt_factor(h_, a_eq, working)
+        return kkt_factor(hz, z, working)
+
+    def counting_frame(a_eq, n):
+        frames.append(n)
+        return null_space_frame(a_eq, n)
 
     monkeypatch.setattr(solvers, "_kkt_factor", counting)
+    monkeypatch.setattr(solvers, "_null_space_frame", counting_frame)
     factors, warm, solved = {}, None, []
     for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
         g = -solvers._limit_load_vector(p, theta)
         x, info = active_set_qp(h, g, b, zeros, bound, warm_working=warm, factors=factors)
         solved.append((g, warm, x))
         warm = info["working_set"]
-    shared = list(factored)
+    shared, shared_frames = list(factored), list(frames)
     for g, warm, x in solved:
         x_fresh, _ = active_set_qp(h, g, b, zeros, bound, warm_working=warm)
         assert_allclose(x, x_fresh, rtol=0.0, atol=1e-12)
-    # every working set met is factored exactly once, and the angles share them
-    assert len(shared) == len(set(shared)) == len(factors)
-    assert set(shared) == set(factors)
-    assert len(factors) < len(factored) - len(shared)
+    # the null-space frame is computed once for the scan, and every working
+    # set met is factored exactly once, and the angles share them
+    assert shared_frames == [h.shape[0]]
+    assert set(factors) - {"null_space", "reduced_hessian"} == set(shared)
+    assert len(shared) == len(set(shared)) == len(factors) - 2
+    assert len(factors) - 2 < len(factored) - len(shared)
 
 
 def test_active_set_qp_shared_factors_follow_the_working_set():
@@ -304,6 +312,133 @@ def test_active_set_qp_redundant_kuhn_rows(mesh2, obstacle2, yeoh, gravity):
     flat[0, :, 0] = flat[1, :, 1] = 1.0
     flat[2, :, 0], flat[2, :, 1] = -nodes[:, 1], nodes[:, 0]
     assert np.abs(flat.reshape(3, -1) @ x).max() < 1e-10 * np.abs(x).max()
+
+
+def full_kkt_qp_oracle(h, g, a_eq, b_eq, bound_idx, warm_working=None):
+    """The active-set method with every step a minimum-norm solve of the full
+    KKT matrix [[H, A_eq^T, E_W^T], [A_eq, 0, 0], [E_W, 0, 0]] (truncated
+    eigh at lstsq's cutoff) and a loop ratio test, as the solver ran before
+    it moved to the null space of A_eq. Returns (x, working set, bound
+    multipliers)."""
+    n, n_eq = h.shape[0], a_eq.shape[0]
+    x = np.zeros(n)
+    working = list(bound_idx) if warm_working is None else list(warm_working)
+    for _ in range(3 * max(len(bound_idx), 1) + 30):
+        dim = n + n_eq + len(working)
+        kkt = np.zeros((dim, dim))
+        kkt[:n, :n] = h
+        kkt[:n, n:n + n_eq] = a_eq.T
+        kkt[n:n + n_eq, :n] = a_eq
+        for r, i in enumerate(working):
+            kkt[i, n + n_eq + r] = kkt[n + n_eq + r, i] = 1.0
+        lam, v = np.linalg.eigh(kkt)
+        keep = np.abs(lam) > np.finfo(float).eps * dim * np.abs(lam).max(initial=0.0)
+        v, lam = v[:, keep], lam[keep]
+        rhs = np.concatenate([-g, b_eq, np.zeros(len(working))])
+        sol = v @ ((v.T @ rhs) / lam)
+        p = sol[:n] - x
+        if np.abs(p).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(x).max(initial=0.0)):
+            mu = -sol[n + n_eq:]
+            if mu.size == 0 or mu.min() >= -solvers.QP_MULTIPLIER_TOL:
+                return sol[:n], working, mu
+            working.pop(int(np.argmin(mu)))
+            continue
+        alpha, blocker = 1.0, None
+        for i in bound_idx:
+            if i not in working and p[i] < -1e-14:
+                cand = max(x[i], 0.0) / (-p[i])
+                if cand < alpha:
+                    alpha, blocker = cand, i
+        x = x + alpha * p
+        if blocker is not None:
+            x[blocker] = 0.0
+            working.append(blocker)
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_active_set_qp_matches_full_kkt_oracle(n, yeoh):
+    # the null-space solve reproduces the full-KKT minimum-norm solve of the
+    # limit QPs: same minimizer, objective, working set and multipliers
+    mesh = sl.build_unit_cube_mesh(n)
+    obstacle = sl.extract_obstacle(mesh)
+    load = scan_load(mesh, np.random.default_rng(20 + n))
+    p = make_problem(mesh, obstacle, yeoh, load, Variant.GI,
+                     sl.KernelClass.ROTATIONS_ABOUT_E3)
+    bound = obstacle_bound_dofs(obstacle)
+    b_div = assemble_div_matrix(mesh)
+    cases = [(Variant.EI, 0.0)] + [(v, t) for v in (Variant.GI, Variant.GTILDE)
+                                   for t in (0.7, 2.9, 4.4)]
+    for variant, theta in cases:
+        with_shear = variant == Variant.GTILDE
+        h = assemble_strain_hessian(mesh, yeoh, with_shear=with_shear)
+        b = np.hstack([b_div, np.zeros((b_div.shape[0], 2))]) if with_shear else b_div
+        g = np.zeros(h.shape[0])
+        g[:3 * mesh.num_nodes] = -solvers._limit_load_vector(p, theta)
+        zeros = np.zeros(b.shape[0])
+        x, info = active_set_qp(h, g, b, zeros, bound)
+        x_ref, working_ref, mu_ref = full_kkt_qp_oracle(h, g, b, zeros, bound)
+        case = f"{variant.value} theta={theta}"
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max(), case
+        obj, obj_ref = 0.5 * x @ h @ x + g @ x, 0.5 * x_ref @ h @ x_ref + g @ x_ref
+        assert abs(obj - obj_ref) <= 1e-14 * (1.0 + abs(obj_ref)), case
+        assert info["working_set"] == working_ref, case
+        assert_allclose(info["bound_multipliers"], mu_ref, rtol=0.0,
+                        atol=1e-10 * max(1.0, np.abs(mu_ref).max()), err_msg=case)
+
+
+def test_active_set_qp_bound_implied_by_equalities():
+    # x0 = x1 and x0 + x1 = 0 force x1 = 0, so the working bound x1 >= 0 is a
+    # dependent row: its reduced KKT row is zero and the solve goes through
+    h = np.diag([1.0, 2.0, 1.0])
+    g = np.array([1.0, -3.0, -1.0])
+    a_eq = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
+    for bound in (np.array([1]), np.array([1, 2])):
+        x, info = active_set_qp(h, g, a_eq, np.zeros(2), bound)
+        assert_allclose(x, [0.0, 0.0, 1.0], atol=1e-14)
+        assert info["bound_multipliers"].min() >= -solvers.QP_MULTIPLIER_TOL
+        oracle = enumerate_qp_oracle(h, g, a_eq, np.zeros(2), bound)
+        assert abs(0.5 * x @ h @ x + g @ x - oracle) < 1e-14
+
+
+def test_active_set_qp_ratio_ties_follow_bound_order():
+    # from x = 0 every bound whose step points below it blocks at ratio 0:
+    # the blocker is the first such bound in bound_idx order, not the lowest dof
+    h = np.eye(4)
+    g = np.array([1.0, 1.0, 1.0, -1.0])
+    bound = np.array([2, 3, 0, 1])
+    x, info = active_set_qp(h, g, np.zeros((0, 4)), np.zeros(0), bound, warm_working=[])
+    assert [int(i) for i in info["working_set"]] == [2, 0, 1]
+    assert_allclose(x, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
+    _, working_ref, _ = full_kkt_qp_oracle(h, g, np.zeros((0, 4)), np.zeros(0), bound,
+                                           warm_working=[])
+    assert info["working_set"] == working_ref
+
+
+def test_minimize_limit_calls_the_qp_once_per_angle(mesh2, obstacle2, yeoh, monkeypatch):
+    # the bench counts solvers.active_set_qp calls: one per angle solved
+    thetas, calls = [], []
+    load_vector_at = solvers._limit_load_vector
+    qp = solvers.active_set_qp
+
+    def recording_load(problem, theta):
+        thetas.append(theta)
+        return load_vector_at(problem, theta)
+
+    def counting_qp(*args, **kwargs):
+        calls.append(kwargs.get("warm_working"))
+        return qp(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_limit_load_vector", recording_load)
+    monkeypatch.setattr(solvers, "active_set_qp", counting_qp)
+    load = scan_load(mesh2, np.random.default_rng(8))
+    for variant, at_least in ((Variant.EI, 1), (Variant.GI, 49), (Variant.GTILDE, 49)):
+        del thetas[:], calls[:]
+        solvers.minimize_limit(make_problem(mesh2, obstacle2, yeoh, load, variant,
+                                            sl.KernelClass.ROTATIONS_ABOUT_E3))
+        assert len(calls) == len(thetas) >= at_least, variant
+        assert calls[0] is None and all(w is not None for w in calls[1:])
+    assert len(calls) > 49
 
 
 def test_active_set_qp_degenerate_kkt_gives_zeros():
