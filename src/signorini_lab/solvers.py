@@ -11,8 +11,13 @@ working set W is factored, once, and reused across iterations and angles.
 The nonlinear problems use an
 augmented Lagrangian on the per-element determinant with kappa continuation
 and projected L-BFGS-B inner solves, run once per h from the identity or from
-a warm start (h-continuation along a sweep), followed by a Newton polish of
-the KKT system on the identified active set when it succeeds.
+a warm start (h-continuation along a sweep). The AL only globalizes: its inner
+solves are inexact, resolved to the relative accuracy of the feasibility
+target det_target, and one Newton solve of the KKT system on the identified
+active set finishes the iterate. When that finish fails or is rejected, the
+AL loop resumes from its iterate and multipliers with inner solves at the
+configured gtol, so gtol is the accuracy of every iterate the finish did not
+polish.
 
 Both sides are built from the mesh's sparse P1 gradient operator D (nodal
 displacements to element gradients): the strain Hessian and the Newton
@@ -30,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import Bounds, minimize, minimize_scalar
 
 from .geometry import Mesh, ObstacleSet, gradient_form, gradient_rows
 from .kinematics import DeformationField, DisplacementField
@@ -546,24 +551,38 @@ class _NonlinearAssembler:
         return gradient_form(self.mesh, h9)
 
 
-def _al_solve(asm, y0, problem):
-    """Augmented-Lagrangian loop around projected L-BFGS-B inner solves."""
-    from scipy.optimize import Bounds
+def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
+    """Augmented-Lagrangian loop around projected L-BFGS-B inner solves.
 
+    The multipliers start at the identity pressure unless `lam` is given;
+    with `lam` and the `trace` of an earlier loop the loop resumes it, its
+    stages numbered and its kappa chosen as if it had not stopped. Either way
+    it runs until kappa_stages stages have run in all and max|det - 1| <=
+    det_target, or for at most kappa_stages + 12 stages. The L-BFGS-B
+    projected-gradient tolerance is the configured gtol times
+    max(1, c1/h^2) for the `tail` that runs after a failed Newton finish,
+    whose iterate is returned unpolished; ahead of the finish, gtol is
+    raised to det_target, so stationarity is resolved to the relative
+    accuracy of the feasibility target the loop stops on. Returns (y, lam,
+    det_res, trace, iterations), the trace including the earlier stages and
+    the iterations only this call's.
+    """
     p = problem
     n3 = y0.size
     lower = np.full(n3, -np.inf)
     lower[obstacle_bound_dofs(p.obstacle)] = 0.0
     bounds = Bounds(lower, np.full(n3, np.inf))
-    # seed the multipliers with the exact pressure at the identity, -dW/d(det)
-    lam = np.full(p.mesh.num_elements, -p.material.pressure)
+    if lam is None:
+        # seed the multipliers with the exact pressure at the identity, -dW/d(det)
+        lam = np.full(p.mesh.num_elements, -p.material.pressure)
     y = y0.copy()
     kappas = [p.kappa0 * p.kappa_factor**k for k in range(p.kappa_stages)]
-    trace = []
+    trace = list(trace)
     total_iter = 0
     det_res = np.inf
-    pgtol = p.gtol * max(1.0, p.material.c1 / p.h**2)
-    for stage in range(p.kappa_stages + 12):
+    pgtol = (p.gtol if tail else max(p.gtol, p.det_target)) * max(1.0, p.material.c1 / p.h**2)
+    first = len(trace)
+    for stage in range(first, first + p.kappa_stages + 12):
         kappa = kappas[min(stage, len(kappas) - 1)]
         res = minimize(lambda yy: asm.al_value_grad(yy, lam, kappa), y, jac=True,
                        method="L-BFGS-B", bounds=bounds,
@@ -575,7 +594,8 @@ def _al_solve(asm, y0, problem):
         det_res = float(np.abs(r).max())
         lam = lam + kappa * r
         trace.append({"stage": stage, "kappa": kappa, "objective": value,
-                      "det_residual": det_res, "inner_iterations": res.nit})
+                      "det_residual": det_res, "inner_iterations": res.nit,
+                      "inner_gtol": pgtol, "tail": tail})
         if stage >= p.kappa_stages - 1 and det_res <= p.det_target:
             break
     return y, lam, det_res, trace, total_iter
@@ -584,31 +604,41 @@ def _al_solve(asm, y0, problem):
 def _newton_polish(asm, y, lam, problem, max_rounds=3):
     """Solve the exact KKT system on the active set found by the AL phase.
 
+    The Newton iteration on one active set has converged when max|r1| and
+    max|r2| are at most 1e-11 max(1, h^-2), r1 the stationarity residual on
+    the free dofs and r2 = vol (det - 1), and r2 has either reached roundoff
+    (max|r2| <= 1e-15) or stopped falling (above half its value one step
+    earlier): the h^-2 scale alone would accept a determinant residual that
+    one more step removes.
+
     Returns ((y, nu), "ok") on success, else (None, reason) with reason
     "no-convergence" (20 Newton steps on one active set) or
     "active-set-cycling" (`max_rounds` active-set updates ran out).
     """
     p = problem
-    n3 = y.size
     bound_dofs = obstacle_bound_dofs(p.obstacle)
-    active = set(int(i) for i in bound_dofs if y[i] <= 1e-8)
+    active = np.zeros(y.size, dtype=bool)
+    active[bound_dofs[y[bound_dofs] <= 1e-8]] = True
     h2 = p.h**2
     nu = lam / h2   # AL multipliers live in material units
     for _ in range(max_rounds):
         yk = y.copy()
-        if active:
-            yk[list(active)] = 0.0
-        free = np.array([i for i in range(n3) if i not in active], dtype=int)
+        yk[active] = 0.0
+        free = np.flatnonzero(~active)
         converged = False
+        r2_prev = np.inf
         for _ in range(20):
             d_el, g, r = asm.deviation(yk)
             grad_l = asm.lagrangian_gradient(d_el, g, nu)
             r1 = grad_l[free]
             r2 = asm.vols * r
-            res_norm = max(np.abs(r1).max() if r1.size else 0.0, np.abs(r2).max())
-            if res_norm <= 1e-11 * max(1.0, 1.0 / h2):
+            r2_norm = np.abs(r2).max()
+            res_norm = max(np.abs(r1).max() if r1.size else 0.0, r2_norm)
+            if (res_norm <= 1e-11 * max(1.0, 1.0 / h2)
+                    and (r2_norm <= 1e-15 or r2_norm > 0.5 * r2_prev)):
                 converged = True
                 break
+            r2_prev = r2_norm
             hess = asm.lagrangian_hessian(d_el, g, nu)
             jac = asm.constraint_jacobian(d_el)
             nf, m = free.size, r2.size
@@ -624,19 +654,14 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
         if not converged:
             return None, "no-convergence"
         # bound feasibility and multiplier signs on the active set
-        grad_full = grad_l
-        mu = grad_full[sorted(active)] if active else np.zeros(0)
-        inact = [i for i in bound_dofs if i not in active]
-        worst_inact = min((yk[i] for i in inact), default=0.0)
+        mu = grad_l[active]
+        inact = bound_dofs[~active[bound_dofs]]
         if mu.size and mu.min() < -1e-8:
-            drop = sorted(active)[int(np.argmin(mu))]
-            active.discard(drop)
+            active[np.flatnonzero(active)[int(np.argmin(mu))]] = False
             y = yk
             continue
-        if worst_inact < -1e-12:
-            for i in inact:
-                if yk[i] < -1e-12:
-                    active.add(i)
+        if inact.size and yk[inact].min() < -1e-12:
+            active[inact[yk[inact] < -1e-12]] = True
             y = yk
             continue
         return (yk, nu), "ok"
@@ -648,8 +673,12 @@ def minimize_nonlinear(problem):
 
     One augmented-Lagrangian solve starts from the warm start when one is
     given (in an h-sweep, the previous minimizer rescaled to this h) and from
-    the identity otherwise; a Newton solve of the KKT system on the identified
-    active set then polishes its result when it can. The reported objective is
+    the identity otherwise. Its inner solves are inexact, resolved only to
+    the accuracy of the feasibility target, and a Newton solve of the KKT
+    system on the identified active set then finishes its result. When the
+    finish fails or is rejected, the same AL loop resumes from its iterate and
+    multipliers at the configured gtol, so an unpolished result is resolved
+    to gtol; the result keeps the finish's reason. The reported objective is
     the plain rescaled energy at the returned iterate, with the determinant
     residual reported alongside. A failed AL solve raises SolveFailure naming
     the start.
@@ -668,25 +697,34 @@ def minimize_nonlinear(problem):
         name, y0 = "identity", p.mesh.nodes.ravel().copy()
     else:
         name, y0 = "warm", np.asarray(p.warm_start, dtype=float).ravel().copy()
-    try:
-        y, lam, det_res, trace, iters = _al_solve(asm, y0, p)
-    except Exception as exc:
-        raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
-    value, _ = asm.objective(y)
 
+    def al_solve(y_start, **resume):
+        try:
+            return _al_solve(asm, y_start, p, **resume)
+        except Exception as exc:
+            raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
+
+    y, lam, det_res, trace, iters = al_solve(y0)
     termination = f"augmented-lagrangian({name})"
     polished, polish = _newton_polish(asm, y, lam, p)
     if polished is not None:
         y_pol, _ = polished
-        val_pol, det_pol = asm.objective(y_pol)
+        _, det_pol = asm.objective(y_pol)
         if det_pol > det_res + 1e-12:
             polish = "rejected-det"
         elif y_pol[obstacle_bound_dofs(p.obstacle)].min() < -1e-12:
             polish = "rejected-bound"
         else:
-            y, value, det_res = y_pol, val_pol, det_pol
+            y, det_res = y_pol, det_pol
             termination += "+newton"
     logger.info("newton polish at h=%g, start %s: %s", p.h, name, polish)
+    tail = polish != "ok"
+    if tail:
+        y, _, det_res, trace, tail_iters = al_solve(y, lam=lam, trace=trace, tail=True)
+        iters += tail_iters
+    logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
+                "stages, tail %s", p.h, name, iters, len(trace), "run" if tail else "not run")
+    value, _ = asm.objective(y)
 
     if det_res > 1e-6:
         termination += ",det-residual-flagged"

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -864,6 +866,77 @@ def test_discarded_newton_polish_is_named(mesh1, yeoh, gravity, monkeypatch, rea
     assert res.polish == reason
     assert "+newton" not in res.termination
     assert res.residuals["bound_min"] >= -1e-12 and res.residuals["det"] <= 1e-6
+
+
+def _tight_al(p):
+    """Every AL stage at the configured gtol from the problem's start: the
+    reference that the inexact stages and the tail are checked against."""
+    asm = solvers._NonlinearAssembler(p)
+    y0 = p.mesh.nodes if p.warm_start is None else p.warm_start
+    return asm, solvers._al_solve(asm, np.asarray(y0, dtype=float).ravel(), p, tail=True)
+
+
+def test_failed_finish_resumes_at_the_configured_gtol(mesh2, obstacle2, yeoh, gravity,
+                                                      monkeypatch, caplog):
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                 obstacle=obstacle2, h=0.2,
+                                 skip_admissibility_check=True)
+    asm, (y_tight, *_) = _tight_al(p)
+    oracle, _ = asm.objective(y_tight)
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda asm, y, lam, problem: (None, "no-convergence"))
+    with caplog.at_level(logging.INFO, logger="signorini_lab.solvers"):
+        res = solvers.minimize_nonlinear(p)
+    assert res.polish == "no-convergence"
+    assert "+newton" not in res.termination
+    assert res.residuals["det"] <= p.det_target
+    scale = max(1.0, yeoh.c1 / p.h**2)
+    assert [t["tail"] for t in res.trace[:p.kappa_stages]] == [False] * p.kappa_stages
+    assert res.trace[0]["inner_gtol"] == p.det_target * scale
+    assert res.trace[-1]["tail"] and res.trace[-1]["inner_gtol"] == p.gtol * scale
+    assert [t["stage"] for t in res.trace] == list(range(len(res.trace)))
+    assert res.iterations == sum(t["inner_iterations"] for t in res.trace)
+    assert any(r.getMessage().endswith(f"{res.iterations} L-BFGS-B iterations over "
+                                       f"{len(res.trace)} stages, tail run")
+               for r in caplog.records)
+    assert abs(res.objective - oracle) <= 1e-9
+
+
+def _tight_al_then_finish(p):
+    """Oracle of the handover: the tight AL solve, then the Newton finish with
+    minimize_nonlinear's acceptance rules. Returns (energy, outcome)."""
+    asm, (y, lam, det_res, _, _) = _tight_al(p)
+    polished, outcome = solvers._newton_polish(asm, y, lam, p)
+    if polished is None:
+        return asm.objective(y)[0], outcome
+    value, det_pol = asm.objective(polished[0])
+    if det_pol > det_res + 1e-12:
+        outcome = "rejected-det"
+    elif polished[0][obstacle_bound_dofs(p.obstacle)].min() < -1e-12:
+        outcome = "rejected-bound"
+    return value, outcome
+
+
+@pytest.mark.parametrize("cube", [2, 3])
+def test_inexact_al_hands_over_to_the_same_finish(cube, mesh2, obstacle2, mesh3, obstacle3,
+                                                  yeoh, gravity):
+    # the acceptance h list with the harness's warm chain; from the same start
+    # the inexact AL and the tight one lead the finish to the same energy, up
+    # to the nearby KKT points the two iterates select (at most 6.3e-9 here,
+    # cube 3 at h = 0.05)
+    mesh, obstacle = (mesh2, obstacle2) if cube == 2 else (mesh3, obstacle3)
+    h_list = (0.2, 0.1, 0.05, 0.025)
+    warm = None
+    for h, h_next in zip(h_list, (*h_list[1:], None)):
+        p = solvers.NonlinearProblem(mesh=mesh, material=yeoh, load=gravity,
+                                     obstacle=obstacle, h=h, warm_start=warm,
+                                     skip_admissibility_check=True)
+        res = solvers.minimize_nonlinear(p)
+        oracle, outcome = _tight_al_then_finish(p)
+        assert res.polish == "ok" and outcome == "ok", (h, res.polish, outcome)
+        assert abs(res.objective - oracle) <= 1e-8 * (1.0 + abs(oracle)), (h, oracle)
+        if h_next is not None:
+            warm = (mesh.nodes + (h_next / h) * (res.field.y - mesh.nodes)).ravel()
 
 
 def test_nonlinear_objective_recomputable(mesh2, obstacle2, yeoh, gravity):
