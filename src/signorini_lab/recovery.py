@@ -57,6 +57,14 @@ MOLLIFIER_K = 315.0 / 64.0
 # the chain walks the axes by decreasing g, lower axis first on ties, as a
 # stable argsort of -g does. Codes 2 and 5 are cyclic, so no real g reaches them.
 _KUHN_LUT = np.array([5, 3, -1, 2, 4, -1, 1, 0])
+# The comparisons g_i >= g_j of that code, and the weights of three flags
+# packed into a code, first flag highest.
+_CMP_I, _CMP_J = np.array([0, 0, 1]), np.array([1, 2, 2])
+_BITS = np.array([4, 2, 1])
+# Location roundoff stays below _ROUNDOFF cell widths; a comparison whose g
+# lies within _TIE cell widths of its plane g_i = g_j is a tie at roundoff.
+_ROUNDOFF = 1e-12
+_TIE = 1e-13
 
 # Largest RK4 step count the step doubling of integrate_flow reaches.
 FLOW_MAX_STEPS = 1024
@@ -64,6 +72,15 @@ FLOW_MAX_STEPS = 1024
 # Points per location call while a FlowAnchor is built; arrays of this many
 # points stay small enough for the allocator to reuse them.
 _ANCHOR_CHUNK = 4096
+
+
+def _chain_gaps(g):
+    """Distances in cell widths from parity-adjusted coordinates g to the
+    faces of their cell, min(g) and 1 - max(g), and to the planes g_i = g_j
+    of the three comparisons, |g_i - g_j| / sqrt 2, with the differences
+    g_i - g_j."""
+    diff = g[:, _CMP_I] - g[:, _CMP_J]
+    return np.minimum(g, 1.0 - g).min(axis=1), np.abs(diff) / np.sqrt(2.0), diff
 
 
 def rho_bump(r):
@@ -167,10 +184,8 @@ class ReflectedExtension:
         (g_mid - g_min)/sqrt 2 and g_min; a step dx moves g by at most
         |dx| / min(spacing). A point on a face (a tie of the location) gets 0.
         """
-        g_min, g_mid, g_max = np.sort(self._cell_frame(points)[2], axis=1).T
-        gap = np.minimum(np.minimum(g_min, 1.0 - g_max),
-                         np.minimum(g_max - g_mid, g_mid - g_min) / np.sqrt(2.0))
-        return gap * float(self.spacing.min())
+        cell_gap, cmp_gap, _ = _chain_gaps(self._cell_frame(points)[2])
+        return np.minimum(cell_gap, cmp_gap.min(axis=1)) * float(self.spacing.min())
 
     def blend_distance(self, points):
         """Distance from points of the base box to the blend layer, the shell
@@ -254,15 +269,34 @@ class FlowAnchor:
     """The mollified field of `ext` near base points x, for displacements up
     to a reach.
 
-    Every pair (p, q), the point x_p - o_q, is located once. A pair farther
-    than the reach from the faces of its Kuhn element keeps that element at
-    every position within the reach of x_p, so its share of the quadrature
-    sum is affine in the position. Those pairs fold into a per-point map
-    A_p y + b_p, A_p = sum w_q G_e and b_p = sum w_q (c_e - G_e o_q); only
-    the other (live) pairs are located again at each evaluation. Each pair
-    uses the element the all-pairs sum uses, so values and gradients differ
-    from it only by the order of summation. A position farther than the
-    reach from its base point raises FlowDomainError.
+    Every pair (p, q), the point x_p - o_q, is located once. Within the reach
+    of x_p its Kuhn element can change only where it crosses a face of its
+    cell or a plane g_i = g_j of its chain. A pair whose cell faces and
+    comparisons g_i >= g_j are all farther than the reach keeps its element,
+    so its share of the quadrature sum is affine in the position; those
+    pairs fold into a per-point map A_p y + b_p, A_p = sum w_q G_e and
+    b_p = sum w_q (c_e - G_e o_q).
+
+    A tie pair has its cell faces as far, and each comparison either as far
+    or a tie at roundoff (node offsets that land on a Kuhn face). A tied
+    difference g_i - g_j moves with the displacement d by the linear form
+    l(d) = s_i d_i / h_i - s_j d_j / h_j, s = +-1 from the cell parity and h
+    the spacing, so the element of a tie pair depends only on the signs of
+    its forms. The tie pairs of a point are grouped by their tied
+    comparisons and the signs s those read, and each group folds into one
+    such map per sign pattern of its forms, with the element each pair takes
+    under that pattern. Only the remaining (live) pairs are located again
+    at each evaluation.
+
+    Values select each group's map by the signs of its forms, also where a
+    form is at roundoff: the elements on the two sides of a face agree on it
+    (P1 continuity), so the other side's map is off by the gradient jump
+    times the distance to the face. Gradients jump by O(1) across a face,
+    so a group with a form within roundoff of zero locates its pairs
+    instead. Each gradient term thus uses the element the all-pairs sum
+    uses, and values and gradients differ from that sum only by the order
+    of summation and, for values, by that continuity term. A position
+    farther than the reach from its base point raises FlowDomainError.
     """
 
     def __init__(self, ext, offsets, weights, x, reach):
@@ -271,63 +305,146 @@ class FlowAnchor:
         # roundoff can carry an RK stage a few ulps past t sup|v|
         self.reach = float(reach) * (1.0 + 1e-9)
         nq, npts = offsets.shape[0], self.x.shape[0]
-        # location roundoff is far below 1e-12 cell widths
-        slack = 1e-12 * float(ext.spacing.min())
-        folded = np.empty((nq, npts), dtype=bool)
-        self.lin = np.zeros((npts, 3, 3))
-        self.const = np.zeros((npts, 3))
-        # a few offsets per location call and one per accumulation, so no
-        # temporary grows much past _ANCHOR_CHUNK points
+        # the reach in cell widths of the finest axis, plus location roundoff
+        far = self.reach / float(ext.spacing.min()) + _ROUNDOFF
+        self.base = np.zeros((npts, 12))      # A_p (row-major) and b_p per point
+        live, ties = [], []
+        # a few offsets per location call, so no temporary grows much past
+        # _ANCHOR_CHUNK points
         per_call = max(1, _ANCHOR_CHUNK // npts)
         for q0 in range(0, nq, per_call):
-            qs = np.arange(q0, min(q0 + per_call, nq))
-            elem, pts = ext.locate((self.x[None, :, :] - offsets[qs, None, :]).reshape(-1, 3))
-            folded[qs] = (ext.face_distance(pts) > self.reach + slack).reshape(-1, npts)
-            for q, e in zip(qs, elem.reshape(-1, npts)):
-                w = weights[q] * folded[q]
-                grads = ext.gradients[e]
-                self.lin += w[:, None, None] * grads
-                self.const += w[:, None] * (ext.offsets[e] - grads @ offsets[q])
-        self.live_p, self.live_q = np.nonzero(~folded.T)       # sorted by point
-        self.live_rows, starts = np.unique(self.live_p, return_index=True)
-        self.live_bounds = np.append(starts, self.live_p.size)
+            q1 = min(q0 + per_call, nq)
+            pair = np.arange(q0 * npts, q1 * npts)       # pair q npts + p
+            elem, pts = ext.locate((self.x[None, :, :] - offsets[q0:q1, None, :]).reshape(-1, 3))
+            _, cell, g = ext._cell_frame(pts)
+            cell_gap, cmp_gap, diff = _chain_gaps(g)
+            tied = cmp_gap <= _TIE
+            anchored = (cell_gap > far) & np.all(tied | (cmp_gap > far), axis=1)
+            mask = tied @ _BITS
+            w = weights[q0:q1, None] * (anchored & (mask == 0)).reshape(-1, npts)
+            rows = _affine_rows(ext, elem, offsets[pair // npts])
+            self.base += np.einsum("qp,qpc->pc", w, rows.reshape(-1, npts, 12))
+            live.append(pair[~anchored])
+            tie = anchored & (mask > 0)
+            code = (diff[tie] >= 0.0) @ _BITS
+            # the signs of the axes the tied comparisons read: axis 0 enters
+            # the comparisons of bits 4 and 2, axis 1 of 4 and 1, axis 2 of 2 and 1
+            m = mask[tie]
+            used = 4 * ((m & 6) > 0) + 2 * ((m & 5) > 0) + ((m & 3) > 0)
+            flips = ((cell[tie] + ext.parity) & 1) @ _BITS
+            ties.append(np.stack([pair[tie], elem[tie] - _KUHN_LUT[code], code,
+                                  ((pair[tie] % npts) * 8 + m) * 8 + (flips & used)]))
+        live = np.concatenate(live)
+        order = np.argsort(live % npts, kind="stable")
+        self.live_p, self.live_q = live[order] % npts, live[order] // npts   # sorted by point
+        self._fold_ties(*np.concatenate(ties, axis=1))
+
+    def _fold_ties(self, pair, first, code, key):
+        """Group the tie pairs and fold the maps of each group.
+
+        Per pair: its index q npts + p, the first element of its cell, its
+        location code and its group key 64 p + 8 (tied comparisons) + (the
+        parity flips of the axes those read).
+        """
+        npts = self.x.shape[0]
+        keys, group = np.unique(key, return_inverse=True)    # sorted by point
+        order = np.argsort(group, kind="stable")
+        pair, first, code, key, group = (pair[order], first[order], code[order], key[order],
+                                         group[order])
+        self.group_point = keys >> 6
+        self.group_tied = (((keys >> 3) & 7)[:, None] & _BITS) > 0
+        # l(d) of comparison (i, j) is f_i d_i - f_j d_j with f = s / h
+        self.group_form = np.where((keys & 7)[:, None] & _BITS, -1.0, 1.0) / self.ext.spacing
+        self.group_p, self.group_q = pair % npts, pair // npts
+        self.group_bounds = np.searchsorted(group, np.arange(keys.size + 1))
+        self.group_rows, starts = np.unique(self.group_point, return_index=True)
+        self.group_starts = np.append(starts, keys.size)
+        # row 8 k + t of the maps is group k's when its tied comparisons take
+        # the outcomes t; the cyclic outcomes of a triple tie have none
+        mask, t = ((key >> 3) & 7)[:, None], np.arange(8)
+        lut = _KUHN_LUT[(code[:, None] & ~mask) | t]
+        k, t = np.nonzero(((mask & t) == t) & (lut >= 0))
+        self.maps = np.zeros((8 * keys.size, 12))
+        for s in range(0, k.size, _ANCHOR_CHUNK):
+            ks, ts = k[s:s + _ANCHOR_CHUNK], t[s:s + _ANCHOR_CHUNK]
+            q = self.group_q[ks]
+            np.add.at(self.maps, 8 * group[ks] + ts, self.weights[q][:, None]
+                      * _affine_rows(self.ext, first[ks] + lut[ks, ts], self.offsets[q]))
 
     def at(self, pos, start=0):
         """The query for positions pos of the base rows start, start + 1, ..."""
         return AnchoredPoints(self, np.asarray(pos, dtype=float), start)
 
     def values(self, pos, start=0):
-        rows = self._rows(pos, start)
-        out = np.einsum("pij,pj->pi", self.lin[rows], pos) + self.const[rows]
-        self._add_live(out, pos, start, self.ext.eval_values)
+        maps, _ = self._maps(pos, start, locate_near=False)
+        out = np.einsum("pij,pj->pi", maps[:, :9].reshape(-1, 3, 3), pos) + maps[:, 9:]
+        live = self._live(pos, start)
+        self._add_located(out, pos, start, self.live_p[live], self.live_q[live],
+                          self.ext.eval_values)
         return out
 
     def gradients(self, pos, start=0):
-        rows = self._rows(pos, start)
-        out = self.lin[rows].copy()
-        self._add_live(out, pos, start, self.ext.eval_gradients)
+        maps, near = self._maps(pos, start, locate_near=True)
+        out = maps[:, :9].reshape(-1, 3, 3)
+        live = self._live(pos, start)
+        p, q = self.live_p[live], self.live_q[live]
+        if near.size:
+            pairs = _ranges(self.group_bounds[near], self.group_bounds[near + 1])
+            p, q = np.append(p, self.group_p[pairs]), np.append(q, self.group_q[pairs])
+        self._add_located(out, pos, start, p, q, self.ext.eval_gradients)
         return out
 
-    def _rows(self, pos, start):
+    def _maps(self, pos, start, locate_near):
+        """The summed maps of the rows of pos, each tie group's selected by
+        the signs of its forms. With locate_near, the groups with a form
+        within roundoff of zero are left out of the sums and returned."""
         rows = slice(start, start + pos.shape[0])
         d = pos - self.x[rows]
         if not np.einsum("pi,pi->p", d, d).max(initial=0.0) <= self.reach**2:
             raise FlowDomainError(f"displacement beyond the anchor's reach {self.reach:.3e}")
-        return rows
+        maps = self.base[rows].copy()
+        j0, j1 = np.searchsorted(self.group_rows, (start, start + pos.shape[0]))
+        g0, g1 = self.group_starts[j0], self.group_starts[j1]
+        near = np.arange(0)
+        if g0 == g1:
+            return maps, near
+        a = self.group_form[g0:g1] * d[self.group_point[g0:g1] - start]
+        form = a[:, _CMP_I] - a[:, _CMP_J]
+        tied = self.group_tied[g0:g1]
+        sel = self.maps[np.arange(8 * g0, 8 * g1, 8) + (tied & (form >= 0.0)) @ _BITS]
+        if locate_near:
+            near = np.flatnonzero(np.any(tied & (np.abs(form) <= _ROUNDOFF), axis=1))
+            sel[near] = 0.0
+            near += g0
+        maps[self.group_rows[j0:j1] - start] += np.add.reduceat(
+            sel, self.group_starts[j0:j1] - g0, axis=0)
+        return maps, near
 
-    def _add_live(self, out, pos, start, evaluate):
-        """Add to out the weighted sums of `evaluate` over the live pairs of
-        the rows of pos."""
-        j0, j1 = np.searchsorted(self.live_rows, (start, start + pos.shape[0]))
-        if j0 == j1:
-            return
-        bounds = self.live_bounds[j0:j1 + 1]
-        pairs = slice(bounds[0], bounds[-1])
-        p, q = self.live_p[pairs], self.live_q[pairs]
-        vals = evaluate(pos[p - start] - self.offsets[q])
-        w = self.weights[q].reshape((-1,) + (1,) * (vals.ndim - 1))
-        out[self.live_rows[j0:j1] - start] += np.add.reduceat(w * vals, bounds[:-1] - bounds[0],
-                                                              axis=0)
+    def _live(self, pos, start):
+        """The slice of live pairs of the rows of pos."""
+        return slice(*np.searchsorted(self.live_p, (start, start + pos.shape[0])))
+
+    def _add_located(self, out, pos, start, p, q, evaluate):
+        """Add to out the weighted values of `evaluate` at the pairs (p, q),
+        p a base row of pos."""
+        if p.size:
+            vals = evaluate(pos[p - start] - self.offsets[q])
+            np.add.at(out, p - start,
+                      self.weights[q].reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
+
+
+def _affine_rows(ext, elem, offsets):
+    """Per pair, the map y -> G_e (y - o) + c_e of element e at offset o as
+    the 12 numbers of G_e (row-major) and c_e - G_e o."""
+    grads = ext.gradients[elem]
+    return np.concatenate([grads.reshape(-1, 9),
+                           ext.offsets[elem] - np.einsum("kij,kj->ki", grads, offsets)], axis=1)
+
+
+def _ranges(lo, hi):
+    """The concatenated index ranges lo[k] .. hi[k] - 1."""
+    counts = hi - lo
+    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def _ball_quadrature(eps, nq):
@@ -359,9 +476,11 @@ def mollify(ext, eps, gamma=0.25, nq=8):
     as the input wherever the quadrature ball avoids the blend layer.
 
     A point list is evaluated by locating every (point, quadrature offset)
-    pair. The field's `anchor` builds a FlowAnchor at fixed base points,
-    which folds the pairs that cannot change element within the reach into
-    per-point affine maps; `integrate_flow` evaluates through it.
+    pair; the probes below do. The field's `anchor` builds a FlowAnchor at
+    fixed base points, which folds the pairs that cannot change element
+    within the reach into per-point affine maps and the pairs tied on a Kuhn
+    face into one map per sign pattern of their tie forms; `integrate_flow`
+    evaluates through it.
     """
     if nq < 4:
         raise UnderResolvedError("eps is below two sampling-grid spacings (nq < 4)")
@@ -506,13 +625,14 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8):
     Every RK stage moves a point by dt times convex combinations of field
     values, so no further than the reach t_final sup|v|. The field is
     anchored once at the nodes and centroids for that reach (`v.anchor`), and
-    every run, the Richardson one included, evaluates through the anchor.
+    every run, the Richardson one included, evaluates through the anchor, as
+    does the nodes' initial velocity that the ledger's flux bound uses.
     """
     x_nodes = mesh.nodes
     x = np.concatenate([x_nodes, mesh.nodes[mesh.tets].mean(axis=1)])
     n = x_nodes.shape[0]
-    v0_nodes = v(x_nodes)
     anchor = v.anchor(x, t_final * v.sup_norm)
+    v0_nodes = v(x_nodes if anchor is None else anchor.at(x_nodes))
 
     steps = max(4, int(steps))
     prev_res = coarse = None

@@ -606,10 +606,10 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
 
     The Newton iteration on one active set has converged when max|r1| and
     max|r2| are at most 1e-11 max(1, h^-2), r1 the stationarity residual on
-    the free dofs and r2 = vol (det - 1), and r2 has either reached roundoff
-    (max|r2| <= 1e-15) or stopped falling (above half its value one step
-    earlier): the h^-2 scale alone would accept a determinant residual that
-    one more step removes.
+    the free dofs and r2 = vol (det - 1), and the determinant has either
+    reached roundoff (max|det - 1| <= 1e-15) or r2 stopped falling (above
+    half its value one step earlier): the h^-2 scale alone would accept a
+    determinant residual that one more step removes.
 
     Returns ((y, nu), "ok") on success, else (None, reason) with reason
     "no-convergence" (20 Newton steps on one active set) or
@@ -635,7 +635,7 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
             r2_norm = np.abs(r2).max()
             res_norm = max(np.abs(r1).max() if r1.size else 0.0, r2_norm)
             if (res_norm <= 1e-11 * max(1.0, 1.0 / h2)
-                    and (r2_norm <= 1e-15 or r2_norm > 0.5 * r2_prev)):
+                    and (np.abs(r).max() <= 1e-15 or r2_norm > 0.5 * r2_prev)):
                 converged = True
                 break
             r2_prev = r2_norm

@@ -353,6 +353,78 @@ def test_anchored_field_matches_all_pairs(mesh2):
         assert np.abs(tail - grads[n:]).max() <= 1e-14 * np.abs(grads).max()
 
 
+def _tie_plane_steps(x, spacing, reach, rng):
+    """Displacements of length up to the reach with d_i / h_i = +-d_j / h_j for
+    a pair of axes (i, j) per point, on which the tie forms of (i, j) vanish;
+    half of them also move along the third axis."""
+    steps = np.zeros(x.shape)
+    for row in range(x.shape[0]):
+        i, j = rng.choice(3, size=2, replace=False)
+        steps[row, i] = spacing[i]
+        steps[row, j] = rng.choice((-1.0, 1.0)) * spacing[j]
+        if row % 2:
+            steps[row, 3 - i - j] = rng.uniform(-1.0, 1.0) * spacing.min()
+    return steps * (reach * rng.uniform(0.2, 1.0, x.shape[0])
+                    / np.linalg.norm(steps, axis=1))[:, None]
+
+
+@pytest.mark.parametrize("divisions, lengths, nq", [((2, 2, 2), (1.0, 1.0, 1.0), 8),
+                                                    ((2, 3, 2), (1.0, 0.6, 1.4), 10)])
+def test_tie_groups_match_all_pairs(divisions, lengths, nq):
+    # node and centroid offsets that land on Kuhn faces fold into one map per
+    # sign pattern of their tie forms; values select by sign and gradients
+    # locate a group whose form vanishes, so both match the all-pairs sum at
+    # zero displacement, along the axes, on the tie planes and at random (on
+    # the anisotropic box h_0 / h_2 = 5 / 7 ties offsets 5 and 7 of the
+    # 10-point rule)
+    mesh = sl.build_box_mesh(divisions, lengths=lengths)
+    rng = np.random.default_rng(47)
+    ext = ReflectedExtension(mesh, rng.standard_normal((mesh.num_nodes, 3)))
+    fld = recovery.mollify(ext, eps=0.1, gamma=0.5, nq=nq)
+    x = np.concatenate([mesh.nodes, mesh.nodes[mesh.tets].mean(axis=1)])
+    reach = 0.01
+    anchor = fld.anchor(x, reach)
+    assert anchor.group_tied.any()
+    axis = np.zeros(x.shape)
+    axis[np.arange(x.shape[0]), rng.integers(0, 3, x.shape[0])] = rng.uniform(-reach, reach,
+                                                                               x.shape[0])
+    direction = rng.standard_normal(x.shape)
+    direction *= (rng.uniform(0.0, reach, x.shape[0]) / np.linalg.norm(direction, axis=1))[:, None]
+    for step in (np.zeros(x.shape), axis, _tie_plane_steps(x, ext.spacing, reach, rng),
+                 direction):
+        pos = x + step
+        vals, grads = fld(pos), fld.gradient(pos)
+        assert np.abs(fld(anchor.at(pos)) - vals).max() <= 1e-14 * np.abs(vals).max()
+        assert np.abs(fld.gradient(anchor.at(pos)) - grads).max() <= 1e-14 * np.abs(grads).max()
+
+
+def test_recovery_flow_locates_no_point_once_anchored(monkeypatch, mesh2, obstacle2, yeoh,
+                                                      gravity, limit_gravity):
+    # on the criterion-12 field every pair of the anchor keeps its element or
+    # is a tie pair, so no RK stage of the flow locates a point
+    res, kernel = limit_gravity
+    calls, in_flow = {"flow": 0, "other": 0}, []
+    locate, rk4_flow = ReflectedExtension.locate, recovery._rk4_flow
+
+    def counted(self, points):
+        calls["flow" if in_flow else "other"] += 1
+        return locate(self, points)
+
+    def flow(*args):
+        in_flow.append(True)
+        try:
+            return rk4_flow(*args)
+        finally:
+            in_flow.pop()
+
+    monkeypatch.setattr(ReflectedExtension, "locate", counted)
+    monkeypatch.setattr(recovery, "_rk4_flow", flow)
+    recovery.build_recovery_sequence(res.field, yeoh, gravity, obstacle2, mesh2, (1e-4, 1e-7),
+                                     gamma=0.75, kernel_class=kernel, steps_per_h=4,
+                                     ledger_samples=2)
+    assert calls["flow"] == 0 and calls["other"] > 0
+
+
 def test_anchor_rejects_a_displacement_beyond_its_reach(mesh2):
     reach = 0.01
     fld, x, anchor, _ = _anchor_setup(mesh2, reach, 42)

@@ -802,6 +802,24 @@ def test_single_path_matches_random_multistart(mesh2, obstacle2, yeoh, gravity):
             warm = (mesh2.nodes + (h_next / h) * (res.field.y - mesh2.nodes)).ravel()
 
 
+def test_newton_finish_reaches_roundoff_determinants_on_the_acceptance_chain(
+        mesh2, obstacle2, yeoh, gravity):
+    # the finish's roundoff test is on det - 1, not on vol (det - 1): on the
+    # latter it stopped this chain at det - 1 = 1.8e-14 (h = 0.1), where one
+    # more Newton step reaches roundoff
+    h_list = (0.2, 0.1, 0.05, 0.025)
+    warm = None
+    for h, h_next in zip(h_list, (*h_list[1:], None)):
+        p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                     obstacle=obstacle2, h=h, warm_start=warm,
+                                     skip_admissibility_check=True)
+        res = solvers.minimize_nonlinear(p)
+        assert res.polish == "ok", h
+        assert res.residuals["det"] <= 1e-15, (h, res.residuals["det"])
+        if h_next is not None:
+            warm = (mesh2.nodes + (h_next / h) * (res.field.y - mesh2.nodes)).ravel()
+
+
 @pytest.mark.parametrize("start", ["identity", "warm"])
 def test_failed_al_solve_names_its_start(mesh2, obstacle2, yeoh, gravity, monkeypatch, start):
     def fail(asm, y0, problem):
