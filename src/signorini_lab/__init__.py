@@ -6,12 +6,9 @@ from .geometry import (
     ObstacleError,
     ObstacleSet,
     build_box_mesh,
-    build_unit_cube_mesh,
     extract_obstacle,
-    integrate_surface,
     integrate_volume,
     read_mesh_file,
-    write_mesh_file,
 )
 from .kinematics import (
     DeformationField,
@@ -19,7 +16,6 @@ from .kinematics import (
     determinant_expansion_check,
     extract_displacement,
     optimal_rotation,
-    rebuild_deformation,
     translations,
 )
 from .loads import (
@@ -31,23 +27,15 @@ from .loads import (
     affine_field,
     classify_kernel,
     constant_field,
-    eval_load,
-    eval_load_affine,
-    find_load_center,
     nodal_field,
     phi,
-    read_load_file,
-    resultant_and_torque,
     verify_global_admissibility,
 )
 from .material import (
     MaterialError,
     MaterialModel,
-    elastic_tensor,
-    incompressible_energy,
     quadratic_form_QI,
     verify_taylor_remainder,
-    yeoh_energy,
     yeoh_material,
 )
 from .recovery import (
@@ -59,7 +47,6 @@ from .recovery import (
     bogovskii_correct,
     build_recovery_sequence,
     integrate_flow,
-    make_divergence_free,
     mollify,
     verify_upper_bound,
 )
@@ -73,7 +60,6 @@ from .solvers import (
     max_load_over_kernel,
     minimize_limit,
     minimize_nonlinear,
-    nonlinear_energy,
     optimal_shear_b,
     tilde_lift,
 )
@@ -85,7 +71,6 @@ from .harness import (
     emit_outputs,
     parse_config,
     run_experiment,
-    sandwich_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -237,13 +237,6 @@ def build_box_mesh(divisions, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
     return mesh
 
 
-def build_unit_cube_mesh(n):
-    """Unit cube [0,1]^3 split into n^3 cells of six tets each."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return build_box_mesh((n, n, n))
-
-
 def convex_hull_2d(points, tol=1e-12):
     """Extreme points of a 2-D point set, counter-clockwise (monotone chain)."""
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
@@ -357,20 +350,6 @@ def integrate_volume(mesh, integrand, kind="auto"):
     return np.tensordot(mesh.element_volumes, centroid_vals, axes=(0, 0))
 
 
-def integrate_surface(mesh, integrand, region="all"):
-    """Surface integral of a nodal field by the triangle centroid rule."""
-    idx = _resolve_region(mesh, region)
-    f = np.asarray(integrand, dtype=float)
-    if f.shape[0] != mesh.num_nodes:
-        raise MeshError("surface integrand must be nodal")
-    tris = mesh.boundary_tris[idx]
-    areas = np.linalg.norm(mesh.boundary_area_vectors[idx], axis=1)
-    centroid_vals = f[tris].mean(axis=1)
-    if centroid_vals.ndim == 1:
-        return float(np.dot(areas, centroid_vals))
-    return np.tensordot(areas, centroid_vals, axes=(0, 0))
-
-
 def _block_diagonal(blocks):
     """Sparse block diagonal of per-element blocks (M, r, c), shape (M r, M c)."""
     m, r, c = blocks.shape
@@ -456,12 +435,3 @@ def read_mesh_file(path):
         raise MeshError("mesh file must define both nodes and tets")
     return _finish_mesh(nodes, tets)
 
-
-def write_mesh_file(mesh, path):
-    with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.num_nodes}\n")
-        for p in mesh.nodes:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        fh.write(f"tets {mesh.num_elements}\n")
-        for t in mesh.tets:
-            fh.write(f"{t[0]} {t[1]} {t[2]} {t[3]}\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,8 @@ class ExperimentReport:
 
 
 def parse_config(source):
-    """Parse the line-oriented config format; `#` starts a comment."""
+    """Parse the line-oriented config format; `#` starts a comment. A line
+    that cannot be read raises ExperimentError naming its number and text."""
     if os.path.exists(source):
         with open(source) as fh:
             text = fh.read()
@@ -98,61 +99,68 @@ def parse_config(source):
         text = source
     cfg = ExperimentConfig()
     g_descs = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         ln = raw.split("#", 1)[0].strip()
         if not ln:
             continue
-        tok = ln.split()
-        key = tok[0]
-        if key == "domain":
-            if tok[1] == "cube":
-                cfg.domain = ("box", (int(tok[2]),) * 3, (1.0, 1.0, 1.0))
-            elif tok[1] == "box":
-                vals = tok[2:]
-                div = tuple(int(v) for v in vals[:3])
-                lens = tuple(float(v) for v in vals[3:6]) if len(vals) >= 6 else (1.0, 1.0, 1.0)
-                cfg.domain = ("box", div, lens)
-            elif tok[1] == "mesh":
-                cfg.domain = ("mesh", tok[2])
-            else:
-                raise ExperimentError(f"unknown domain {tok[1]!r}")
-        elif key == "material":
-            if tok[1] != "yeoh":
-                raise ExperimentError("only yeoh materials are supported")
-            cfg.material = tuple(float(v) for v in tok[2:5])
-        elif key in ("penalty", "continuation"):
-            cfg.penalty = (float(tok[1]), float(tok[2]), int(tok[3]))
-        elif key in ("f", "g"):
-            fd, g_descs = loads._parse_load_directive(tok, cfg.f_desc, g_descs)
-            cfg.f_desc = fd
-        elif key == "h_list":
-            cfg.h_list = tuple(float(v) for v in tok[1:])
-        elif key == "solver":
-            cfg.solver_maxiter = int(tok[1])
-            cfg.solver_tol = float(tok[2])
-        elif key == "multistart":
-            logger.warning("config directive 'multistart' has no effect: the nonlinear "
-                           "solver runs one warm-started path per h")
-        elif key == "recovery":
-            cfg.recovery_gamma = float(tok[1])
-            cfg.recovery_steps_per_h = int(tok[2])
-            cfg.recovery_ledger_samples = int(tok[3])
-        elif key == "run_recovery":
-            cfg.run_recovery = bool(int(tok[1]))
-        elif key == "output":
-            cfg.output_dir = tok[1]
-        elif key == "seed":
-            cfg.seed = int(tok[1])
-        elif key == "tol_conv":
-            cfg.tol_conv = float(tok[1])
-        elif key == "budget":
-            cfg.budget = int(tok[1])
-        elif key == "require_global_phi":
-            cfg.require_global_phi = bool(int(tok[1]))
-        else:
-            raise ExperimentError(f"unknown config directive {key!r}")
+        try:
+            _apply_directive(cfg, ln.split(), g_descs)
+        except IndexError as exc:
+            raise ExperimentError(f"line {number} {ln!r}: too few values") from exc
+        except (ValueError, loads.LoadError) as exc:
+            raise ExperimentError(f"line {number} {ln!r}: {exc}") from exc
     cfg.g_descs = tuple(g_descs)
     return cfg.validate()
+
+
+def _apply_directive(cfg, tok, g_descs):
+    key = tok[0]
+    if key == "domain":
+        if tok[1] == "cube":
+            cfg.domain = ("box", (int(tok[2]),) * 3, (1.0, 1.0, 1.0))
+        elif tok[1] == "box":
+            vals = tok[2:]
+            div = tuple(int(v) for v in vals[:3])
+            lens = tuple(float(v) for v in vals[3:6]) if len(vals) >= 6 else (1.0, 1.0, 1.0)
+            cfg.domain = ("box", div, lens)
+        elif tok[1] == "mesh":
+            cfg.domain = ("mesh", tok[2])
+        else:
+            raise ExperimentError(f"unknown domain {tok[1]!r}")
+    elif key == "material":
+        if tok[1] != "yeoh":
+            raise ExperimentError("only yeoh materials are supported")
+        cfg.material = tuple(float(v) for v in tok[2:5])
+    elif key in ("penalty", "continuation"):
+        cfg.penalty = (float(tok[1]), float(tok[2]), int(tok[3]))
+    elif key in ("f", "g"):
+        cfg.f_desc, _ = loads._parse_load_directive(tok, cfg.f_desc, g_descs)
+    elif key == "h_list":
+        cfg.h_list = tuple(float(v) for v in tok[1:])
+    elif key == "solver":
+        cfg.solver_maxiter = int(tok[1])
+        cfg.solver_tol = float(tok[2])
+    elif key == "multistart":
+        logger.warning("config directive 'multistart' has no effect: the nonlinear "
+                       "solver runs one warm-started path per h")
+    elif key == "recovery":
+        cfg.recovery_gamma = float(tok[1])
+        cfg.recovery_steps_per_h = int(tok[2])
+        cfg.recovery_ledger_samples = int(tok[3])
+    elif key == "run_recovery":
+        cfg.run_recovery = bool(int(tok[1]))
+    elif key == "output":
+        cfg.output_dir = tok[1]
+    elif key == "seed":
+        cfg.seed = int(tok[1])
+    elif key == "tol_conv":
+        cfg.tol_conv = float(tok[1])
+    elif key == "budget":
+        cfg.budget = int(tok[1])
+    elif key == "require_global_phi":
+        cfg.require_global_phi = bool(int(tok[1]))
+    else:
+        raise ExperimentError(f"unknown config directive {key!r}")
 
 
 def build_setup(cfg):
@@ -394,10 +402,3 @@ def render_report(records, report=None):
                            f"nonincreasing {rr['positive_part_nonincreasing']}")
     return "\n".join(out) + "\n"
 
-
-def sandwich_check(report, tol=1e-8):
-    """Assert-style wrapper over the sandwich data of a finished run."""
-    s = report.sandwich
-    verdict = s["ordered"] and s["equality_gtilde_gi"] and s["bounded_below"]
-    return {"pass": bool(verdict), **s,
-            "triple": (report.min_gtilde, report.min_gi, report.min_ei)}

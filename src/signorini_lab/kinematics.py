@@ -98,19 +98,6 @@ def extract_displacement(y_field, rotation, c, h, mesh):
     return DisplacementField.from_nodal(mesh, u)
 
 
-def rebuild_deformation(u_field, rotation, c, h, mesh):
-    """Inverse of extract_displacement: nodal y from (R, c, h, u)."""
-    r = rotation.matrix
-    x = mesh.nodes
-    v = h * (u_field.u @ r.T)
-    y = np.empty_like(v)
-    rigid = x @ r.T + np.asarray(c, dtype=float)
-    y[:, 0] = rigid[:, 0] + v[:, 0]
-    y[:, 1] = rigid[:, 1] + v[:, 1]
-    y[:, 2] = x[:, 2] + v[:, 2]
-    return DeformationField.from_nodal(mesh, y)
-
-
 def determinant_expansion_check(u_field, h):
     """Residual of det(I + h grad u) against its cubic expansion, per element.
 
@@ -125,22 +112,3 @@ def determinant_expansion_check(u_field, h):
     rhs = 1.0 + h * tr - 0.5 * h**2 * (tr_sq - tr**2) + h**3 * np.linalg.det(g)
     return float(np.abs(lhs - rhs).max())
 
-
-def read_field_file(path):
-    """Read nodal field file: `field N` then N rows `ux uy uz`."""
-    with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    head = lines[0].split()
-    if head[0] != "field":
-        raise ValueError("field file must start with 'field N'")
-    count = int(head[1])
-    return np.array([[float(v) for v in lines[1 + r].split()] for r in range(count)])
-
-
-def write_field_file(path, values):
-    values = np.asarray(values, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"field {values.shape[0]}\n")
-        for row in values:
-            fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")

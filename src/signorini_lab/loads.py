@@ -17,7 +17,7 @@ import scipy.linalg
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation as _ScipyRotation
 
-from .geometry import surface_mass_matrix, volume_mass_matrix
+from .geometry import point_in_hull_2d, surface_mass_matrix, volume_mass_matrix
 
 
 class LoadError(Exception):
@@ -166,21 +166,6 @@ def _assemble_load_vector(load, mesh):
     return ell
 
 
-def eval_load(load, v, mesh):
-    """L(v) for a nodal field v; linear in v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mesh.num_nodes, 3):
-        raise LoadError("field does not match the mesh")
-    return float((load_vector(load, mesh) * v).sum())
-
-
-def eval_load_affine(load, a, b, mesh):
-    """L(A x + b), exact because P1 reproduces affine fields."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return eval_load(load, mesh.nodes @ a.T + b, mesh)
-
-
 def load_moments(load, mesh):
     """Resultant F[i] = L(e_i) and moment matrix T[i, j] = L(x_j e_i)."""
     return _mesh_cached(mesh, "moments", load, _assemble_moments)
@@ -198,13 +183,6 @@ def _torque(t_mom):
         t_mom[0, 2] - t_mom[2, 0],
         -t_mom[0, 1] + t_mom[1, 0],
     ])
-
-
-def resultant_and_torque(load, mesh, pivot=(0.0, 0.0, 0.0)):
-    """Force resultant and torque T with T . a = L(a ^ (x - pivot))."""
-    f_res, t_mom = load_moments(load, mesh)
-    pivot = np.asarray(pivot, dtype=float)
-    return f_res.copy(), _torque(t_mom) - np.cross(pivot, f_res)
 
 
 def _planar_compression(t_mom):
@@ -239,13 +217,6 @@ def _phi_batch(rmats, f_res, t_mom, hull):
     return lin - f_res[2] * heights.min(axis=-1)
 
 
-def _shear_batch(rmats, t_mom):
-    """L((R x - x)_alpha e_alpha) for a batch of matrices."""
-    rmats = np.asarray(rmats, dtype=float)
-    d = rmats - np.eye(3)
-    return (d[..., :2, :] * t_mom[:2, :]).sum(axis=(-2, -1))
-
-
 def phi(load, obstacle, rotation, mesh):
     """Load-obstacle compatibility function Phi(R, E, L)."""
     if obstacle.num_nodes == 0:
@@ -253,13 +224,6 @@ def phi(load, obstacle, rotation, mesh):
     f_res, t_mom = load_moments(load, mesh)
     mat = rotation.matrix if isinstance(rotation, Rotation) else np.asarray(rotation, dtype=float)
     return float(_phi_batch(mat[None], f_res, t_mom, obstacle.hull_vertices_2d)[0])
-
-
-def shear_functional(load, rotation, mesh):
-    """Horizontal shear functional L((R x - x)_alpha e_alpha)."""
-    _, t_mom = load_moments(load, mesh)
-    mat = rotation.matrix if isinstance(rotation, Rotation) else np.asarray(rotation, dtype=float)
-    return float(_shear_batch(mat[None], t_mom)[0])
 
 
 @dataclass
@@ -513,36 +477,13 @@ def _load_center(f_res, t_mom, hull):
     q = torque0[0] / f_res[2]
     center = np.array([p, q, 0.0])
     residual = float(np.linalg.norm(torque0 - np.cross(center, f_res)))
-    from .geometry import point_in_hull_2d
-
     interior = point_in_hull_2d(center[:2], hull, strict_margin=1e-12)
     return center, residual, interior
 
 
-def find_load_center(load, obstacle, mesh):
-    """Pivot x_L with vanishing torque, x_{L,3} = 0; raises when F3 = 0."""
-    f_res, t_mom = load_moments(load, mesh)
-    if abs(f_res[2]) <= 1e-12 * max(1.0, float(np.abs(t_mom).max())):
-        raise LoadError("load center undetermined")
-    center, residual, interior = _load_center(f_res, t_mom, obstacle.hull_vertices_2d)
-    return center, residual, interior
-
-
-def read_load_file(path):
-    """Parse load directives: `f constant cx cy cz`, `f affine <9> <3>`,
-    `g region=<name> constant cx cy cz`; one directive per line, # comments."""
-    f_desc = None
-    g_descs = []
-    with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    for ln in lines:
-        if not ln:
-            continue
-        f_desc, g_descs = _parse_load_directive(ln.split(), f_desc, g_descs)
-    return LoadSpec(f=f_desc, g=tuple(g_descs))
-
-
 def _parse_load_directive(tokens, f_desc, g_descs):
+    """Apply one load directive of a config: `f constant cx cy cz`,
+    `f affine <9> <3>` or `g region=<name> constant cx cy cz`."""
     if tokens[0] == "f":
         if tokens[1] == "constant":
             f_desc = constant_field([float(v) for v in tokens[2:5]])

@@ -1,4 +1,4 @@
-"""Yeoh stored energy, its incompressible variant and the linearized quadratic forms.
+"""Yeoh stored energy and its linearized quadratic forms.
 
 The energy is W(F) = c1 (|F|^2 - 3) + c2 (...)^2 + c3 (...)^3, homogeneous in x.
 Its Hessian at the identity is stored in a 6x6 Mandel layout. Because the Yeoh
@@ -7,7 +7,8 @@ the quadratic form that governs volume-preserving paths picks up a curvature
 term from the det F = 1 manifold: along F(h) = I + hH + h^2 K with
 det F(h) = 1 one has h^-2 W(F(h)) -> (1/2) H : D2W(I) : H + 2 c1 tr K and
 tr K = tr(H^2)/2 is forced by the constraint. quadratic_form_QI implements
-that manifold form; elastic_tensor stores the plain Hessian.
+that manifold form; the MaterialModel field elastic_tensor holds the plain
+Hessian.
 
 W, its g-derivatives (g = |F|^2 - 3), the pressure-compensated density and the
 Mandel form of Q^I are defined here once, batched; solvers and recovery call
@@ -46,12 +47,6 @@ MANDEL9 = np.ascontiguousarray(sym_to_mandel(0.5 * (_UNIT9 + _UNIT9.transpose(0,
 # vectors of their strains (1/2)(e_a (x) e3 + e3 (x) e_a)
 SHEAR_VEC = [2, 5]
 SHEAR_MANDEL = MANDEL9[:, SHEAR_VEC]
-
-
-def mandel_to_sym(v):
-    """(..., 6) Mandel vectors to (..., 3, 3) symmetric strains."""
-    v = np.asarray(v, dtype=float)
-    return (v @ MANDEL9).reshape(v.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -117,17 +112,6 @@ def compensated_density(g, r, m):
     return yeoh_density(g, m) - m.pressure * r
 
 
-def yeoh_energy(f, m):
-    """Stored energy W(F); exact polynomial in |F|^2 - 3."""
-    f = np.asarray(f, dtype=float)
-    return yeoh_density((f * f).sum(axis=(-2, -1)) - 3.0, m)
-
-
-def yeoh_energy_from_deviation(d, m):
-    """W(I + D) computed stably for small D (batched)."""
-    return yeoh_density(g_from_deviation(d), m)
-
-
 def det_minus_one_from_deviation(d):
     """det(I + D) - 1 via the exact expansion tr D + m2(D) + det D (batched).
 
@@ -153,56 +137,6 @@ def cofactor(f):
     r1 = f[..., [1, 2, 0], :]
     r2 = f[..., [2, 0, 1], :]
     return r1[..., [1, 2, 0]] * r2[..., [2, 0, 1]] - r1[..., [2, 0, 1]] * r2[..., [1, 2, 0]]
-
-
-def incompressible_energy(f, m, mode="strict"):
-    """W^I(F): W on the det F = 1 set.
-
-    strict mode returns W(F) when |det F - 1| <= 1e-9 and +inf otherwise
-    (the typed infeasible result); penalized mode returns
-    W(F) + penalty_kappa (det F - 1)^2 for use inside solvers.
-    """
-    f = np.asarray(f, dtype=float)
-    det = np.linalg.det(f)
-    w = yeoh_energy(f, m)
-    if mode == "strict":
-        return np.where(np.abs(det - 1.0) <= DET_TOL, w, np.inf) if w.ndim else (
-            float(w) if abs(det - 1.0) <= DET_TOL else np.inf)
-    if mode == "penalized":
-        return w + m.penalty_kappa * (det - 1.0) ** 2
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _hessian_quadratic(h, m):
-    """(1/2) H : D2W(I) : H for a general (not necessarily symmetric) H."""
-    h = np.asarray(h, dtype=float)
-    return m.c1 * (h * h).sum() + 4.0 * m.c2 * np.trace(h) ** 2
-
-
-def elastic_tensor(m, fd_step=1e-4, rtol=1e-6):
-    """Return the 6x6 Mandel matrix of D2W(I) after a finite-difference check.
-
-    The check runs central differences of t -> W(I + tH) on symmetric
-    trace-free probes (the linear term of W drops out of the central
-    difference, so the plain Hessian is what the differences see).
-    """
-    probes = [
-        np.diag([1.0, -1.0, 0.0]),
-        np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0),
-        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-        np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-    ]
-    eye = np.eye(3)
-    for hmat in probes:
-        w_plus = yeoh_energy(eye + fd_step * hmat, m)
-        w_minus = yeoh_energy(eye - fd_step * hmat, m)
-        fd = (w_plus + w_minus) / fd_step**2  # W(I) = 0
-        analytic = 2.0 * _hessian_quadratic(hmat, m)
-        if abs(fd - analytic) > rtol * max(abs(analytic), 1.0):
-            raise MaterialError(
-                f"elastic tensor self-check failed: fd={fd:.9e} analytic={analytic:.9e}")
-    return m.elastic_tensor
 
 
 def qi_bilinear(e1, e2, m):
@@ -269,17 +203,8 @@ def verify_taylor_remainder(m, probes=None, h_values=(1e-1, 1e-2, 1e-3, 1e-4)):
                 continue
             k = solve_volume_correction(hmat, step)
             d = step * hmat + step**2 * k * np.eye(3)
-            w = yeoh_energy_from_deviation(d, m)
+            w = yeoh_density(g_from_deviation(d), m)
             target = quadratic_form_QI(0.5 * (hmat + hmat.T), m)
             worst = max(worst, abs(w / step**2 - target) / norm2)
         table[step] = worst
     return table
-
-
-def distance_to_rotations(f):
-    """Euclidean distance d(F, SO(3)) via singular values."""
-    u, s, vt = np.linalg.svd(np.asarray(f, dtype=float))
-    if np.linalg.det(u @ vt) < 0:
-        s = s.copy()
-        s[-1] = -s[-1]
-    return float(np.sqrt(((s - 1.0) ** 2).sum()))

@@ -166,26 +166,19 @@ class ReflectedExtension:
         g = np.where(((cell + self.parity) & 1).astype(bool), 1.0 - frac, frac)
         return p, cell, g
 
-    def locate(self, points):
-        """Element ids of the points, with the points as a float array; the
-        element is fixed by the order of g in the point's cell."""
-        p, cell, g = self._cell_frame(points)
+    def _frame_elements(self, cell, g):
+        """Element ids of points with cells `cell` and parity-adjusted
+        coordinates g (`_cell_frame`): the order of g fixes the element."""
         code = (4 * (g[:, 0] >= g[:, 1]) + 2 * (g[:, 0] >= g[:, 2])
                 + (g[:, 1] >= g[:, 2]))
         ny, nz = self.ext_div[1], self.ext_div[2]
         lin = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
-        return lin * 6 + _KUHN_LUT[code], p
+        return lin * 6 + _KUHN_LUT[code]
 
-    def face_distance(self, points):
-        """Lower bound on each point's distance to the faces of its element.
-
-        In g the element is the chain 1 >= g_max >= g_mid >= g_min >= 0, whose
-        faces lie at distances 1 - g_max, (g_max - g_mid)/sqrt 2,
-        (g_mid - g_min)/sqrt 2 and g_min; a step dx moves g by at most
-        |dx| / min(spacing). A point on a face (a tie of the location) gets 0.
-        """
-        cell_gap, cmp_gap, _ = _chain_gaps(self._cell_frame(points)[2])
-        return np.minimum(cell_gap, cmp_gap.min(axis=1)) * float(self.spacing.min())
+    def locate(self, points):
+        """Element ids of the points, with the points as a float array."""
+        p, cell, g = self._cell_frame(points)
+        return self._frame_elements(cell, g), p
 
     def blend_distance(self, points):
         """Distance from points of the base box to the blend layer, the shell
@@ -223,7 +216,6 @@ class SmoothField:
     eps: float
     box_lo: np.ndarray
     box_hi: np.ndarray
-    kernel_constant: float = MOLLIFIER_K
     div_fn: callable = None
     anchor_fn: callable = None
     diagnostics: dict = field(default_factory=dict)
@@ -315,8 +307,9 @@ class FlowAnchor:
         for q0 in range(0, nq, per_call):
             q1 = min(q0 + per_call, nq)
             pair = np.arange(q0 * npts, q1 * npts)       # pair q npts + p
-            elem, pts = ext.locate((self.x[None, :, :] - offsets[q0:q1, None, :]).reshape(-1, 3))
-            _, cell, g = ext._cell_frame(pts)
+            _, cell, g = ext._cell_frame(
+                (self.x[None, :, :] - offsets[q0:q1, None, :]).reshape(-1, 3))
+            elem = ext._frame_elements(cell, g)
             cell_gap, cmp_gap, diff = _chain_gaps(g)
             tied = cmp_gap <= _TIE
             anchored = (cell_gap > far) & np.all(tied | (cmp_gap > far), axis=1)
@@ -548,20 +541,6 @@ def mollify(ext, eps, gamma=0.25, nq=8):
     return fld
 
 
-def synthetic_field(eval_fn, grad_fn, sup_norm, grad_norm, box_lo, box_hi,
-                    gamma=0.5, holder_seminorm=None):
-    """SmoothField wrapper for closed-form divergence-free fields (tests, demos)."""
-    if holder_seminorm is None:
-        diam = float(np.linalg.norm(np.asarray(box_hi) - np.asarray(box_lo)))
-        holder_seminorm = _holder_seminorm_bound(grad_norm, sup_norm, gamma, diam)
-    return SmoothField(eval_fn=lambda p: eval_fn(np.atleast_2d(p)),
-                       grad_fn=lambda p: grad_fn(np.atleast_2d(p)),
-                       sup_norm=float(sup_norm), grad_norm=float(grad_norm),
-                       holder_gamma=gamma, holder_seminorm=holder_seminorm,
-                       eps=0.0, box_lo=np.asarray(box_lo, dtype=float),
-                       box_hi=np.asarray(box_hi, dtype=float))
-
-
 @dataclass
 class FlowResult:
     z_nodes: np.ndarray          # (N, 3) flowed nodal positions
@@ -737,19 +716,6 @@ def bogovskii_correct(v_field, mesh, tol=1e-9):
             f"divergence correction residual {resid:.3e} exceeds {tol:.1e}; refine the mesh")
     c_star = h1_norm(mesh, w.u) / rhs_norm if rhs_norm > 0 else 0.0
     return w, float(c_star)
-
-
-def make_divergence_free(v_field, mesh):
-    """Repair a field to exact per-element zero divergence, keeping its values
-    on the contact plane: v - (mean div) x3 e3 + bogovskii correction."""
-    div = v_field.divergence
-    vols = mesh.element_volumes
-    mean = float(vols @ div) / float(vols.sum())
-    w, _ = bogovskii_correct(v_field, mesh)
-    u = v_field.u.copy()
-    u[:, 2] -= mean * mesh.nodes[:, 2]
-    u += w.u
-    return DisplacementField.from_nodal(mesh, u)
 
 
 # ---------------------------------------------------------------------------

@@ -744,12 +744,3 @@ def minimize_nonlinear(problem):
         polish=polish,
     )
 
-
-def nonlinear_energy(y_field, problem, mode="strict"):
-    """Rescaled energy G_h at a deformation; +inf in strict mode off det = 1."""
-    asm = _NonlinearAssembler(problem)
-    value, r = asm.energy_parts(np.asarray(y_field.y, dtype=float).ravel())
-    det_res = float(np.abs(r).max())
-    if mode == "strict" and det_res > 1e-6:
-        return np.inf, det_res
-    return value, det_res

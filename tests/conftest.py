@@ -3,21 +3,22 @@ import pytest
 
 import signorini_lab as sl
 from signorini_lab import solvers
+from signorini_lab.material import yeoh_density
 
 
 @pytest.fixture(scope="session")
 def mesh1():
-    return sl.build_unit_cube_mesh(1)
+    return sl.build_box_mesh(1)
 
 
 @pytest.fixture(scope="session")
 def mesh2():
-    return sl.build_unit_cube_mesh(2)
+    return sl.build_box_mesh(2)
 
 
 @pytest.fixture(scope="session")
 def mesh3():
-    return sl.build_unit_cube_mesh(3)
+    return sl.build_box_mesh(3)
 
 
 @pytest.fixture(scope="session")
@@ -90,3 +91,10 @@ def random_divergence_free(mesh, rng, scale=0.1):
     b = assemble_div_matrix(mesh)
     x, _ = active_set_qp(np.eye(n3), -v, b, np.zeros(b.shape[0]), np.array([], dtype=int))
     return sl.DisplacementField.from_nodal(mesh, x.reshape(-1, 3))
+
+
+def yeoh_energy(f, m):
+    """The F-form of the stored energy, W(F) = W(|F|^2 - 3): the oracle the
+    g-form of `material` is checked against."""
+    f = np.asarray(f, dtype=float)
+    return yeoh_density((f * f).sum(axis=(-2, -1)) - 3.0, m)

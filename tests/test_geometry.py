@@ -36,12 +36,12 @@ def test_unit_cube_n2_counts_vs_oracle(mesh2):
 
 def test_rejects_zero_subdivision():
     with pytest.raises(ValueError):
-        sl.build_unit_cube_mesh(0)
+        sl.build_box_mesh(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_affine_field_gradient_exact(n):
-    mesh = sl.build_unit_cube_mesh(n)
+    mesh = sl.build_box_mesh(n)
     rng = np.random.default_rng(n)
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal(3)
@@ -59,7 +59,7 @@ def test_coordinate_gradient_is_identity(mesh2):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_gradient_operator_matches_element_maps(n):
-    mesh = sl.build_unit_cube_mesh(n)
+    mesh = sl.build_box_mesh(n)
     d = mesh.gradient_operator
     m = mesh.num_elements
     assert d.shape == (9 * m, 3 * mesh.num_nodes)
@@ -170,7 +170,7 @@ def test_integrate_volume_examples(mesh2):
     # analytic integral of x3, cross-checked by a refined mesh
     val = sl.integrate_volume(mesh2, mesh2.nodes[:, 2])
     assert_allclose(val, 0.5, rtol=1e-12)
-    fine = sl.build_unit_cube_mesh(5)
+    fine = sl.build_box_mesh(5)
     assert_allclose(sl.integrate_volume(fine, fine.nodes[:, 2]), val, rtol=1e-12)
 
 
@@ -186,15 +186,20 @@ def test_integrate_volume_size_mismatch(mesh2):
 
 
 def test_integrate_surface_examples(mesh2):
-    n = mesh2.num_nodes
-    assert_allclose(sl.integrate_surface(mesh2, np.ones(n), "all"), 6.0, rtol=1e-12)
-    assert_allclose(sl.integrate_surface(mesh2, mesh2.nodes[:, 2], "top"), 1.0, rtol=1e-12)
-    assert_allclose(sl.integrate_surface(mesh2, mesh2.nodes[:, 0], "bottom"), 0.5, rtol=1e-12)
+    # the surface integral of a P1 field f over a region is 1 . M_region f
+    ones = np.ones(mesh2.num_nodes)
+
+    def integral(f, region):
+        return ones @ surface_mass_matrix(mesh2, region) @ f
+
+    assert_allclose(integral(ones, "all"), 6.0, rtol=1e-12)
+    assert_allclose(integral(mesh2.nodes[:, 2], "top"), 1.0, rtol=1e-12)
+    assert_allclose(integral(mesh2.nodes[:, 0], "bottom"), 0.5, rtol=1e-12)
 
 
 def test_integrate_surface_region_validation(mesh2):
     with pytest.raises(sl.MeshError):
-        sl.integrate_surface(mesh2, np.ones(mesh2.num_nodes), np.array([10_000]))
+        surface_mass_matrix(mesh2, np.array([10_000]))
 
 
 def test_boundary_regions_cover(mesh2):
@@ -219,7 +224,9 @@ def test_l2_norm_of_coordinate(mesh2):
 
 def test_mesh_file_roundtrip(tmp_path, mesh2):
     path = tmp_path / "cube.mesh"
-    sl.write_mesh_file(mesh2, path)
+    rows = [f"nodes {mesh2.num_nodes}", *(" ".join(f"{v:.17g}" for v in p) for p in mesh2.nodes),
+            f"tets {mesh2.num_elements}", *(" ".join(map(str, t)) for t in mesh2.tets)]
+    path.write_text("\n".join(rows) + "\n")
     back = sl.read_mesh_file(path)
     assert_allclose(back.nodes, mesh2.nodes)
     assert np.array_equal(back.tets, mesh2.tets)

@@ -70,6 +70,13 @@ def test_parse_config_rejects_bad_h_list():
         harness.parse_config("nonsense 1")
 
 
+@pytest.mark.parametrize("line", ["solver 5000", "domain cube x", "f bogus 1 2 3",
+                                  "g top constant 0 0 1"])
+def test_parse_config_names_a_malformed_line(line):
+    with pytest.raises(harness.ExperimentError, match=f"line 2 '{line}'"):
+        harness.parse_config(f"domain cube 1\n{line}\nf constant 0 0 -1")
+
+
 def test_verdict_logic_pure():
     recs = [fake_record(h, g) for h, g in zip((0.2, 0.1, 0.05, 0.025),
                                               (4e-4, 2e-4, 1e-4, 5e-5))]
@@ -174,11 +181,10 @@ def test_global_phi_gate_optional(tmp_path):
 def test_sandwich_check(tmp_path):
     cfg = harness.parse_config(FAST_CONFIG.format(out=tmp_path.as_posix()))
     report = harness.run_experiment(cfg)
-    out = harness.sandwich_check(report)
-    assert out["pass"]
-    tri = out["triple"]
+    out = report.sandwich
+    assert out["ordered"] and out["equality_gtilde_gi"] and out["bounded_below"]
+    tri = (report.min_gtilde, report.min_gi, report.min_ei)
     assert tri[0] <= tri[1] + 1e-10 and tri[1] <= tri[2] + 1e-10
-    assert out["bounded_below"]
     # lower-bound slack: inf G_h >= min G~ - slack with small fitted slope
     for h, slack in out["slacks"]:
         assert slack <= max(0.1 * h, 1e-8)
@@ -235,6 +241,9 @@ def test_cli_bad_load_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["check-load", cfg_path.as_posix()]) == 1
     capsys.readouterr()
+    cfg_path.write_text("domain cube 1\nsolver 5000\n")
+    assert cli_main(["run", cfg_path.as_posix()]) == 2
+    assert "config error: line 2 'solver 5000'" in capsys.readouterr().err
 
 
 RECOVERY_CONFIG = """domain cube 2

@@ -13,29 +13,44 @@ from signorini_lab.loads import (
     _davenport,
     _phi_batch,
     _quaternion_rotation,
-    _shear_batch,
+    _torque,
     load_moments,
     load_vector,
-    shear_functional,
 )
+
+
+def load_value(load, v, mesh):
+    """L(v) for a nodal field v."""
+    return float((load_vector(load, mesh) * v).sum())
+
+
+def shear_batch(rmats, t_mom):
+    """The horizontal shear functional L((R x - x)_alpha e_alpha) for a batch
+    of matrices, from the moment matrix."""
+    d = np.asarray(rmats, dtype=float) - np.eye(3)
+    return (d[..., :2, :] * t_mom[:2, :]).sum(axis=(-2, -1))
+
+
+def shear_value(load, rotation, mesh):
+    return float(shear_batch(rotation.matrix[None], load_moments(load, mesh)[1])[0])
 
 
 def quadrature_oracle(load, field_fn, n=6):
     """Independent dense quadrature of L(v): refined mesh plus its own vector."""
-    fine = sl.build_unit_cube_mesh(n)
+    fine = sl.build_box_mesh(n)
     v = np.array([field_fn(x) for x in fine.nodes])
-    return sl.eval_load(load, v, fine)
+    return load_value(load, v, fine)
 
 
 def test_eval_load_examples(mesh2, gravity):
     n = mesh2.num_nodes
     e3 = np.tile([0.0, 0.0, 1.0], (n, 1))
-    assert_allclose(sl.eval_load(gravity, e3, mesh2), -1.0, rtol=1e-12)
+    assert_allclose(load_value(gravity, e3, mesh2), -1.0, rtol=1e-12)
     v = np.zeros((n, 3))
     v[:, 2] = mesh2.nodes[:, 2]
-    assert_allclose(sl.eval_load(gravity, v, mesh2), -0.5, rtol=1e-12)
+    assert_allclose(load_value(gravity, v, mesh2), -0.5, rtol=1e-12)
     assert_allclose(quadrature_oracle(gravity, lambda x: [0, 0, x[2]]), -0.5, rtol=1e-12)
-    assert sl.eval_load(gravity, np.zeros((n, 3)), mesh2) == 0.0
+    assert load_value(gravity, np.zeros((n, 3)), mesh2) == 0.0
 
 
 def test_eval_load_linearity(mesh2, bottom_weighted):
@@ -43,50 +58,54 @@ def test_eval_load_linearity(mesh2, bottom_weighted):
     u = rng.standard_normal((mesh2.num_nodes, 3))
     v = rng.standard_normal((mesh2.num_nodes, 3))
     a, b = 0.7, -1.3
-    lhs = sl.eval_load(bottom_weighted, a * u + b * v, mesh2)
-    rhs = (a * sl.eval_load(bottom_weighted, u, mesh2)
-           + b * sl.eval_load(bottom_weighted, v, mesh2))
+    lhs = load_value(bottom_weighted, a * u + b * v, mesh2)
+    rhs = (a * load_value(bottom_weighted, u, mesh2)
+           + b * load_value(bottom_weighted, v, mesh2))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
 def test_eval_load_affine_examples(mesh2, gravity):
-    assert_allclose(sl.eval_load_affine(gravity, np.zeros((3, 3)), [0, 0, 1], mesh2),
+    # L(A x + b) is exact because P1 reproduces affine fields
+    assert_allclose(load_value(gravity, np.tile([0.0, 0.0, 1.0], (mesh2.num_nodes, 1)), mesh2),
                     -1.0, rtol=1e-12)
-    assert_allclose(sl.eval_load_affine(gravity, np.eye(3), np.zeros(3), mesh2),
+    assert_allclose(load_value(gravity, mesh2.nodes, mesh2),
                     -0.5, rtol=1e-12)
     # antisymmetric matrix with axis e3: (e3 ^ x) has zero third component
     a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert abs(sl.eval_load_affine(gravity, a, np.zeros(3), mesh2)) < 1e-12
+    assert abs(load_value(gravity, mesh2.nodes @ a.T, mesh2)) < 1e-12
     assert abs(quadrature_oracle(gravity, lambda x: np.cross([0, 0, 1], x))) < 1e-12
 
 
 def test_resultant_and_torque(mesh2, gravity):
-    f, t = sl.resultant_and_torque(gravity, mesh2, (0.5, 0.5, 0.0))
+    # the torque about a pivot p is T0 - p ^ F
+    f, t_mom = load_moments(gravity, mesh2)
     assert_allclose(f, [0.0, 0.0, -1.0], atol=1e-12)
-    assert np.abs(t).max() < 1e-12
-    zero = sl.LoadSpec()
-    f0, t0 = sl.resultant_and_torque(zero, mesh2)
-    assert np.abs(f0).max() == 0.0 and np.abs(t0).max() == 0.0
+    assert np.abs(_torque(t_mom) - np.cross([0.5, 0.5, 0.0], f)).max() < 1e-12
+    f0, t_mom0 = load_moments(sl.LoadSpec(), mesh2)
+    assert np.abs(f0).max() == 0.0 and np.abs(_torque(t_mom0)).max() == 0.0
 
 
 def test_torque_pivot_shift(mesh2, bottom_weighted):
+    # (T0 - d ^ F) . a = L(a ^ (x - d)) for every axis a
     rng = np.random.default_rng(1)
     d = rng.standard_normal(3)
-    f, t0 = sl.resultant_and_torque(bottom_weighted, mesh2)
-    _, td = sl.resultant_and_torque(bottom_weighted, mesh2, d)
-    assert_allclose(td, t0 - np.cross(d, f), atol=1e-12)
+    f, t_mom = load_moments(bottom_weighted, mesh2)
+    td = _torque(t_mom) - np.cross(d, f)
+    for a in np.eye(3):
+        val = load_value(bottom_weighted, np.cross(a, mesh2.nodes - d), mesh2)
+        assert abs(val - a @ td) < 1e-12
 
 
 def test_torque_matches_affine_route(mesh2, test_loads):
     # antisymmetric consistency: a . T(0) = L(a ^ x) for every unit axis
     rng = np.random.default_rng(2)
     for load in test_loads:
-        _, t0 = sl.resultant_and_torque(load, mesh2)
+        t0 = _torque(load_moments(load, mesh2)[1])
         for _ in range(5):
             a = rng.standard_normal(3)
             a /= np.linalg.norm(a)
             mat = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-            val = sl.eval_load_affine(load, mat, np.zeros(3), mesh2)
+            val = load_value(load, mesh2.nodes @ mat.T, mesh2)
             assert abs(val - a @ t0) < 1e-12 * max(1.0, abs(val))
 
 
@@ -187,7 +206,7 @@ def sampled_suprema(load, obstacle, mesh, budget=1500, seed=0):
     mats = np.concatenate([np.eye(3)[None], net, ScipyRotation.from_quat(quats).as_matrix()])
     out = []
     for objective in (lambda m: _phi_batch(m, f_res, t_mom, hull),
-                      lambda m: _shear_batch(m, t_mom)):
+                      lambda m: shear_batch(m, t_mom)):
         vals = objective(mats)
         best = float(vals.max())
         for mat in mats[np.argsort(vals)[-10:]]:
@@ -227,7 +246,7 @@ def test_bracket_contains_the_sampled_supremum(cube, request, test_loads):
         assert abs(sl.phi(load, obstacle, rep.worst_phi_rotation, mesh)
                    - rep.worst_phi_lower) <= 1e-12
         assert shear_sampled <= rep.worst_shear + 1e-12
-        assert abs(max(shear_functional(load, rep.worst_shear_rotation, mesh), 0.0)
+        assert abs(max(shear_value(load, rep.worst_shear_rotation, mesh), 0.0)
                    - rep.worst_shear) <= 1e-12
 
 
@@ -337,7 +356,7 @@ def test_shear_functional_vertical_loads(mesh2, gravity):
     rng = np.random.default_rng(4)
     for _ in range(20):
         r = Rotation.from_axis_angle(rng.standard_normal(3), rng.uniform(0, np.pi))
-        assert abs(shear_functional(gravity, r, mesh2)) < 1e-12
+        assert abs(shear_value(gravity, r, mesh2)) < 1e-12
 
 
 def test_classify_kernel_cases(mesh2, obstacle2, gravity, identity_only_load):
@@ -382,16 +401,17 @@ def test_find_load_center_moment_density(mesh2, obstacle2):
     a = np.zeros((3, 3))
     a[2, 0] = -1.0
     load = sl.LoadSpec(f=sl.affine_field(a, [0.0, 0.0, -1.0]))
-    center, resid, interior = sl.find_load_center(load, obstacle2, mesh2)
+    rep = sl.verify_global_admissibility(load, obstacle2, mesh2)
     expected_x = (0.5 + 1.0 / 3.0) / 1.5
-    assert_allclose(center, [expected_x, 0.5, 0.0], atol=1e-12)
-    assert resid < 1e-12
-    assert interior
+    assert_allclose(rep.load_center, [expected_x, 0.5, 0.0], atol=1e-12)
+    assert rep.load_center_residual < 1e-12
+    assert rep.load_center_interior
 
 
 def test_find_load_center_undetermined(mesh2, obstacle2):
-    with pytest.raises(sl.LoadError, match="undetermined"):
-        sl.find_load_center(sl.LoadSpec(), obstacle2, mesh2)
+    # no vertical resultant, so no pivot with vanishing torque
+    rep = sl.verify_global_admissibility(sl.LoadSpec(), obstacle2, mesh2)
+    assert rep.load_center is None
 
 
 def test_l0_l1_consistency_reported(mesh2, obstacle2, gravity):
@@ -446,18 +466,12 @@ g region=top constant 0 0 -0.25
 """
     path = tmp_path / "load.txt"
     path.write_text(text)
-    load = sl.read_load_file(path)
+    cfg = sl.parse_config(path.as_posix())
+    load = sl.LoadSpec(f=cfg.f_desc, g=cfg.g_descs)
     assert load.f.kind == "affine"
     assert load.g[0][0] == "top"
     e3 = np.tile([0.0, 0.0, 1.0], (mesh2.num_nodes, 1))
-    assert_allclose(sl.eval_load(load, e3, mesh2), -1.5 - 0.25, rtol=1e-12)
-
-
-def test_load_vector_matches_eval(mesh2, bottom_weighted):
-    rng = np.random.default_rng(8)
-    v = rng.standard_normal((mesh2.num_nodes, 3))
-    ell = load_vector(bottom_weighted, mesh2)
-    assert_allclose((ell * v).sum(), sl.eval_load(bottom_weighted, v, mesh2), rtol=1e-14)
+    assert_allclose(load_value(load, e3, mesh2), -1.5 - 0.25, rtol=1e-12)
 
 
 def test_load_caches_follow_the_mesh():
@@ -466,7 +480,7 @@ def test_load_caches_follow_the_mesh():
     kept = sl.LoadSpec(f=sl.constant_field([0.0, 0.0, -1.0]))
     stale = 0
     for cycle in range(120):
-        mesh = sl.build_unit_cube_mesh(1 + cycle % 3)
+        mesh = sl.build_box_mesh(1 + cycle % 3)
         fresh = sl.LoadSpec(f=sl.constant_field([0.0, 0.0, -1.0]))
         want_ell = load_vector(fresh, mesh).copy()
         want_f, want_t = (a.copy() for a in load_moments(fresh, mesh))

@@ -8,16 +8,29 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import signorini_lab as sl
-from conftest import random_divergence_free
+from conftest import random_divergence_free, yeoh_energy
 from signorini_lab import recovery
 from signorini_lab.geometry import KUHN_PERMS
 from signorini_lab.kinematics import DeformationField, DisplacementField
+from signorini_lab.loads import load_vector
 from signorini_lab.recovery import (
     MOLLIFIER_K,
     ReflectedExtension,
+    _chain_gaps,
+    _holder_seminorm_bound,
     rho_bump,
-    synthetic_field,
 )
+from signorini_lab.solvers import _NonlinearAssembler
+
+
+def synthetic_field(eval_fn, grad_fn, sup_norm, grad_norm, box_lo, box_hi, gamma=0.5):
+    """SmoothField of a closed-form velocity field."""
+    diam = float(np.linalg.norm(np.asarray(box_hi) - np.asarray(box_lo)))
+    return recovery.SmoothField(
+        eval_fn=lambda p: eval_fn(np.atleast_2d(p)), grad_fn=lambda p: grad_fn(np.atleast_2d(p)),
+        sup_norm=float(sup_norm), grad_norm=float(grad_norm), holder_gamma=gamma,
+        holder_seminorm=_holder_seminorm_bound(grad_norm, sup_norm, gamma, diam),
+        eps=0.0, box_lo=np.asarray(box_lo, dtype=float), box_hi=np.asarray(box_hi, dtype=float))
 
 
 def test_mollifier_mass_and_kernel_constant():
@@ -302,13 +315,20 @@ def test_flow_richardson_reuses_the_doubling_run(mesh2):
 
 @pytest.mark.parametrize("lengths", [(1.0, 1.0, 1.0), (1.0, 0.6, 1.4)])
 def test_face_distance_is_a_lower_bound(lengths):
-    # a point moved by less than its face distance stays in its element, in
-    # the base box and in the reflected layer, also on an anisotropic grid
+    # the gaps of `_chain_gaps`, the rule the flow anchor keeps pairs by: a
+    # point moved by less than its smallest gap in cell widths of the finest
+    # axis stays in its element, in the base box and in the reflected layer,
+    # also on an anisotropic grid
     mesh = sl.build_box_mesh((2, 3, 2), lengths=lengths)
     ext = ReflectedExtension(mesh, np.zeros((mesh.num_nodes, 3)))
+
+    def face_distance(points):
+        cell_gap, cmp_gap, _ = _chain_gaps(ext._cell_frame(points)[2])
+        return np.minimum(cell_gap, cmp_gap.min(axis=1)) * float(ext.spacing.min())
+
     rng = np.random.default_rng(31)
     pts = rng.uniform(ext.box_lo + 0.05, ext.box_hi - 0.05, size=(400, 3))
-    dist = ext.face_distance(pts)
+    dist = face_distance(pts)
     assert dist.min() >= 0.0 and dist.max() > 0.0
     elem, _ = ext.locate(pts)
     for _ in range(20):
@@ -317,7 +337,7 @@ def test_face_distance_is_a_lower_bound(lengths):
         assert_array_equal(ext.locate(pts + step)[0], elem)
     # grid-aligned points lie on faces: the ties of the location get 0
     nodes = ext.mesh.nodes[rng.integers(0, ext.mesh.num_nodes, 50)]
-    assert np.all(ext.face_distance(nodes) == 0.0)
+    assert np.all(face_distance(nodes) == 0.0)
 
 
 def _anchor_setup(mesh, reach, seed):
@@ -515,7 +535,11 @@ def test_make_divergence_free(mesh3):
     vals[interior] = rng.standard_normal((interior.size, 3))
     vals[:, 2] += 0.3 * mesh3.nodes[:, 2]  # add divergence with nonzero mean
     v = DisplacementField.from_nodal(mesh3, vals)
-    u = recovery.make_divergence_free(v, mesh3)
+    # the repair v - (mean div v) x3 e3 + w with w the zero-boundary corrector
+    w, _ = sl.bogovskii_correct(v, mesh3)
+    mean = float(mesh3.element_volumes @ v.divergence) / mesh3.volume
+    u = DisplacementField.from_nodal(
+        mesh3, v.u - mean * np.outer(mesh3.nodes[:, 2], [0.0, 0.0, 1.0]) + w.u)
     assert np.abs(u.divergence).max() < 1e-9
     # values on the contact plane are untouched
     obs = sl.extract_obstacle(mesh3)
@@ -560,9 +584,9 @@ def test_recovery_energy_at_affine_map(mesh2, obstacle2, yeoh, gravity, diag):
     value, _ = recovery.recovery_energy(step, yeoh, gravity, mesh2)
     problem = sl.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
                                   obstacle=obstacle2, h=h, skip_admissibility_check=True)
-    sweep_value, _ = sl.nonlinear_energy(step.field, problem, mode="penalized")
-    load_term = sl.eval_load(gravity, y - mesh2.nodes, mesh2)
-    density = sl.yeoh_energy(f, yeoh) - yeoh.pressure * (np.prod(diag) - 1.0)
+    sweep_value, _ = _NonlinearAssembler(problem).energy_parts(step.field.y.ravel())
+    load_term = float((load_vector(gravity, mesh2) * (y - mesh2.nodes)).sum())
+    density = yeoh_energy(f, yeoh) - yeoh.pressure * (np.prod(diag) - 1.0)
     closed = float(mesh2.element_volumes.sum()) * density / h**2 - load_term / h
     assert load_term != 0.0
     assert_allclose(value, sweep_value, rtol=1e-12)
