@@ -52,6 +52,11 @@ class ExperimentConfig:
             raise ExperimentError("h_list must be strictly decreasing")
         if self.domain[0] == "mesh" and not os.path.exists(self.domain[1]):
             raise ExperimentError(f"mesh file {self.domain[1]!r} does not exist")
+        if self.domain[0] == "box":
+            if any(d < 1 for d in self.domain[1]):
+                raise ExperimentError(f"domain divisions {self.domain[1]} must be at least 1")
+            if any(not length > 0.0 for length in self.domain[2]):
+                raise ExperimentError(f"domain lengths {self.domain[2]} must be positive")
         return self
 
 
@@ -113,52 +118,63 @@ def parse_config(source):
     return cfg.validate()
 
 
+def _values(tok, start, *counts):
+    """tok[start:], which must hold one of `counts` values."""
+    vals = tok[start:]
+    if len(vals) not in counts:
+        raise ValueError(f"expected {' or '.join(str(c) for c in counts)} values, "
+                         f"got {len(vals)}")
+    return vals
+
+
 def _apply_directive(cfg, tok, g_descs):
     key = tok[0]
     if key == "domain":
         if tok[1] == "cube":
-            cfg.domain = ("box", (int(tok[2]),) * 3, (1.0, 1.0, 1.0))
+            cfg.domain = ("box", (int(_values(tok, 2, 1)[0]),) * 3, (1.0, 1.0, 1.0))
         elif tok[1] == "box":
-            vals = tok[2:]
+            vals = _values(tok, 2, 3, 6)
             div = tuple(int(v) for v in vals[:3])
-            lens = tuple(float(v) for v in vals[3:6]) if len(vals) >= 6 else (1.0, 1.0, 1.0)
+            lens = tuple(float(v) for v in vals[3:]) if len(vals) == 6 else (1.0, 1.0, 1.0)
             cfg.domain = ("box", div, lens)
         elif tok[1] == "mesh":
-            cfg.domain = ("mesh", tok[2])
+            cfg.domain = ("mesh", _values(tok, 2, 1)[0])
         else:
             raise ExperimentError(f"unknown domain {tok[1]!r}")
     elif key == "material":
         if tok[1] != "yeoh":
             raise ExperimentError("only yeoh materials are supported")
-        cfg.material = tuple(float(v) for v in tok[2:5])
+        cfg.material = tuple(float(v) for v in _values(tok, 2, 3))
     elif key in ("penalty", "continuation"):
-        cfg.penalty = (float(tok[1]), float(tok[2]), int(tok[3]))
+        kappa0, factor, stages = _values(tok, 1, 3)
+        cfg.penalty = (float(kappa0), float(factor), int(stages))
     elif key in ("f", "g"):
         cfg.f_desc, _ = loads._parse_load_directive(tok, cfg.f_desc, g_descs)
     elif key == "h_list":
         cfg.h_list = tuple(float(v) for v in tok[1:])
     elif key == "solver":
-        cfg.solver_maxiter = int(tok[1])
-        cfg.solver_tol = float(tok[2])
+        maxiter, gtol = _values(tok, 1, 2)
+        cfg.solver_maxiter, cfg.solver_tol = int(maxiter), float(gtol)
     elif key == "multistart":
         logger.warning("config directive 'multistart' has no effect: the nonlinear "
                        "solver runs one warm-started path per h")
     elif key == "recovery":
-        cfg.recovery_gamma = float(tok[1])
-        cfg.recovery_steps_per_h = int(tok[2])
-        cfg.recovery_ledger_samples = int(tok[3])
+        gamma, steps, samples = _values(tok, 1, 3)
+        cfg.recovery_gamma = float(gamma)
+        cfg.recovery_steps_per_h = int(steps)
+        cfg.recovery_ledger_samples = int(samples)
     elif key == "run_recovery":
-        cfg.run_recovery = bool(int(tok[1]))
+        cfg.run_recovery = bool(int(_values(tok, 1, 1)[0]))
     elif key == "output":
-        cfg.output_dir = tok[1]
+        cfg.output_dir = _values(tok, 1, 1)[0]
     elif key == "seed":
-        cfg.seed = int(tok[1])
+        cfg.seed = int(_values(tok, 1, 1)[0])
     elif key == "tol_conv":
-        cfg.tol_conv = float(tok[1])
+        cfg.tol_conv = float(_values(tok, 1, 1)[0])
     elif key == "budget":
-        cfg.budget = int(tok[1])
+        cfg.budget = int(_values(tok, 1, 1)[0])
     elif key == "require_global_phi":
-        cfg.require_global_phi = bool(int(tok[1]))
+        cfg.require_global_phi = bool(int(_values(tok, 1, 1)[0]))
     else:
         raise ExperimentError(f"unknown config directive {key!r}")
 
@@ -184,13 +200,16 @@ def limit_kernel(load, obstacle, mesh):
 
 
 def limit_triple(mesh, mat, load, obstacle, kernel):
-    """{variant: SolveResult} of the three limit problems E^I, G^I and G~^I."""
-    results = {}
+    """{variant: SolveResult} of the three limit problems E^I, G^I and G~^I.
+
+    The three solves share one set-up (`minimize_limit`'s `shared`): the div
+    rows once, and H, Z^T H Z and the working-set factors of E^I for G^I."""
+    results, shared = {}, {}
     for variant in (solvers.Variant.EI, solvers.Variant.GI, solvers.Variant.GTILDE):
         problem = solvers.QuadraticProblem(mesh=mesh, material=mat, load=load,
                                            obstacle=obstacle, variant=variant,
                                            kernel_class=kernel)
-        results[variant] = solvers.minimize_limit(problem)
+        results[variant] = solvers.minimize_limit(problem, shared=shared)
     return results
 
 

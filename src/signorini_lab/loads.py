@@ -481,15 +481,22 @@ def _load_center(f_res, t_mom, hull):
     return center, residual, interior
 
 
+def _load_values(tokens, start, count):
+    vals = tokens[start:]
+    if len(vals) != count:
+        raise LoadError(f"{' '.join(tokens[:start])} needs {count} values, got {len(vals)}")
+    return [float(v) for v in vals]
+
+
 def _parse_load_directive(tokens, f_desc, g_descs):
     """Apply one load directive of a config: `f constant cx cy cz`,
     `f affine <9> <3>` or `g region=<name> constant cx cy cz`."""
     if tokens[0] == "f":
         if tokens[1] == "constant":
-            f_desc = constant_field([float(v) for v in tokens[2:5]])
+            f_desc = constant_field(_load_values(tokens, 2, 3))
         elif tokens[1] == "affine":
-            vals = [float(v) for v in tokens[2:14]]
-            f_desc = affine_field(np.array(vals[:9]).reshape(3, 3), vals[9:12])
+            vals = _load_values(tokens, 2, 12)
+            f_desc = affine_field(np.array(vals[:9]).reshape(3, 3), vals[9:])
         else:
             raise LoadError(f"unknown volume descriptor {tokens[1]!r}")
     elif tokens[0] == "g":
@@ -498,7 +505,7 @@ def _parse_load_directive(tokens, f_desc, g_descs):
         region = tokens[1].split("=", 1)[1]
         if tokens[2] != "constant":
             raise LoadError(f"unknown surface descriptor {tokens[2]!r}")
-        g_descs.append((region, constant_field([float(v) for v in tokens[3:6]])))
+        g_descs.append((region, constant_field(_load_values(tokens, 3, 3))))
     else:
         raise LoadError(f"unknown load directive {tokens[0]!r}")
     return f_desc, g_descs

@@ -1,13 +1,17 @@
 """Constrained minimization of the nonlinear contact energies and their quadratic limits.
 
 The quadratic limit problems are solved exactly: the kernel maximum in the
-load term turns the objective into min over a rotation angle of convex QPs
-(min_u [quad(u) - L(R_theta u)] swapped with the max), each solved by a primal
-active-set method in the null space of the div rows: a pivoted QR of B^T,
-computed once per mesh, gives an orthonormal basis Z of null(B) (the
+load term turns the objective into min over a rotation angle theta of convex
+QPs (min_u [quad(u) - L(R_theta u)] swapped with the max). The load term is
+affine in (cos theta, sin theta), so along an arc of angles on which one
+working set stays optimal the minimizer is affine in them too and the value
+is a degree-2 trigonometric polynomial: an exact path over the circle solves
+one QP per arc and minimizes each arc in closed form. Each QP is solved by a
+primal active-set method in the null space of the div rows: a pivoted QR of
+B^T, computed once per mesh, gives an orthonormal basis Z of null(B) (the
 per-element rows of a Kuhn mesh are far from independent: rank 96 of 162 on
 cube 3), and only the reduced KKT matrix [[Z^T H Z, Z_W^T], [Z_W, 0]] of each
-working set W is factored, once, and reused across iterations and angles.
+working set W is factored, once, and reused across iterations and arcs.
 The nonlinear problems use an
 augmented Lagrangian on the per-element determinant with kappa continuation
 and projected L-BFGS-B inner solves, run once per h from the identity or from
@@ -35,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import Bounds, minimize, minimize_scalar
+from scipy.optimize import Bounds, minimize
 
 from .geometry import Mesh, ObstacleSet, gradient_form, gradient_rows
 from .kinematics import DeformationField, DisplacementField
@@ -101,7 +105,6 @@ class QuadraticProblem:
     obstacle: ObstacleSet
     variant: Variant
     kernel_class: KernelClass = None
-    theta_grid: int = 48
 
     def __post_init__(self):
         if self.variant in (Variant.GI, Variant.GTILDE) and self.kernel_class is None:
@@ -207,11 +210,11 @@ def _null_space_frame(a_eq, n):
                            piv[:rank])
 
 
-def _div_null_space(mesh):
-    """Frame of the mesh's divergence rows, computed once per mesh."""
+def _div_null_space(mesh, b_div):
+    """Frame of the mesh's divergence rows `b_div`, computed once per mesh."""
     key = ("div_null_space",)
     if key not in mesh._cache:
-        mesh._cache[key] = _null_space_frame(assemble_div_matrix(mesh), 3 * mesh.num_nodes)
+        mesh._cache[key] = _null_space_frame(b_div, 3 * mesh.num_nodes)
     return mesh._cache[key]
 
 
@@ -235,6 +238,20 @@ def _kkt_factor(hz, z, working):
     return v[:, keep], lam[keep]
 
 
+def _working_set_solve(factors, working, rhs_y, x0_w):
+    """Minimum-norm (y, nu) of the reduced KKT system of one working set W,
+    [[Z^T H Z, Z_W^T], [Z_W, 0]] [y; nu] = [rhs_y; -x0_w], for one right-hand
+    side or for a block of columns. W's factorization is taken from `factors`
+    (see `active_set_qp`) and made there on its first use."""
+    key = tuple(working)
+    if key not in factors:
+        factors[key] = _kkt_factor(factors["reduced_hessian"], factors["null_space"].z, working)
+    v, lam = factors[key]
+    rhs = np.concatenate([rhs_y, -x0_w])
+    sol = v @ ((v.T @ rhs) / (lam if rhs.ndim == 1 else lam[:, None]))
+    return sol[:rhs_y.shape[0]], sol[rhs_y.shape[0]:]
+
+
 def active_set_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
     """min (1/2) x^T H x + g^T x  s.t.  A_eq x = b_eq,  x_i >= 0 for i in bound_idx.
 
@@ -248,7 +265,7 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
     directions of H (H may be singular and A_eq rank-deficient). `factors`
     holds the frame ("null_space"), Z^T H Z ("reduced_hessian") and one
     factorization per tuple(working set); it may be shared by calls with the
-    same H and A_eq (g and b_eq may differ), as across an angle scan, and a
+    same H and A_eq (g and b_eq may differ), as along an angle path, and a
     caller may seed its "null_space"; by default it is local to the call. A
     working set is optimal when no bound multiplier is below
     -QP_MULTIPLIER_TOL; the method gives up after 3 max(#bounds, 1) + 30
@@ -268,7 +285,6 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
     z = frame.z
     if "reduced_hessian" not in factors:
         factors["reduced_hessian"] = z.T @ h @ z
-    hz = factors["reduced_hessian"]
     x0 = frame.particular(b_eq) if n_eq else np.zeros(n)
     rhs_y = -(z.T @ (g + h @ x0))
     x = np.zeros(n)
@@ -277,13 +293,9 @@ def active_set_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
     mu = np.zeros(0)
     for _ in range(3 * max(len(bound_idx), 1) + 30):
         iters += 1
-        key = tuple(working)
-        if key not in factors:
-            factors[key] = _kkt_factor(hz, z, working)
-        v, lam = factors[key]
         w_idx = np.asarray(working, dtype=int)
-        sol = v @ ((v.T @ np.concatenate([rhs_y, -x0[w_idx]])) / lam)
-        x_star, nu = x0 + z @ sol[:z.shape[1]], sol[z.shape[1]:]
+        y, nu = _working_set_solve(factors, working, rhs_y, x0[w_idx])
+        x_star = x0 + z @ y
         p = x_star - x
         if np.abs(p).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(x).max(initial=0.0)):
             mu = -nu
@@ -391,68 +403,160 @@ def eval_limit(u_field, problem, b=None):
     return strain_energy_quadratic(u_field, p.material, p.mesh, b=b) - maxload
 
 
-def _limit_load_vector(problem, theta):
-    """Flattened load vector of u -> L(R_theta u)."""
-    ell = load_vector(problem.load, problem.mesh)
-    if theta == 0.0:
-        return ell.ravel().copy()
-    r = Rotation.about_e3(theta).matrix
-    return (ell @ r).ravel()
+def _limit_load_parts(ell):
+    """Columns (l0, lc, ls) of the flattened load vector l0 + cos(theta) lc +
+    sin(theta) ls of u -> L(R_theta u): per node, ell R_theta is
+    (l1 c + l2 s, l2 c - l1 s, l3)."""
+    parts = np.zeros((ell.shape[0], 3, 3))
+    parts[:, 2, 0] = ell[:, 2]
+    parts[:, 0, 1], parts[:, 1, 1] = ell[:, 0], ell[:, 1]
+    parts[:, 0, 2], parts[:, 1, 2] = ell[:, 1], -ell[:, 0]
+    return parts.reshape(-1, 3)
 
 
-def minimize_limit(problem):
+def _arc_end(rows, tols, theta):
+    """(distance, row) from `theta` to the first angle at which a row
+    a + b cos + d sin falls below its -tol; (inf, None) when none ever does.
+    A row that is at or below -tol and falling at `theta` ends the arc there,
+    at distance 0, rather than at its next crossing a turn later."""
+    a, b, d = rows.T
+    rho = np.hypot(b, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = (-tols - a) / rho
+    crosses = np.flatnonzero((rho > 0.0) & (kappa > -1.0))
+    if not crosses.size:
+        return np.inf, None
+    # the row is below -tol on (phi + alpha, phi + 2 pi - alpha), falling on
+    # the first half of that interval
+    alpha = np.arccos(np.minimum(kappa[crosses], 1.0))
+    t = np.mod(theta - np.arctan2(d[crosses], b[crosses]) - alpha, 2.0 * np.pi)
+    dist = np.where(t < np.pi - alpha, 0.0, 2.0 * np.pi - t)
+    k = int(np.argmin(dist))
+    return float(dist[k]), int(crosses[k])
+
+
+def _arc_minimum(q, lo, hi):
+    """(value, theta) minimizing f(theta) = v^T q v, v = (1, cos theta, sin theta),
+    over [lo, hi]. f = a0 + a1 cos + b1 sin + a2 cos 2theta + b2 sin 2theta, so
+    with z = e^(i theta) the stationary points are the unit-modulus roots of
+    the quartic z^2 f'; they and the two ends are the candidates."""
+    a1, b1, a2, b2 = 2.0 * q[0, 1], 2.0 * q[0, 2], 0.5 * (q[1, 1] - q[2, 2]), q[1, 2]
+    roots = np.roots([b2 + 1j * a2, 0.5 * (b1 + 1j * a1), 0.0, 0.5 * (b1 - 1j * a1),
+                      b2 - 1j * a2])
+    # a loose modulus test: a spurious candidate only costs one evaluation of f
+    angles = np.mod(np.angle(roots[np.abs(np.abs(roots) - 1.0) <= 1e-6]), 2.0 * np.pi)
+    cand = np.concatenate([[lo, hi], angles[(angles >= lo) & (angles <= hi)]])
+    v = np.stack([np.ones_like(cand), np.cos(cand), np.sin(cand)])
+    vals = np.einsum("ik,ij,jk->k", v, q, v)
+    k = int(np.argmin(vals))
+    return float(vals[k]), float(cand[k])
+
+
+def _angle_path(h, g_parts, b_mat, bound_idx, factors):
+    """Exact minimum over theta in [0, 2 pi) of the QPs with load term
+    g(theta) = g_parts (1, cos theta, sin theta), the constraints of
+    `active_set_qp` and b_eq = 0.
+
+    The circle is walked in arcs on each of which one working set W stays
+    optimal. An arc starts with one warm `active_set_qp` call at its first
+    angle; W's factorization then solves the three columns of g_parts at once,
+    so the minimizer X (1, c, s), the free bounds and the bound multipliers are
+    affine in (cos theta, sin theta) along the arc. The arc ends where a free
+    bound falls below -1e-14 (the ratio test's tolerance) or a multiplier below
+    -QP_MULTIPLIER_TOL; the next arc starts there, warm from W with that bound
+    added or that multiplier's bound dropped. Each arc's objective is a
+    degree-2 trigonometric polynomial minimized in closed form
+    (`_arc_minimum`). Raises SolveFailure when 4 (#bounds + 1) arcs do not
+    close the circle. Returns (value, theta, x, QP iterations).
+    """
+    zeros = np.zeros(b_mat.shape[0])
+    tau = 2.0 * np.pi
+    max_arcs = 4 * (len(bound_idx) + 1)
+    theta, warm, iters, best = 0.0, None, 0, None
+    for _ in range(max_arcs):
+        g = g_parts @ np.array([1.0, np.cos(theta), np.sin(theta)])
+        _, info = active_set_qp(h, g, b_mat, zeros, bound_idx, warm_working=warm,
+                                factors=factors)
+        iters += info["iterations"]
+        working = info["working_set"]
+        z = factors["null_space"].z
+        y, nu = _working_set_solve(factors, working, -(z.T @ g_parts),
+                                   np.zeros((len(working), 3)))
+        x = z @ y
+        free = bound_idx[~np.isin(bound_idx, working)]
+        dist, row = _arc_end(np.vstack([x[free], -nu]), np.concatenate(
+            [np.full(free.size, 1e-14), np.full(len(working), QP_MULTIPLIER_TOL)]), theta)
+        end = min(theta + dist, tau)
+        gx = g_parts.T @ x
+        val, at = _arc_minimum(0.5 * (x.T @ h @ x) + 0.5 * (gx + gx.T), theta, end)
+        if best is None or val < best[0]:
+            best = (val, at, x)
+        if end >= tau:
+            val, at, x = best
+            return val, at % tau, x @ np.array([1.0, np.cos(at), np.sin(at)]), iters
+        warm = list(working)
+        if row < free.size:
+            warm.append(free[row])
+        else:
+            warm.pop(row - free.size)
+        theta = end
+    raise SolveFailure(f"angle path did not close after {max_arcs} arcs")
+
+
+def minimize_limit(problem, shared=None):
     """Global minimum of the selected limit functional.
 
     Swapping the kernel maximum with the outer minimum decomposes the problem
-    into convex QPs indexed by the rotation angle; a coarse angle grid plus
-    local refinement locates the best angle (a single QP when the kernel is
-    the identity). Unbounded directions are impossible for admissible loads;
-    an unsatisfiable QP raises SolveFailure.
+    into convex QPs indexed by the rotation angle theta. For G^I and G~^I with
+    a theta-dependent load the minimum over theta is exact (`_angle_path`):
+    one QP per arc of the circle on which a working set stays optimal, each
+    arc minimized in closed form. E^I, the identity kernel and loads with no
+    horizontal part take a single QP at theta = 0. `shared`, a dict that a
+    caller passes to several calls on one mesh and material, carries H, the
+    div rows, the null-space frame, Z^T H Z and the working-set factors from
+    one call to the next (E^I and G^I have the same H); a dict filled for
+    another mesh or material raises ValueError. Unbounded directions are
+    impossible for admissible loads; an unsatisfiable QP raises SolveFailure.
     """
     p = problem
     n3 = 3 * p.mesh.num_nodes
     with_shear = p.variant == Variant.GTILDE
-    h = assemble_strain_hessian(p.mesh, p.material, with_shear=with_shear)
-    b_mat = assemble_div_matrix(p.mesh)
+    if shared is None:
+        shared = {}
+    mesh, material = shared.setdefault("owner", (p.mesh, p.material))
+    if mesh is not p.mesh or material is not p.material:
+        raise ValueError("shared limit set-up belongs to another mesh or material")
+    if "div" not in shared:
+        shared["div"] = assemble_div_matrix(p.mesh)
+    b_mat = shared["div"]
+    family = "shear" if with_shear else "plain"
+    if family not in shared:
+        # H and B are fixed here: one factorization per working set, and the
+        # div null space is the mesh's (the shear coordinates are free)
+        frame = _div_null_space(p.mesh, b_mat)
+        shared[family] = (assemble_strain_hessian(p.mesh, p.material, with_shear=with_shear),
+                          {"null_space": frame.padded(2) if with_shear else frame})
+    h, factors = shared[family]
     if with_shear:
         b_mat = np.hstack([b_mat, np.zeros((b_mat.shape[0], 2))])
     bound_idx = obstacle_bound_dofs(p.obstacle)
-    zeros = np.zeros(b_mat.shape[0])
-    total_iters = 0
-    last_working = [None]
-    # H and B are fixed here: one factorization per working set, and the div
-    # null space is the mesh's (the shear coordinates are free)
-    frame = _div_null_space(p.mesh)
-    factors = {"null_space": frame.padded(2) if with_shear else frame}
-
-    def solve_theta(theta):
-        nonlocal total_iters
-        g = np.zeros(h.shape[0])
-        g[:n3] = -_limit_load_vector(p, theta)
-        x, info = active_set_qp(h, g, b_mat, zeros, bound_idx,
-                                warm_working=last_working[0], factors=factors)
-        last_working[0] = info["working_set"]
-        total_iters += info["iterations"]
-        return 0.5 * x @ h @ x + g @ x, x
 
     ell = load_vector(p.load, p.mesh)
+    g_parts = np.zeros((h.shape[0], 3))
+    g_parts[:n3] = -_limit_load_parts(ell)
     theta_independent = float(np.abs(ell[:, :2]).max()) <= 1e-14 * max(
         1.0, float(np.abs(ell).max()))
     if (p.variant == Variant.EI
             or p.kernel_class in (None, KernelClass.IDENTITY_ONLY)
             or theta_independent):
         best_theta = 0.0
-        best_val, best_x = solve_theta(0.0)
+        g = g_parts[:, 0] + g_parts[:, 1]   # the load at theta = 0
+        best_x, info = active_set_qp(h, g, b_mat, np.zeros(b_mat.shape[0]), bound_idx,
+                                     factors=factors)
+        best_val, total_iters = 0.5 * best_x @ h @ best_x + g @ best_x, info["iterations"]
     else:
-        thetas = np.linspace(0.0, 2.0 * np.pi, p.theta_grid, endpoint=False)
-        vals = [solve_theta(t)[0] for t in thetas]
-        k = int(np.argmin(vals))
-        span = 2.0 * np.pi / p.theta_grid
-        res = minimize_scalar(lambda t: solve_theta(t)[0],
-                              bounds=(thetas[k] - span, thetas[k] + span),
-                              method="bounded", options={"xatol": 1e-10})
-        best_theta = float(res.x) if res.fun <= vals[k] else float(thetas[k])
-        best_val, best_x = solve_theta(best_theta)
+        best_val, best_theta, best_x, total_iters = _angle_path(h, g_parts, b_mat,
+                                                                bound_idx, factors)
 
     u = best_x[:n3].reshape(-1, 3)
     b_star = best_x[n3:] if with_shear else None

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from signorini_lab import harness
+import signorini_lab as sl
+from signorini_lab import harness, solvers
 from signorini_lab.cli import main as cli_main
 from signorini_lab.harness import ConvergenceRecord, verdict_from_records
 
@@ -71,7 +72,10 @@ def test_parse_config_rejects_bad_h_list():
 
 
 @pytest.mark.parametrize("line", ["solver 5000", "domain cube x", "f bogus 1 2 3",
-                                  "g top constant 0 0 1"])
+                                  "g top constant 0 0 1", "material yeoh 1 0.2",
+                                  "penalty 100 10 3 4", "seed 1 2", "domain box 2 2 2 1 1",
+                                  "f affine 0 0 0 0 0 0 -1 0 0 0 0",
+                                  "g region=top constant 0 0 1 1"])
 def test_parse_config_names_a_malformed_line(line):
     with pytest.raises(harness.ExperimentError, match=f"line 2 '{line}'"):
         harness.parse_config(f"domain cube 1\n{line}\nf constant 0 0 -1")
@@ -190,6 +194,64 @@ def test_sandwich_check(tmp_path):
         assert slack <= max(0.1 * h, 1e-8)
 
 
+def test_limit_triple_shares_the_set_up(yeoh, monkeypatch):
+    # E^I and G^I have one H and one B, and G^I's QP at theta = 0 is E^I's:
+    # one limit_triple assembles the div rows once and each H once, and
+    # factors no working set of one H twice, with the results of separate
+    # minimize_limit calls
+    from test_solvers import scan_load
+
+    mesh = sl.build_box_mesh(2)   # a fresh mesh: its div null space is not cached yet
+    obstacle = sl.extract_obstacle(mesh)
+    load = scan_load(mesh, np.random.default_rng(3), amplitude=10.0)
+    kernel = sl.KernelClass.ROTATIONS_ABOUT_E3
+    counts = {"assemble_strain_hessian": 0, "assemble_div_matrix": 0}
+    factored = []
+
+    def counting(name):
+        original = getattr(solvers, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    kkt_factor = solvers._kkt_factor
+
+    def recording_factor(hz, z, working):
+        factored.append((hz.shape[0], tuple(working)))
+        return kkt_factor(hz, z, working)
+
+    for name in counts:
+        monkeypatch.setattr(solvers, name, counting(name))
+    monkeypatch.setattr(solvers, "_kkt_factor", recording_factor)
+    results = harness.limit_triple(mesh, yeoh, load, obstacle, kernel)
+    assert counts == {"assemble_strain_hessian": 2, "assemble_div_matrix": 1}
+    assert factored and len(factored) == len(set(factored))
+    shared_factored = len(factored)
+    for variant, res in results.items():
+        alone = solvers.minimize_limit(solvers.QuadraticProblem(
+            mesh=mesh, material=yeoh, load=load, obstacle=obstacle, variant=variant,
+            kernel_class=kernel))
+        tol = 1e-14 * (1.0 + abs(alone.objective))
+        assert abs(res.objective - alone.objective) <= tol, variant
+        assert abs(res.theta_star - alone.theta_star) <= tol, variant
+    # separate calls factor E^I's working sets again for G^I
+    assert len(factored) - shared_factored > shared_factored
+
+
+def test_minimize_limit_refuses_a_set_up_of_another_mesh(mesh2, obstacle2, yeoh, gravity):
+    shared = {}
+    problem = solvers.QuadraticProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                       obstacle=obstacle2, variant=solvers.Variant.EI)
+    solvers.minimize_limit(problem, shared=shared)
+    other = sl.build_box_mesh(1)
+    with pytest.raises(ValueError, match="another mesh"):
+        solvers.minimize_limit(solvers.QuadraticProblem(
+            mesh=other, material=yeoh, load=gravity, obstacle=sl.extract_obstacle(other),
+            variant=solvers.Variant.EI), shared=shared)
+
+
 def test_cli_run_and_check(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix()))
@@ -244,6 +306,18 @@ def test_cli_bad_load_exit_code(tmp_path, capsys):
     cfg_path.write_text("domain cube 1\nsolver 5000\n")
     assert cli_main(["run", cfg_path.as_posix()]) == 2
     assert "config error: line 2 'solver 5000'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["f constant 0 0", "domain box 2 2", "domain cube 0"])
+def test_cli_rejects_values_of_the_wrong_count_or_range(line, tmp_path, capsys):
+    # each of these once parsed and then ended `lab run` in a traceback
+    cfg_path = tmp_path / "bad.txt"
+    cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix())
+                        + line + "\n")
+    assert cli_main(["run", cfg_path.as_posix()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 RECOVERY_CONFIG = """domain cube 2

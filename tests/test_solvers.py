@@ -216,18 +216,23 @@ def test_active_set_qp_infeasible_equalities():
         active_set_qp(h, np.zeros(2), a, np.array([0.0, 1.0]), np.array([], dtype=int))
 
 
-def scan_load(mesh, rng):
-    """Gravity plus a random horizontal nodal force whose resultant and first
-    moments are projected out: it passes the gate like gravity, but its
-    rotated load vector depends on the angle."""
+def scan_load(mesh, rng, amplitude=1.0):
+    """Gravity plus a random horizontal nodal force of the given amplitude whose
+    resultant and first moments are projected out: it passes the gate like
+    gravity, but its rotated load vector depends on the angle."""
     mass = volume_mass_matrix(mesh)
     basis = np.column_stack([np.ones(mesh.num_nodes), mesh.nodes])
     force = np.zeros((mesh.num_nodes, 3))
     force[:, 2] = -1.0
     for i in range(2):
-        f = rng.standard_normal(mesh.num_nodes)
+        f = amplitude * rng.standard_normal(mesh.num_nodes)
         force[:, i] = f - basis @ np.linalg.solve(basis.T @ mass @ basis, basis.T @ (mass @ f))
     return sl.LoadSpec(f=sl.nodal_field(force))
+
+
+def rotated_load_vector(problem, theta):
+    """Flattened load vector of u -> L(R_theta u), from the rotation matrix."""
+    return (load_vector(problem.load, problem.mesh) @ Rotation.about_e3(theta).matrix).ravel()
 
 
 def test_active_set_qp_shared_factors_over_angles(mesh2, obstacle2, yeoh, monkeypatch):
@@ -254,7 +259,7 @@ def test_active_set_qp_shared_factors_over_angles(mesh2, obstacle2, yeoh, monkey
     monkeypatch.setattr(solvers, "_null_space_frame", counting_frame)
     factors, warm, solved = {}, None, []
     for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-        g = -solvers._limit_load_vector(p, theta)
+        g = -rotated_load_vector(p, theta)
         x, info = active_set_qp(h, g, b, zeros, bound, warm_working=warm, factors=factors)
         solved.append((g, warm, x))
         warm = info["working_set"]
@@ -376,7 +381,7 @@ def test_active_set_qp_matches_full_kkt_oracle(n, yeoh):
         h = assemble_strain_hessian(mesh, yeoh, with_shear=with_shear)
         b = np.hstack([b_div, np.zeros((b_div.shape[0], 2))]) if with_shear else b_div
         g = np.zeros(h.shape[0])
-        g[:3 * mesh.num_nodes] = -solvers._limit_load_vector(p, theta)
+        g[:3 * mesh.num_nodes] = -rotated_load_vector(p, theta)
         zeros = np.zeros(b.shape[0])
         x, info = active_set_qp(h, g, b, zeros, bound)
         x_ref, working_ref, mu_ref = full_kkt_qp_oracle(h, g, b, zeros, bound)
@@ -417,30 +422,221 @@ def test_active_set_qp_ratio_ties_follow_bound_order():
     assert info["working_set"] == working_ref
 
 
-def test_minimize_limit_calls_the_qp_once_per_angle(mesh2, obstacle2, yeoh, monkeypatch):
-    # the bench counts solvers.active_set_qp calls: one per angle solved
-    thetas, calls = [], []
-    load_vector_at = solvers._limit_load_vector
-    qp = solvers.active_set_qp
+def grid_refine_oracle(solve_theta, theta_grid=48):
+    """(value, theta) of the minimum over theta of solve_theta(theta) by the
+    angle scan the limit solver once ran: the best of `theta_grid` equally
+    spaced angles, refined by a bounded Brent search over the grid cells on
+    either side of it."""
+    from scipy.optimize import minimize_scalar
 
-    def recording_load(problem, theta):
-        thetas.append(theta)
-        return load_vector_at(problem, theta)
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)
+    vals = [solve_theta(t) for t in thetas]
+    k = int(np.argmin(vals))
+    span = 2.0 * np.pi / theta_grid
+    res = minimize_scalar(solve_theta, bounds=(thetas[k] - span, thetas[k] + span),
+                          method="bounded", options={"xatol": 1e-10})
+    if res.fun <= vals[k]:
+        return float(res.fun), float(res.x)
+    return float(vals[k]), float(thetas[k])
+
+
+def limit_qp_oracle(problem):
+    """`grid_refine_oracle` over the limit QPs of a G^I or G~^I problem, each
+    angle warm-started from the last with factorizations shared."""
+    p = problem
+    with_shear = p.variant == Variant.GTILDE
+    h = assemble_strain_hessian(p.mesh, p.material, with_shear=with_shear)
+    b = assemble_div_matrix(p.mesh)
+    if with_shear:
+        b = np.hstack([b, np.zeros((b.shape[0], 2))])
+    bound, zeros = obstacle_bound_dofs(p.obstacle), np.zeros(b.shape[0])
+    factors, warm = {}, [None]
+
+    def solve_theta(theta):
+        g = np.zeros(h.shape[0])
+        g[:3 * p.mesh.num_nodes] = -rotated_load_vector(p, theta)
+        x, info = active_set_qp(h, g, b, zeros, bound, warm_working=warm[0], factors=factors)
+        warm[0] = info["working_set"]
+        return 0.5 * x @ h @ x + g @ x
+
+    return grid_refine_oracle(solve_theta)
+
+
+def test_limit_load_parts_match_the_rotated_load(mesh2, obstacle2, yeoh):
+    load = scan_load(mesh2, np.random.default_rng(5), amplitude=3.0)
+    p = make_problem(mesh2, obstacle2, yeoh, load, Variant.EI, None)
+    parts = solvers._limit_load_parts(load_vector(load, mesh2))
+    for theta in (0.0, 0.4, 2.0, 3.7, 6.1):
+        assert_allclose(parts @ [1.0, np.cos(theta), np.sin(theta)],
+                        rotated_load_vector(p, theta), rtol=0.0, atol=1e-15)
+
+
+# cube 2 seed 3 starts an arc at a bound that sits at its tolerance, falling;
+# cube 3 seed 5 was not used while the angle path was written
+@pytest.mark.parametrize("n, seed", [(2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 5)])
+def test_angle_path_matches_the_grid_oracle(n, seed, yeoh, monkeypatch):
+    mesh = sl.build_box_mesh(n)
+    obstacle = sl.extract_obstacle(mesh)
+    load = scan_load(mesh, np.random.default_rng(seed), amplitude=10.0)
+    calls = []
+    qp = solvers.active_set_qp
 
     def counting_qp(*args, **kwargs):
         calls.append(kwargs.get("warm_working"))
         return qp(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "_limit_load_vector", recording_load)
-    monkeypatch.setattr(solvers, "active_set_qp", counting_qp)
+    for variant in (Variant.GI, Variant.GTILDE):
+        p = make_problem(mesh, obstacle, yeoh, load, variant, sl.KernelClass.ROTATIONS_ABOUT_E3)
+        oracle, _ = limit_qp_oracle(p)
+        monkeypatch.setattr(solvers, "active_set_qp", counting_qp)
+        del calls[:]
+        res = solvers.minimize_limit(p)
+        monkeypatch.setattr(solvers, "active_set_qp", qp)
+        scale = 1.0 + abs(oracle)
+        assert abs(res.objective - oracle) <= 1e-10 * scale, variant
+        assert res.objective <= oracle + 1e-12 * scale, variant
+        assert res.residuals["value_consistency"] <= 1e-12 * scale, variant
+        assert res.residuals["div"] <= 1e-12 and res.residuals["bound_min"] >= -1e-12
+        # these loads cross several working sets
+        assert len(calls) > 1, variant
+
+
+def test_minimize_limit_calls_the_qp_once_per_arc(mesh2, obstacle2, yeoh, monkeypatch):
+    # the bench counts solvers.active_set_qp calls: one per arc of the angle
+    # path, the first at theta = 0 cold and each later one warm from the last
+    # working set with one bound added or dropped, at a later angle
+    calls = []
+    qp = solvers.active_set_qp
+
+    def recording_qp(h, g, a_eq, b_eq, bound_idx, warm_working=None, factors=None):
+        x, info = qp(h, g, a_eq, b_eq, bound_idx, warm_working=warm_working, factors=factors)
+        calls.append((g.copy(), warm_working, list(info["working_set"])))
+        return x, info
+
+    monkeypatch.setattr(solvers, "active_set_qp", recording_qp)
+    kernel = sl.KernelClass.ROTATIONS_ABOUT_E3
+    single = scan_load(mesh2, np.random.default_rng(8))
+    for variant in Variant:
+        del calls[:]
+        solvers.minimize_limit(make_problem(mesh2, obstacle2, yeoh, single, variant, kernel))
+        assert len(calls) == 1 and calls[0][1] is None, variant
+
+    multi = scan_load(mesh2, np.random.default_rng(3), amplitude=10.0)
+    parts = -solvers._limit_load_parts(load_vector(multi, mesh2))
+    for variant in (Variant.GI, Variant.GTILDE):
+        del calls[:]
+        solvers.minimize_limit(make_problem(mesh2, obstacle2, yeoh, multi, variant, kernel))
+        assert len(calls) > 2 and calls[0][1] is None, variant
+        n3 = parts.shape[0]
+        cs = [np.linalg.lstsq(parts[:, 1:], g[:n3] - parts[:, 0], rcond=None)[0]
+              for g, _, _ in calls]
+        thetas = [np.mod(np.arctan2(s, c), 2.0 * np.pi) for c, s in cs]
+        assert thetas[0] < 1e-14 and all(a < b for a, b in zip(thetas, thetas[1:])), thetas
+        for (_, _, before), (_, warm, _) in zip(calls, calls[1:]):
+            assert len(set(before) ^ set(warm)) == 1 and abs(len(before) - len(warm)) == 1
+
+
+def test_arc_end_degenerate_start():
+    tol = np.array([1e-14])
+    below = -1e-14 - 1e-16
+    # at the tolerance and falling: the arc ends at once, not a turn later
+    assert solvers._arc_end(np.array([[below, 0.0, -1.0]]), tol, 0.0) == (0.0, 0)
+    # at the tolerance and rising: the row falls below -tol again near pi
+    dist, row = solvers._arc_end(np.array([[below, 0.0, 1.0]]), tol, 0.0)
+    assert row == 0 and abs(dist - np.pi) < 1e-12
+    # the first of several crossings ends the arc; a row that never reaches
+    # -tol, or is constant, never does
+    rows = np.array([[0.2, 0.0, 1.0], [1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 1.0, 0.0]])
+    dist, row = solvers._arc_end(rows, np.full(4, 1e-14), 0.0)
+    assert row == 3 and abs(dist - np.arccos(-0.5 - 1e-14)) < 1e-12
+    # past 2 pi / 3 the last row is below -tol and falling
+    assert solvers._arc_end(rows, np.full(4, 1e-14), 2.5) == (0.0, 3)
+    dist, row = solvers._arc_end(rows[:3], np.full(3, 1e-14), 2.5)
+    assert row == 0 and abs(2.5 + dist - (np.pi + np.arcsin(0.2 + 1e-14))) < 1e-12
+    assert solvers._arc_end(rows[1:3], np.full(2, 1e-14), 1.0) == (np.inf, None)
+
+
+def test_angle_path_ends_an_arc_that_starts_below_tolerance(monkeypatch):
+    # min (1/2)|x|^2 + g(theta).x with x0 >= 0 and g(theta) = (-1.001e-9 - sin, -cos):
+    # at theta = 0 the multiplier of the pinned x0 is -1.001e-9, past
+    # -QP_MULTIPLIER_TOL and falling. Let the first QP accept the pinned set,
+    # as roundoff at the tolerance can: the arc must end at once, not run
+    # the whole turn on a set that is optimal nowhere after 0
+    qp = solvers.active_set_qp
+    first = [True]
+
+    def accepting_qp(*args, **kwargs):
+        x, info = qp(*args, **kwargs)
+        if first[0]:
+            first[0] = False
+            info = dict(info, working_set=[0])
+        return x, info
+
+    monkeypatch.setattr(solvers, "active_set_qp", accepting_qp)
+    parts = np.array([[-1.001e-9, 0.0, -1.0], [0.0, -1.0, 0.0]])
+    val, theta, x, _ = solvers._angle_path(np.eye(2), parts, np.zeros((0, 2)), np.array([0]),
+                                           {})
+    assert abs(val + 0.5 * (1.0 + 1.001e-9) ** 2) < 1e-15
+    assert abs(theta - 0.5 * np.pi) < 1e-6
+    assert_allclose(x, [1.0 + 1.001e-9, 0.0], atol=1e-6)
+
+
+def test_arc_minimum_matches_a_dense_scan():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        m = rng.standard_normal((3, 3))
+        q = m + m.T
+        lo = rng.uniform(0.0, 2.0 * np.pi)
+        hi = rng.uniform(lo, 2.0 * np.pi)
+        val, theta = solvers._arc_minimum(q, lo, hi)
+        t = np.linspace(lo, hi, 20001)
+        v = np.stack([np.ones_like(t), np.cos(t), np.sin(t)])
+        dense = np.einsum("ik,ij,jk->k", v, q, v)
+        assert lo <= theta <= hi
+        assert val <= dense.min() + 1e-14 and val >= dense.min() - 1e-6
+        w = np.array([1.0, np.cos(theta), np.sin(theta)])
+        assert abs(w @ q @ w - val) < 1e-14
+    # a constant objective
+    assert solvers._arc_minimum(np.diag([1.0, 2.0, 2.0]), 0.5, 1.0) == (3.0, 0.5)
+
+
+def test_angle_path_on_small_qps():
+    # random convex QPs whose bounds switch many times around the circle; the
+    # path minimum matches the grid oracle and its x is feasible and attains it
+    rng = np.random.default_rng(13)
+    n = 6
+    a_eq = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    bound = np.array([0, 2, 3, 5])
+    arcs = []
+    for trial in range(8):
+        m = rng.standard_normal((n, n))
+        h = m @ m.T + 0.1 * np.eye(n)
+        parts = rng.standard_normal((n, 3)) * [0.3, 1.0, 1.0]
+        factors = {}
+        val, theta, x, _ = solvers._angle_path(h, parts, a_eq, bound, factors)
+        arcs.append(len(factors) - 2)
+
+        def solve_theta(t):
+            g = parts @ [1.0, np.cos(t), np.sin(t)]
+            y, _ = active_set_qp(h, g, a_eq, np.zeros(1), bound)
+            return 0.5 * y @ h @ y + g @ y
+
+        oracle, _ = grid_refine_oracle(solve_theta, theta_grid=360)
+        assert abs(val - oracle) <= 1e-10 * (1.0 + abs(oracle)), trial
+        assert val <= oracle + 1e-12 * (1.0 + abs(oracle)), trial
+        g = parts @ [1.0, np.cos(theta), np.sin(theta)]
+        assert abs(0.5 * x @ h @ x + g @ x - val) < 1e-12
+        assert x[bound].min() >= -1e-12 and abs(a_eq @ x).max() < 1e-12
+    assert max(arcs) > 2
+
+
+def test_angle_path_that_does_not_close_fails_by_name(mesh2, obstacle2, yeoh, monkeypatch):
+    monkeypatch.setattr(solvers, "_arc_end", lambda rows, tols, theta: (0.0, 0))
     load = scan_load(mesh2, np.random.default_rng(8))
-    for variant, at_least in ((Variant.EI, 1), (Variant.GI, 49), (Variant.GTILDE, 49)):
-        del thetas[:], calls[:]
-        solvers.minimize_limit(make_problem(mesh2, obstacle2, yeoh, load, variant,
-                                            sl.KernelClass.ROTATIONS_ABOUT_E3))
-        assert len(calls) == len(thetas) >= at_least, variant
-        assert calls[0] is None and all(w is not None for w in calls[1:])
-    assert len(calls) > 49
+    p = make_problem(mesh2, obstacle2, yeoh, load, Variant.GI, sl.KernelClass.ROTATIONS_ABOUT_E3)
+    cap = 4 * (obstacle2.num_nodes + 1)
+    with pytest.raises(solvers.SolveFailure, match=f"angle path did not close after {cap} arcs"):
+        solvers.minimize_limit(p)
 
 
 def test_active_set_qp_degenerate_kkt_gives_zeros():
