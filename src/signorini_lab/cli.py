@@ -25,6 +25,8 @@ def main(argv=None):
 
     try:
         cfg = harness.parse_config(args.config)
+        if args.command != "run":   # run_experiment builds its own set-up
+            mesh, obstacle, mat, load = harness.build_setup(cfg)
     except harness.ExperimentError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -38,8 +40,6 @@ def main(argv=None):
         sys.stdout.write(harness.render_report(report.records, report))
         print(f"csv: {report.csv_path}")
         return 0 if report.verdict else 1
-
-    mesh, obstacle, mat, load = harness.build_setup(cfg)
 
     if args.command == "check-load":
         rep = loads.verify_global_admissibility(load, obstacle, mesh,

@@ -36,10 +36,10 @@ PLANE_TOL = 1e-12
 class Mesh:
     """Immutable tetrahedral mesh with its P1 gradient operator.
 
-    element_gradient_maps[e] is the 3x4 matrix G with (G @ f_nodal) the
-    constant gradient of the P1 interpolant of a scalar field f on element e.
-    gradient_operator is the same map for vector fields as one sparse
-    (9M, 3N) matrix D: row 9e + 3i + j and column 3a + i hold G_e[j, a], so
+    With G_e the 3x4 matrix whose product with the nodal values of a scalar
+    field f on element e is the constant gradient of its P1 interpolant there,
+    gradient_operator is the map for vector fields as one sparse (9M, 3N)
+    matrix D: row 9e + 3i + j and column 3a + i hold G_e[j, a], so
     (D @ u.ravel()).reshape(M, 3, 3)[e, i, j] = d u_i / d x_j on element e.
     boundary_area_vectors hold outward-oriented triangle area vectors.
     """
@@ -49,7 +49,6 @@ class Mesh:
     boundary_tris: np.ndarray         # (B, 3) int, outward oriented
     boundary_area_vectors: np.ndarray  # (B, 3)
     element_volumes: np.ndarray       # (M,)
-    element_gradient_maps: np.ndarray  # (M, 3, 4)
     gradient_operator: scipy.sparse.csr_array  # (9M, 3N)
     analytic_volume: float | None = None
     box_origin: np.ndarray | None = None
@@ -84,13 +83,13 @@ class Mesh:
             return self.element_gradients(np.repeat(u[:, None], 3, axis=1))[:, 0, :]
         return (self.gradient_operator @ u.ravel()).reshape(-1, 3, 3)
 
-    def validate(self, rtol=1e-12):
+    def validate(self):
         if np.any(self.element_volumes <= 0.0):
             raise MeshError("non-positive element volume")
         if self.analytic_volume is not None:
             rel = abs(self.volume - self.analytic_volume) / self.analytic_volume
-            if rel > rtol:
-                raise MeshError(f"volume defect {rel:.3e} exceeds {rtol:.1e}")
+            if rel > 1e-12:
+                raise MeshError(f"volume defect {rel:.3e} exceeds 1.0e-12")
         # Boundary must close up: outward area vectors of a watertight surface sum to zero.
         closure = np.abs(self.boundary_area_vectors.sum(axis=0)).max()
         scale = np.linalg.norm(self.boundary_area_vectors, axis=1).sum()
@@ -164,9 +163,10 @@ def _finish_mesh(nodes, tets, analytic_volume=None, box=None):
     nodes = np.asarray(nodes, dtype=float)
     # Fix orientation so every signed volume is positive.
     p = nodes[tets]
-    d = p[:, 1:, :] - p[:, :1, :]
-    neg = np.linalg.det(d) < 0
-    tets[neg] = tets[neg][:, [0, 1, 3, 2]]
+    det = np.linalg.det(p[:, 1:, :] - p[:, :1, :])
+    if np.any(det == 0.0):
+        raise MeshError("degenerate element")
+    tets[det < 0] = tets[det < 0][:, [0, 1, 3, 2]]
     vols, grads = _grad_maps(nodes, tets)
     if np.any(vols <= 0):
         raise MeshError("degenerate element")
@@ -179,7 +179,6 @@ def _finish_mesh(nodes, tets, analytic_volume=None, box=None):
         boundary_tris=btris,
         boundary_area_vectors=areas,
         element_volumes=vols,
-        element_gradient_maps=grads,
         gradient_operator=_gradient_operator(tets, grads, nodes.shape[0]),
         analytic_volume=analytic_volume,
     )
@@ -237,8 +236,9 @@ def build_box_mesh(divisions, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
     return mesh
 
 
-def convex_hull_2d(points, tol=1e-12):
-    """Extreme points of a 2-D point set, counter-clockwise (monotone chain)."""
+def convex_hull_2d(points):
+    """Extreme points of a 2-D point set, counter-clockwise (monotone chain);
+    points within 1e-12 (in the cross product) of a hull edge are dropped."""
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     if len(pts) == 1:
         return np.array(pts)
@@ -249,7 +249,7 @@ def convex_hull_2d(points, tol=1e-12):
     def half(seq):
         out = []
         for p in seq:
-            while len(out) > 1 and cross(out[-2], out[-1], p) <= tol:
+            while len(out) > 1 and cross(out[-2], out[-1], p) <= 1e-12:
                 out.pop()
             out.append(p)
         return out
@@ -318,33 +318,13 @@ def _resolve_region(mesh, region):
     return idx
 
 
-def integrate_volume(mesh, integrand, kind="auto"):
-    """Integral over the body, exact for P1 (centroid rule per tet).
-
-    integrand may be per-element constant (length M) or nodal (length N);
-    vector-valued fields are integrated componentwise.
-    """
+def integrate_volume(mesh, integrand):
+    """Integral over the body of a nodal P1 field (length N), exact (centroid
+    rule per tet); vector-valued fields are integrated componentwise."""
     f = np.asarray(integrand, dtype=float)
-    n, m = mesh.num_nodes, mesh.num_elements
-    if kind == "auto":
-        if f.shape[0] == n and f.shape[0] != m:
-            kind = "nodal"
-        elif f.shape[0] == m and f.shape[0] != n:
-            kind = "element"
-        elif f.shape[0] == n:
-            raise MeshError("ambiguous integrand length; pass kind explicitly")
-        else:
-            raise MeshError("integrand does not match mesh size")
-    if kind == "nodal":
-        if f.shape[0] != n:
-            raise MeshError("nodal integrand has wrong length")
-        centroid_vals = f[mesh.tets].mean(axis=1)
-    elif kind == "element":
-        if f.shape[0] != m:
-            raise MeshError("element integrand has wrong length")
-        centroid_vals = f
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    if f.shape[0] != mesh.num_nodes:
+        raise MeshError("nodal integrand has wrong length")
+    centroid_vals = f[mesh.tets].mean(axis=1)
     if centroid_vals.ndim == 1:
         return float(np.dot(mesh.element_volumes, centroid_vals))
     return np.tensordot(mesh.element_volumes, centroid_vals, axes=(0, 0))
@@ -412,26 +392,40 @@ def h1_norm(mesh, u):
     return float(np.sqrt(l2_norm(mesh, u) ** 2 + semi2))
 
 
+def _mesh_block(lines, i, width, convert):
+    """The rows of the block headed by lines[i] (`nodes N` or `tets M`), as
+    an array, and the index of the line after them."""
+    try:
+        count = int(lines[i][1])
+        rows = lines[i + 1:i + 1 + count]
+        if len(lines[i]) != 2 or count < 1 or len(rows) != count:
+            raise MeshError(f"{lines[i][0]} needs a count of at least 1 and that many rows")
+        for r, row in enumerate(rows):
+            if len(row) != width:
+                raise MeshError(f"{lines[i][0]} row {r} has {len(row)} values, not {width}")
+        return np.array([[convert(v) for v in row] for row in rows]), i + 1 + count
+    except (IndexError, ValueError) as exc:
+        raise MeshError(f"malformed {lines[i][0]} block: {exc}") from exc
+
+
 def read_mesh_file(path):
-    """Read the text mesh format: `nodes N` then rows, `tets M` then rows."""
-    nodes, tets = None, None
+    """Read the text mesh format: `nodes N` then N rows of three coordinates,
+    `tets M` then M rows of four 0-based node ids. A malformed file raises
+    MeshError."""
+    blocks = {}
     with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
+        lines = [ln.split("#", 1)[0].split() for ln in fh]
     lines = [ln for ln in lines if ln]
     i = 0
     while i < len(lines):
-        head = lines[i].split()
-        if head[0] == "nodes":
-            count = int(head[1])
-            nodes = np.array([[float(v) for v in lines[i + 1 + r].split()] for r in range(count)])
-            i += 1 + count
-        elif head[0] == "tets":
-            count = int(head[1])
-            tets = np.array([[int(v) for v in lines[i + 1 + r].split()] for r in range(count)], dtype=int)
-            i += 1 + count
-        else:
-            raise MeshError(f"unexpected directive {head[0]!r} in mesh file")
-    if nodes is None or tets is None:
+        head = lines[i][0]
+        if head not in ("nodes", "tets"):
+            raise MeshError(f"unexpected directive {head!r} in mesh file")
+        blocks[head], i = _mesh_block(lines, i, *((3, float) if head == "nodes" else (4, int)))
+    if len(blocks) < 2:
         raise MeshError("mesh file must define both nodes and tets")
+    nodes, tets = blocks["nodes"], blocks["tets"]
+    if tets.min() < 0 or tets.max() >= nodes.shape[0]:
+        raise MeshError(f"tets name node ids outside 0..{nodes.shape[0] - 1}")
     return _finish_mesh(nodes, tets)
 

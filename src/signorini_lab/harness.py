@@ -24,6 +24,10 @@ class ExperimentError(Exception):
     """Configuration or admissibility failure that aborts a run."""
 
 
+# Relative tolerance of the ordering and equality of the three limit minima.
+EQUALITY_TOL = 1e-8
+
+
 @dataclass
 class ExperimentConfig:
     domain: tuple = ("box", (2, 2, 2), (1.0, 1.0, 1.0))
@@ -57,6 +61,14 @@ class ExperimentConfig:
                 raise ExperimentError(f"domain divisions {self.domain[1]} must be at least 1")
             if any(not length > 0.0 for length in self.domain[2]):
                 raise ExperimentError(f"domain lengths {self.domain[2]} must be positive")
+        try:
+            material_mod.yeoh_material(*self.material)
+        except material_mod.MaterialError as exc:
+            raise ExperimentError(f"material yeoh {self.material}: {exc}") from exc
+        kappa0, factor, stages = self.penalty
+        if not (kappa0 > 0.0 and factor >= 1.0 and stages >= 1):
+            raise ExperimentError(f"penalty {self.penalty} needs kappa0 > 0, factor >= 1 "
+                                  "and at least one stage")
         return self
 
 
@@ -183,10 +195,14 @@ def build_setup(cfg):
     """Mesh, obstacle, material and load objects for a config."""
     if cfg.domain[0] == "box":
         mesh = geometry.build_box_mesh(cfg.domain[1], lengths=cfg.domain[2])
+        obstacle = geometry.extract_obstacle(mesh)
     else:
-        mesh = geometry.read_mesh_file(cfg.domain[1])
-    obstacle = geometry.extract_obstacle(mesh)
-    mat = material_mod.yeoh_material(*cfg.material, penalty_kappa=cfg.penalty[0])
+        try:
+            mesh = geometry.read_mesh_file(cfg.domain[1])
+            obstacle = geometry.extract_obstacle(mesh)
+        except (geometry.MeshError, geometry.ObstacleError) as exc:
+            raise ExperimentError(f"mesh file {cfg.domain[1]!r}: {exc}") from exc
+    mat = material_mod.yeoh_material(*cfg.material)
     load = loads.LoadSpec(f=cfg.f_desc, g=cfg.g_descs)
     return mesh, obstacle, mat, load
 
@@ -263,7 +279,7 @@ def run_experiment(cfg):
             mesh=mesh, material=mat, load=load, obstacle=obstacle, h=h,
             kappa0=cfg.penalty[0] * mat.c1, kappa_factor=cfg.penalty[1],
             kappa_stages=cfg.penalty[2], maxiter=cfg.solver_maxiter,
-            gtol=cfg.solver_tol, warm_start=warm, skip_admissibility_check=True)
+            gtol=cfg.solver_tol, warm_start=warm)
         try:
             res = solvers.minimize_nonlinear(problem)
         except solvers.SolveFailure as exc:
@@ -336,8 +352,10 @@ def verdict_from_records(records, tol_conv, min_gtilde):
             "threshold": threshold}
 
 
-def sandwich_summary(records, min_ei, min_gi, min_gtilde, tol=1e-8):
-    """Ordering of the three limit minima plus a fitted lower-bound slack."""
+def sandwich_summary(records, min_ei, min_gi, min_gtilde):
+    """Ordering of the three limit minima (to EQUALITY_TOL) plus a fitted
+    lower-bound slack."""
+    tol = EQUALITY_TOL
     scale = 1.0 + max(abs(min_ei), abs(min_gi), abs(min_gtilde))
     ordered = (min_gtilde <= min_gi + tol * scale) and (min_gi <= min_ei + tol * scale)
     equality = abs(min_gtilde - min_gi) <= tol * scale

@@ -12,17 +12,15 @@ from .loads import Rotation
 
 @dataclass
 class DeformationField:
-    """Nodal deformation y with per-element P1 gradients and determinants."""
+    """Nodal deformation y with its per-element P1 gradients."""
 
     y: np.ndarray            # (N, 3)
     gradients: np.ndarray    # (M, 3, 3)
-    determinants: np.ndarray  # (M,)
 
     @classmethod
     def from_nodal(cls, mesh, y):
         y = np.asarray(y, dtype=float)
-        grads = mesh.element_gradients(y)
-        return cls(y=y, gradients=grads, determinants=np.linalg.det(grads))
+        return cls(y=y, gradients=mesh.element_gradients(y))
 
 
 @dataclass
@@ -46,20 +44,20 @@ class DisplacementField:
         return np.trace(self.gradients, axis1=1, axis2=2)
 
 
-def optimal_rotation(y_field, mesh, degeneracy_tol=1e-9):
+def optimal_rotation(y_field, mesh):
     """Rotation closest to the deformation gradient in the mean-square sense.
 
     Computes A = int grad y dx and returns the polar factor with determinant
     sign correction, the maximizer of tr(R^T A) over SO(3). When the two
-    smallest singular values of A vanish the minimizer is not unique; one is
-    returned with the degenerate flag set.
+    smallest singular values of A vanish (below 1e-9 of the largest) the
+    minimizer is not unique; one is returned with the degenerate flag set.
     """
     a = np.einsum("e,eij->ij", mesh.element_volumes, y_field.gradients)
     u, s, vt = np.linalg.svd(a)
     d = np.sign(np.linalg.det(u @ vt))
     r = u @ np.diag([1.0, 1.0, d]) @ vt
     scale = max(s[0], 1e-300)
-    degenerate = bool(s[1] <= degeneracy_tol * scale)
+    degenerate = bool(s[1] <= 1e-9 * scale)
     return Rotation.from_matrix(r, degenerate=degenerate)
 
 

@@ -10,7 +10,7 @@ F[i] = L(e_i), so the suprema over SO(3) reduce to 4x4 eigenvalue problems.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -49,26 +49,10 @@ class Rotation:
         return cls(matrix=mat, axis=axis, angle=angle, degenerate=degenerate)
 
     @classmethod
-    def from_axis_angle(cls, axis, angle):
-        axis = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if norm == 0:
-            raise ValueError("rotation axis must be nonzero")
-        axis = axis / norm
-        mat = _ScipyRotation.from_rotvec(axis * angle).as_matrix()
-        return cls(matrix=mat, axis=axis, angle=float(angle))
-
-    @classmethod
     def about_e3(cls, angle):
         c, s = np.cos(angle), np.sin(angle)
         mat = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return cls(matrix=mat, axis=np.array([0.0, 0.0, 1.0]), angle=float(angle))
-
-    def validate(self, tol=1e-12):
-        r = self.matrix
-        if np.abs(r.T @ r - np.eye(3)).max() > tol or abs(np.linalg.det(r) - 1.0) > tol:
-            raise LoadError("matrix is not a rotation")
-        return True
 
 
 class KernelClass(enum.Enum):
@@ -250,12 +234,8 @@ class AdmissibilityReport:
     global_phi_ok: bool = False
     seed: int = 0                           # recorded; the suprema do not sample
     budget: int = 0
-    tol: float = ADMISSIBILITY_TOL
+    tol: float = field(default=ADMISSIBILITY_TOL, init=False)
     violations: tuple = ()
-
-    @property
-    def admissible(self):
-        return self.conditions_basic_ok and self.shear_ok and self.global_phi_ok
 
     @property
     def basic_admissible(self):
@@ -371,8 +351,7 @@ def _phi_bracket(f_res, t_mom, hull, pivot):
     return upper, lower, q
 
 
-def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0,
-                                tol=ADMISSIBILITY_TOL):
+def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0):
     """Check every load condition and bound Phi and the shear over SO(3).
 
     The suprema come from Davenport's quaternion matrix: the shear supremum
@@ -380,12 +359,14 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0,
     Phi is bracketed (see `_phi_bracket`) and `global_phi_ok` is decided on
     the upper bound, so it never passes a load that fails. `budget` and `seed`
     are accepted for existing callers and recorded in the report; they do not
-    change the result. Violations are reported, never raised.
+    change the result. Every condition is decided at ADMISSIBILITY_TOL.
+    Violations are reported, never raised.
     """
     if budget < 1000:
         raise ValueError("budget must be at least 1000")
     if obstacle.num_nodes == 0:
         raise LoadError("empty obstacle set")
+    tol = ADMISSIBILITY_TOL
     f_res, t_mom = load_moments(load, mesh)
     hull = obstacle.hull_vertices_2d
     torque_e3 = _torque(t_mom)[2]
@@ -433,7 +414,7 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0,
 
     kernel = None
     if f_res[2] < -tol:
-        kernel = classify_kernel(load, obstacle, mesh, tol=tol)
+        kernel = classify_kernel(load, obstacle, mesh)
 
     return AdmissibilityReport(
         L_e1=float(f_res[0]), L_e2=float(f_res[1]), L_e3=float(f_res[2]),
@@ -450,23 +431,24 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0,
         conditions_basic_ok=bool(conditions_basic_ok),
         shear_ok=bool(worst_shear <= tol),
         global_phi_ok=bool(phi_upper <= tol),
-        seed=seed, budget=budget, tol=tol, violations=tuple(violations),
+        seed=seed, budget=budget, violations=tuple(violations),
     )
 
 
-def classify_kernel(load, obstacle, mesh, tol=ADMISSIBILITY_TOL):
+def classify_kernel(load, obstacle, mesh):
     """Dichotomy of the kernel set: identity only, or all rotations fixing e3.
 
     About e3, Phi(R_theta) = (cos theta - 1) p + sin theta q with p = L(x1 e1 +
     x2 e2) and q = L(e3 ^ x), whose largest modulus over theta is
-    |p| + hypot(p, q). The kernel is the full circle iff that vanishes.
+    |p| + hypot(p, q). The kernel is the full circle iff that vanishes (to
+    ADMISSIBILITY_TOL).
     """
     f_res, t_mom = load_moments(load, mesh)
-    if f_res[2] >= -tol:
+    if f_res[2] >= -ADMISSIBILITY_TOL:
         raise LoadError("kernel classification requires L(e3) < 0")
     p = t_mom[0, 0] + t_mom[1, 1]
     q = _torque(t_mom)[2]
-    if abs(p) + np.hypot(p, q) <= tol:
+    if abs(p) + np.hypot(p, q) <= ADMISSIBILITY_TOL:
         return KernelClass.ROTATIONS_ABOUT_E3
     return KernelClass.IDENTITY_ONLY
 

@@ -57,8 +57,8 @@ class MaterialModel:
     c2: float
     c3: float
     penalty_kappa: float = 100.0
-    elastic_tensor: np.ndarray = field(default=None, repr=False)      # 6x6, D2W(I)
-    pressure: float = field(default=0.0)                              # tr DW(I) / 3
+    elastic_tensor: np.ndarray = field(default=None, init=False, repr=False)  # 6x6, D2W(I)
+    pressure: float = field(default=0.0, init=False)                          # tr DW(I) / 3
 
     def __post_init__(self):
         if self.c1 <= 0.0:
@@ -152,14 +152,15 @@ def qi_gradient_hessian(m):
     return MANDEL9.T @ (m.incompressible_tensor @ MANDEL9)
 
 
-def quadratic_form_QI(e, m, trace_tol=DET_TOL):
-    """Incompressible quadratic form on strains; +inf off the trace-free set.
+def quadratic_form_QI(e, m):
+    """Incompressible quadratic form on strains; +inf off the trace-free set
+    (|tr E| above DET_TOL).
 
     For Yeoh this equals 2 c1 |E|^2 on trace-free E, matching the limit of
     h^-2 W along exactly volume-preserving paths (see module docstring).
     """
     e = np.asarray(e, dtype=float)
-    if abs(np.trace(e)) > trace_tol:
+    if abs(np.trace(e)) > DET_TOL:
         return np.inf
     return qi_bilinear(e, e, m)
 

@@ -73,6 +73,10 @@ FLOW_MAX_STEPS = 1024
 # points stay small enough for the allocator to reuse them.
 _ANCHOR_CHUNK = 4096
 
+# Largest per-element divergence of a recovery input and of a Bogovskii
+# correction's residual.
+DIV_TOL = 1e-9
+
 
 def _chain_gaps(g):
     """Distances in cell widths from parity-adjusted coordinates g to the
@@ -93,8 +97,7 @@ class ReflectedExtension:
 
     Mirror images flip the tangential components and keep the normal one, so
     the normal flux is continuous and the extension is divergence free except
-    on the single layer of elements that touch the interface (the blend layer,
-    reported separately).
+    on the single layer of elements that touch the interface (the blend layer).
     """
 
     def __init__(self, mesh, u):
@@ -138,10 +141,6 @@ class ReflectedExtension:
         self.offsets = self.values[first] - np.einsum(
             "eij,ej->ei", self.gradients, self.mesh.nodes[first])
         self.divergences = np.trace(self.gradients, axis1=1, axis2=2)
-
-        # blend = elements mixing nodes of different reflection parity
-        parity = flips[self.mesh.tets]                     # (M, 4, 3)
-        self.blend_mask = np.any(parity != parity[:, :1, :], axis=(1, 2))
 
         self.sup_bound = float(np.linalg.norm(self.values, axis=1).max())
         self.lip_bound = float(np.sqrt((self.gradients ** 2).sum(axis=(1, 2))).max())
@@ -202,16 +201,16 @@ class SmoothField:
     """Mollified (or synthetic) velocity field with recorded norm bounds.
 
     sup_norm and grad_norm are rigorous upper bounds for the field and its
-    gradient; holder_seminorm bounds the gamma-Hoelder seminorm. The ledger
-    dictionary carries the deviation and gradient-bound checks. anchor_fn,
-    when set, builds the FlowAnchor that integrate_flow evaluates through.
+    gradient; holder_seminorm bounds its gamma-Hoelder seminorm, for the gamma
+    of `mollify`. The diagnostics dictionary carries the divergence
+    probe of a mollified field. anchor_fn, when set, builds the FlowAnchor
+    that integrate_flow evaluates through.
     """
 
     eval_fn: callable
     grad_fn: callable
     sup_norm: float
     grad_norm: float
-    holder_gamma: float
     holder_seminorm: float
     eps: float
     box_lo: np.ndarray
@@ -469,11 +468,13 @@ def mollify(ext, eps, gamma=0.25, nq=8):
     as the input wherever the quadrature ball avoids the blend layer.
 
     A point list is evaluated by locating every (point, quadrature offset)
-    pair; the probes below do. The field's `anchor` builds a FlowAnchor at
-    fixed base points, which folds the pairs that cannot change element
-    within the reach into per-point affine maps and the pairs tied on a Kuhn
-    face into one map per sign pattern of their tie forms; `integrate_flow`
-    evaluates through it.
+    pair, as the divergence probe below does: the largest divergence of the
+    field at the element centroids whose quadrature ball avoids the blend
+    layer, recorded as diagnostics["div_probe_max"]. The field's `anchor`
+    builds a FlowAnchor at fixed base points, which folds the pairs that
+    cannot change element within the reach into per-point affine maps and
+    the pairs tied on a Kuhn face into one map per sign pattern of their tie
+    forms; `integrate_flow` evaluates through it.
     """
     if nq < 4:
         raise UnderResolvedError("eps is below two sampling-grid spacings (nq < 4)")
@@ -508,37 +509,16 @@ def mollify(ext, eps, gamma=0.25, nq=8):
 
     diam = float(np.linalg.norm(ext.box_hi - ext.box_lo))
     semi = _holder_seminorm_bound(ext.lip_bound, ext.sup_bound, gamma, diam)
-    fld = SmoothField(
+    cents = mesh.nodes[mesh.tets].mean(axis=1)
+    safe = cents[ext.blend_distance(cents) > eps * 1.0001]
+    diag = {"div_probe_max": float(np.abs(div_fn(safe)).max())} if safe.shape[0] else {}
+    return SmoothField(
         eval_fn=eval_fn, grad_fn=grad_fn, div_fn=div_fn,
         anchor_fn=lambda x, reach: FlowAnchor(ext, offsets, weights, x, reach),
         sup_norm=ext.sup_bound, grad_norm=ext.lip_bound,
-        holder_gamma=gamma, holder_seminorm=semi, eps=eps,
-        box_lo=ext.box_lo + eps, box_hi=ext.box_hi - eps,
+        holder_seminorm=semi, eps=eps,
+        box_lo=ext.box_lo + eps, box_hi=ext.box_hi - eps, diagnostics=diag,
     )
-
-    # Probe the advertised properties on element centroids that keep their
-    # quadrature ball clear of the blend layer.
-    cents = mesh.nodes[mesh.tets].mean(axis=1)
-    safe = cents[ext.blend_distance(cents) > eps * 1.0001]
-    diag = {"blend_fraction": float(ext.blend_mask.mean()),
-            "input_div_max": float(np.abs(ext.divergences[~ext.blend_mask]).max())}
-    if safe.shape[0]:
-        diag["div_probe_max"] = float(np.abs(div_fn(safe)).max())
-    base_vals = ext.eval_values(cents)
-    dev = np.linalg.norm(eval_fn(cents) - base_vals, axis=1).max() if cents.size else 0.0
-    dev_bound = min(ext.lip_bound * eps, 2.0 * ext.sup_bound)
-    diag["deviation_max"] = float(dev)
-    diag["deviation_bound"] = float(dev_bound)
-    diag["estsup_ok"] = bool(dev <= eps**gamma * fld.holder_norm * (1.0 + 1e-10) + 1e-14)
-    graduj_bound = MOLLIFIER_K / eps * ext.sup_bound
-    diag["graduj_bound"] = float(graduj_bound)
-    diag["graduj_actual_cap"] = float(ext.lip_bound)
-    diag["graduj_flag"] = bool(ext.lip_bound > graduj_bound)
-    if diag["graduj_flag"]:
-        logger.info("measured gradient bound %.3e exceeds K/eps bound %.3e (coarse grid)",
-                    ext.lip_bound, graduj_bound)
-    fld.diagnostics = diag
-    return fld
 
 
 @dataclass
@@ -547,7 +527,6 @@ class FlowResult:
     delta_nodes: np.ndarray      # (N, 3) z - x at nodes
     element_defgrad: np.ndarray  # (M, 3, 3) variational gradient at centroids
     element_det: np.ndarray      # (M,)
-    t_final: float
     steps: int
     ledger: list
     richardson: dict
@@ -666,20 +645,21 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8):
     defgrad = np.eye(3) + yc
     det = 1.0 + det_minus_one_from_deviation(yc)
     return FlowResult(z_nodes=x_nodes + dn, delta_nodes=dn, element_defgrad=defgrad,
-                      element_det=det, t_final=t_final, steps=steps,
+                      element_det=det, steps=steps,
                       ledger=ledger, richardson=rich)
 
 
 # ---------------------------------------------------------------------------
 # Bogovskii corrector
 
-def bogovskii_correct(v_field, mesh, tol=1e-9):
+def bogovskii_correct(v_field, mesh):
     """Gradient-minimal w with per-element div w = -div v + mean(div v), w = 0 on the boundary.
 
     Returns (w, c_star) with c_star the realized ratio of the H1 norm of w to
     the L2 norm of the divergence defect. On meshes with fewer interior dofs
     than elements the constrained system is generically unsatisfiable and a
-    SolveFailure advising refinement is raised.
+    SolveFailure advising refinement is raised, as it is when the corrected
+    divergence misses its target by more than DIV_TOL.
     """
     div = v_field.divergence
     vols = mesh.element_volumes
@@ -711,9 +691,9 @@ def bogovskii_correct(v_field, mesh, tol=1e-9):
         raise SolveFailure("no interior dofs; refine the mesh")
     w = DisplacementField.from_nodal(mesh, w_flat.reshape(-1, 3))
     resid = float(np.abs(w.divergence - rhs).max())
-    if resid > tol:
+    if resid > DIV_TOL:
         raise SolveFailure(
-            f"divergence correction residual {resid:.3e} exceeds {tol:.1e}; refine the mesh")
+            f"divergence correction residual {resid:.3e} exceeds {DIV_TOL:.1e}; refine the mesh")
     c_star = h1_norm(mesh, w.u) / rhs_norm if rhs_norm > 0 else 0.0
     return w, float(c_star)
 
@@ -726,7 +706,6 @@ class RecoveryStep:
     h: float
     eps: float
     beta: float
-    beta_closed_form: float
     field: DeformationField        # P1 snapshot of the flowed map
     element_defgrad: np.ndarray    # R (I + Y) at centroids
     flow: FlowResult
@@ -750,23 +729,23 @@ def _raise_det_failure(ext, mesh, det_residual, eps, reach):
 
 def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
                             gamma=0.25, kernel_class=None, steps_per_h=32,
-                            ledger_samples=8, nq=8, div_tol=1e-9):
+                            ledger_samples=8, nq=8):
     """Deformations y_h = R z_h(h, x) + beta_h e3 recovering a limit displacement.
 
     Per h the lifted field is mollified at radius h^(gamma/2), flowed for time
     h, rotated by the kernel rotation that maximizes the load, and lifted
     vertically by beta_h computed from the recorded norm bounds (the larger of
-    the closed-form constant and the rigorous discrete bound). Nodal
-    admissibility on the obstacle and unit determinants are verified, and a
-    violation is a hard failure: a determinant failure whose quadrature balls
-    reach the blend layer raises UnderResolvedError naming eps, any other
-    violation SolveFailure.
+    the closed-form constant and the rigorous discrete bound). The input must
+    be divergence free to DIV_TOL. Nodal admissibility on the obstacle and
+    unit determinants are verified, and a violation is a hard failure: a
+    determinant failure whose quadrature balls reach the blend layer raises
+    UnderResolvedError naming eps, any other violation SolveFailure.
     """
-    if float(np.abs(u_field.divergence).max()) > div_tol:
+    if float(np.abs(u_field.divergence).max()) > DIV_TOL:
         raise SolveFailure("recovery input must be divergence free")
     if obstacle.num_nodes and float(u_field.u[obstacle.node_indices, 2].min()) < -1e-12:
         raise SolveFailure("recovery input violates the obstacle condition")
-    b_star = optimal_shear_b(u_field, material, mesh, div_tol=max(div_tol, 1e-8))
+    b_star = optimal_shear_b(u_field, material, mesh)
     lifted = tilde_lift(u_field, b_star, mesh)
     maxval, rot = max_load_over_kernel(lifted, load, kernel_class, mesh)
     rmat = rot.matrix
@@ -794,7 +773,7 @@ def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
         if not flow.max_det_residual <= 1e-6:
             _raise_det_failure(ext, mesh, flow.max_det_residual, eps, h * fld.sup_norm)
         steps.append(RecoveryStep(
-            h=h, eps=eps, beta=float(beta), beta_closed_form=float(beta_closed_form),
+            h=h, eps=eps, beta=float(beta),
             field=DeformationField.from_nodal(mesh, y),
             element_defgrad=defgrad, flow=flow, rotation=rot,
         ))
@@ -820,16 +799,14 @@ def recovery_energy(step, material, load, mesh):
     return elastic - load_term, err_bar
 
 
-def verify_upper_bound(u_field, steps, material, load, obstacle, mesh,
-                       kernel_class=None, b_star=None):
+def verify_upper_bound(u_field, steps, material, load, obstacle, mesh, kernel_class=None):
     """Gap report G_h(y_h) - G_tilde(u) for a recovery sequence.
 
     Returns per-h gaps, their positive parts and a trend verdict (positive
     part nonincreasing and small at the final h); failures are data, not
     exceptions.
     """
-    if b_star is None:
-        b_star = optimal_shear_b(u_field, material, mesh, div_tol=1e-6)
+    b_star = optimal_shear_b(u_field, material, mesh, div_tol=1e-6)
     maxload, _ = max_load_over_kernel(u_field, load, kernel_class, mesh)
     g_tilde = strain_energy_quadratic(u_field, material, mesh, b=b_star) - maxload
     rows = []

@@ -17,7 +17,7 @@ augmented Lagrangian on the per-element determinant with kappa continuation
 and projected L-BFGS-B inner solves, run once per h from the identity or from
 a warm start (h-continuation along a sweep). The AL only globalizes: its inner
 solves are inexact, resolved to the relative accuracy of the feasibility
-target det_target, and one Newton solve of the KKT system on the identified
+target DET_TARGET, and one Newton solve of the KKT system on the identified
 active set finishes the iterate. When that finish fails or is rejected, the
 AL loop resumes from its iterate and multipliers with inner solves at the
 configured gtol, so gtol is the accuracy of every iterate the finish did not
@@ -66,6 +66,9 @@ class Variant(enum.Enum):
 # Most negative bound multiplier an optimal active-set working set may carry.
 QP_MULTIPLIER_TOL = 1e-9
 
+# max|det F - 1| at which the augmented-Lagrangian loop may stop.
+DET_TARGET = 1e-6
+
 # Second derivative of det: vec(d2 det / dF dF) = _DET_HESS @ vec(F), from
 # d2 det / dF_ip dF_jq = eps_ijk eps_pqr F_kr.
 _LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2.0, (3, 3, 3))
@@ -82,11 +85,9 @@ class NonlinearProblem:
     kappa0: float = None          # defaults to 100 c1
     kappa_factor: float = 10.0
     kappa_stages: int = 3
-    det_target: float = 1e-6
     maxiter: int = 5000
     gtol: float = 1e-8
     warm_start: np.ndarray = None
-    skip_admissibility_check: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
@@ -120,7 +121,6 @@ class SolveResult:
     iterations: int
     termination: str
     trace: list = field(default_factory=list)
-    b_star: np.ndarray = None
     theta_star: float = None
     rotation: Rotation = None
     polish: str = None   # Newton polish outcome: "ok" or why it was not used
@@ -574,7 +574,6 @@ def minimize_limit(problem, shared=None):
         active_nodes=active,
         iterations=total_iters,
         termination="optimal",
-        b_star=b_star,
         theta_star=best_theta,
         rotation=rot,
     )
@@ -662,11 +661,11 @@ def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
     with `lam` and the `trace` of an earlier loop the loop resumes it, its
     stages numbered and its kappa chosen as if it had not stopped. Either way
     it runs until kappa_stages stages have run in all and max|det - 1| <=
-    det_target, or for at most kappa_stages + 12 stages. The L-BFGS-B
+    DET_TARGET, or for at most kappa_stages + 12 stages. The L-BFGS-B
     projected-gradient tolerance is the configured gtol times
     max(1, c1/h^2) for the `tail` that runs after a failed Newton finish,
     whose iterate is returned unpolished; ahead of the finish, gtol is
-    raised to det_target, so stationarity is resolved to the relative
+    raised to DET_TARGET, so stationarity is resolved to the relative
     accuracy of the feasibility target the loop stops on. Returns (y, lam,
     det_res, trace, iterations), the trace including the earlier stages and
     the iterations only this call's.
@@ -684,7 +683,7 @@ def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
     trace = list(trace)
     total_iter = 0
     det_res = np.inf
-    pgtol = (p.gtol if tail else max(p.gtol, p.det_target)) * max(1.0, p.material.c1 / p.h**2)
+    pgtol = (p.gtol if tail else max(p.gtol, DET_TARGET)) * max(1.0, p.material.c1 / p.h**2)
     first = len(trace)
     for stage in range(first, first + p.kappa_stages + 12):
         kappa = kappas[min(stage, len(kappas) - 1)]
@@ -700,7 +699,7 @@ def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
         trace.append({"stage": stage, "kappa": kappa, "objective": value,
                       "det_residual": det_res, "inner_iterations": res.nit,
                       "inner_gtol": pgtol, "tail": tail})
-        if stage >= p.kappa_stages - 1 and det_res <= p.det_target:
+        if stage >= p.kappa_stages - 1 and det_res <= DET_TARGET:
             break
     return y, lam, det_res, trace, total_iter
 
@@ -788,14 +787,13 @@ def minimize_nonlinear(problem):
     the start.
     """
     p = problem
-    if not p.skip_admissibility_check:
-        # the linear-order load conditions at a load-scaled tolerance; the
-        # zero load is degenerate but bounded
-        f_res, t_mom = load_moments(p.load, p.mesh)
-        scale = max(1.0, float(np.abs(t_mom).max()), float(np.abs(f_res).max()))
-        failures = linear_order_violations(f_res, t_mom, 1e-9 * scale)
-        if failures and not is_zero_load(p.load, p.mesh):
-            raise SolveFailure("load admissibility violated: " + "; ".join(failures))
+    # the linear-order load conditions at a load-scaled tolerance; the zero
+    # load is degenerate but bounded
+    f_res, t_mom = load_moments(p.load, p.mesh)
+    scale = max(1.0, float(np.abs(t_mom).max()), float(np.abs(f_res).max()))
+    failures = linear_order_violations(f_res, t_mom, 1e-9 * scale)
+    if failures and not is_zero_load(p.load, p.mesh):
+        raise SolveFailure("load admissibility violated: " + "; ".join(failures))
     asm = _NonlinearAssembler(p)
     if p.warm_start is None:
         name, y0 = "identity", p.mesh.nodes.ravel().copy()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation as ScipyRotation
 
 import signorini_lab as sl
 from signorini_lab import solvers
@@ -98,3 +99,18 @@ def yeoh_energy(f, m):
     g-form of `material` is checked against."""
     f = np.asarray(f, dtype=float)
     return yeoh_density((f * f).sum(axis=(-2, -1)) - 3.0, m)
+
+
+def rotation_from_axis_angle(axis, angle):
+    """Rotation by `angle` about the (nonzero) vector `axis`."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    mat = ScipyRotation.from_rotvec(axis * angle).as_matrix()
+    return sl.Rotation(matrix=mat, axis=axis, angle=float(angle))
+
+
+def is_rotation(r, tol=1e-12):
+    """Whether r.matrix is orthogonal with determinant 1, to tol."""
+    m = r.matrix
+    return bool(np.abs(m.T @ m - np.eye(3)).max() <= tol
+                and abs(np.linalg.det(m) - 1.0) <= tol)

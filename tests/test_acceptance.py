@@ -127,7 +127,7 @@ def test_criterion_05_rotation_diagnostics(mesh2, obstacle2, yeoh, gravity):
     for i, h in enumerate(h_list):
         p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
                                      obstacle=obstacle2, h=h,
-                                     warm_start=warm, skip_admissibility_check=True)
+                                     warm_start=warm)
         res = solvers.minimize_nonlinear(p)
         rot = kinematics.optimal_rotation(res.field, mesh2)
         phis.append(abs(sl.phi(gravity, obstacle2, rot, mesh2)))

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import signorini_lab as sl
 from signorini_lab.geometry import (
+    _grad_maps,
     boundary_region,
     convex_hull_2d,
     l2_norm,
@@ -70,7 +71,7 @@ def test_gradient_operator_matches_element_maps(n):
     rng = np.random.default_rng(n)
     for _ in range(3):
         u = rng.standard_normal((mesh.num_nodes, 3))
-        want = np.einsum("eja,eai->eij", mesh.element_gradient_maps, u[mesh.tets])
+        want = np.einsum("eja,eai->eij", _grad_maps(mesh.nodes, mesh.tets)[1], u[mesh.tets])
         assert_allclose((d @ u.ravel()).reshape(m, 3, 3), want, rtol=0, atol=1e-13)
         assert_allclose(mesh.element_gradients(u), want, rtol=0, atol=1e-13)
         assert_allclose(mesh.element_gradients(u[:, 0]), want[:, 0, :], rtol=0, atol=1e-13)
@@ -174,10 +175,11 @@ def test_integrate_volume_examples(mesh2):
     assert_allclose(sl.integrate_volume(fine, fine.nodes[:, 2]), val, rtol=1e-12)
 
 
-def test_integrate_volume_element_kind(mesh2):
-    vals = np.arange(mesh2.num_elements, dtype=float)
-    expected = float(mesh2.element_volumes @ vals)
-    assert_allclose(sl.integrate_volume(mesh2, vals, kind="element"), expected)
+def test_integrate_volume_is_the_element_centroid_rule(mesh2):
+    # per element, the volume times the mean of the nodal values
+    vals = np.arange(mesh2.num_nodes, dtype=float) ** 2
+    expected = float(mesh2.element_volumes @ vals[mesh2.tets].mean(axis=1))
+    assert_allclose(sl.integrate_volume(mesh2, vals), expected, rtol=1e-15)
 
 
 def test_integrate_volume_size_mismatch(mesh2):
@@ -250,6 +252,23 @@ tets 2
     mesh = sl.read_mesh_file(path)
     assert mesh.num_elements == 2
     assert_allclose(mesh.volume, signed_volume_oracle(mesh.nodes, mesh.tets), rtol=1e-12)
+
+
+@pytest.mark.parametrize("count, tet, message", [
+    (2, "1 2 3 5", "outside 0..4"),      # node id past the node list
+    (2, "1 2 3 -1", "outside 0..4"),
+    (2, "1 2 3", "has 3 values, not 4"),
+    (2, "1 2 3 4 0", "has 5 values, not 4"),
+    (2, "1 2 3 x", "malformed tets block"),
+    (3, "1 2 3 4", "that many rows"),    # the file ends inside the block
+    (2, "0 1 2 2", "degenerate element"),
+])
+def test_malformed_mesh_file_raises_mesh_error(tmp_path, count, tet, message):
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"nodes 5\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 1\ntets {count}\n0 1 2 3\n"
+                    f"{tet}\n")
+    with pytest.raises(sl.MeshError, match=message):
+        sl.read_mesh_file(path)
 
 
 def test_anisotropic_box():

@@ -1,5 +1,6 @@
 import logging
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ def test_verdict_logic_pure():
 def test_emit_outputs_csv_shape(tmp_path):
     recs = [fake_record(h, 1e-4) for h in (0.2, 0.1, 0.05, 0.025)]
     csv_path, report_path = harness.emit_outputs(recs, tmp_path.as_posix())
-    lines = open(csv_path).read().strip().split("\n")
+    lines = Path(csv_path).read_text().strip().split("\n")
     assert len(lines) == 5
     assert lines[0] == harness.CSV_HEADER
     assert os.path.exists(report_path)
@@ -113,8 +114,8 @@ def test_emit_outputs_deterministic(tmp_path):
     recs = [fake_record(h, 1e-4) for h in (0.2, 0.1)]
     p1, r1 = harness.emit_outputs(recs, (tmp_path / "a").as_posix())
     p2, r2 = harness.emit_outputs(recs, (tmp_path / "b").as_posix())
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    assert open(r1, "rb").read() == open(r2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    assert Path(r1).read_bytes() == Path(r2).read_bytes()
 
 
 def test_emit_outputs_empty_records(tmp_path):
@@ -141,8 +142,8 @@ def test_run_experiment_byte_stable(tmp_path):
     cfg2 = harness.parse_config(FAST_CONFIG.format(out=(tmp_path / "r2").as_posix()))
     rep1 = harness.run_experiment(cfg1)
     rep2 = harness.run_experiment(cfg2)
-    assert open(rep1.csv_path, "rb").read() == open(rep2.csv_path, "rb").read()
-    assert open(rep1.report_path, "rb").read() == open(rep2.report_path, "rb").read()
+    assert Path(rep1.csv_path).read_bytes() == Path(rep2.csv_path).read_bytes()
+    assert Path(rep1.report_path).read_bytes() == Path(rep2.report_path).read_bytes()
 
 
 def test_zero_load_run(tmp_path):
@@ -308,15 +309,41 @@ def test_cli_bad_load_exit_code(tmp_path, capsys):
     assert "config error: line 2 'solver 5000'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["f constant 0 0", "domain box 2 2", "domain cube 0"])
+@pytest.mark.parametrize("line", ["f constant 0 0", "domain box 2 2", "domain cube 0",
+                                  "material yeoh -1 0 0", "penalty 100 10 0"])
 def test_cli_rejects_values_of_the_wrong_count_or_range(line, tmp_path, capsys):
-    # each of these once parsed and then ended `lab run` in a traceback
+    # each of these once parsed and then ended `lab run` in a traceback or
+    # in NaN records
     cfg_path = tmp_path / "bad.txt"
     cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix())
                         + line + "\n")
-    assert cli_main(["run", cfg_path.as_posix()]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
+    for command in ("run", "check-load", "limit", "recover"):
+        assert cli_main([command, cfg_path.as_posix()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, command
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lift, last_tet, message", [
+    (0.0, "0 1 2 8", "outside 0..7"),     # once an IndexError
+    (1.0, None, "no boundary node on {x3 = 0}"),   # once an ObstacleError
+])
+def test_cli_malformed_mesh_file_is_a_one_line_error(lift, last_tet, message, tmp_path, capsys):
+    mesh1 = sl.build_box_mesh(1)
+    tets = [" ".join(map(str, t)) for t in mesh1.tets]
+    rows = [f"nodes {mesh1.num_nodes}",
+            *(f"{x:g} {y:g} {z + lift:g}" for x, y, z in mesh1.nodes),
+            f"tets {mesh1.num_elements}", *tets[:-1], last_tet or tets[-1]]
+    mesh_path = tmp_path / "bad.mesh"
+    mesh_path.write_text("\n".join(rows) + "\n")
+    cfg_path = tmp_path / "bad.txt"
+    cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix())
+                        + f"domain mesh {mesh_path.as_posix()}\n")
+    for command in ("run", "check-load", "limit", "recover"):
+        assert cli_main([command, cfg_path.as_posix()]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, command
+        assert f"mesh file {mesh_path.as_posix()!r}" in err and message in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -337,7 +364,7 @@ def test_run_experiment_with_recovery(tmp_path):
     rr = report.recovery_report
     assert rr is not None and "error" not in rr
     assert rr["positive_part_nonincreasing"]
-    assert "recovery:" in open(report.report_path).read()
+    assert "recovery:" in Path(report.report_path).read_text()
 
 
 def test_recovery_error_is_reported_not_raised(tmp_path):
@@ -386,7 +413,7 @@ def test_cli_check_load_passes_the_zero_load(tmp_path, capsys):
 def test_report_render_contains_summary(tmp_path):
     cfg = harness.parse_config(FAST_CONFIG.format(out=tmp_path.as_posix()))
     report = harness.run_experiment(cfg)
-    text = open(report.report_path).read()
+    text = Path(report.report_path).read_text()
     assert "min G~^I" in text
     assert "verdict:" in text
     assert "kernel:" in text

@@ -885,7 +885,7 @@ def nonlinear_point(mesh2, obstacle2, yeoh, gravity):
     """An assembler on cube 2 at h = 0.2, a deformation 5% off the identity
     and multipliers near the identity pressure."""
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.2, skip_admissibility_check=True)
+                                 obstacle=obstacle2, h=0.2)
     rng = np.random.default_rng(12)
     y = mesh2.nodes.ravel() + 0.05 * rng.standard_normal(3 * mesh2.num_nodes)
     lam = -yeoh.pressure + 0.3 * rng.standard_normal(mesh2.num_elements)
@@ -933,8 +933,7 @@ def test_constraint_jacobian_matches_central_differences(nonlinear_point):
 
 def test_nonlinear_zero_load(mesh2, obstacle2, yeoh):
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=sl.LoadSpec(),
-                                 obstacle=obstacle2, h=0.2,
-                                 skip_admissibility_check=True)
+                                 obstacle=obstacle2, h=0.2)
     res = solvers.minimize_nonlinear(p)
     assert abs(res.objective) < 1e-10
     assert res.residuals["det"] < 1e-6
@@ -944,8 +943,7 @@ def test_nonlinear_gravity_between_bounds(mesh2, obstacle2, yeoh, gravity,
                                           limit_gravity):
     res_lim, kernel = limit_gravity
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.1,
-                                 skip_admissibility_check=True)
+                                 obstacle=obstacle2, h=0.1)
     res = solvers.minimize_nonlinear(p)
     # no better than the identity (value 0), no worse than the limit minus slack
     assert res.objective <= 1e-10
@@ -975,7 +973,7 @@ def _random_start_oracle(p, n_starts=4, seed=0):
             val_pol, det_pol = asm.objective(polished[0])
             if det_pol <= det_res + 1e-12 and polished[0][bound].min() >= -1e-12:
                 value, det_res = val_pol, det_pol
-        if det_res <= 10.0 * p.det_target:
+        if det_res <= 10.0 * solvers.DET_TARGET:
             best = min(best, value)
     return best
 
@@ -987,8 +985,7 @@ def test_single_path_matches_random_multistart(mesh2, obstacle2, yeoh, gravity):
     warm = None
     for h, h_next in zip(h_list, (*h_list[1:], None)):
         p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                     obstacle=obstacle2, h=h, warm_start=warm,
-                                     skip_admissibility_check=True)
+                                     obstacle=obstacle2, h=h, warm_start=warm)
         res = solvers.minimize_nonlinear(p)
         assert res.polish == "ok"
         oracle = _random_start_oracle(p)
@@ -1007,8 +1004,7 @@ def test_newton_finish_reaches_roundoff_determinants_on_the_acceptance_chain(
     warm = None
     for h, h_next in zip(h_list, (*h_list[1:], None)):
         p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                     obstacle=obstacle2, h=h, warm_start=warm,
-                                     skip_admissibility_check=True)
+                                     obstacle=obstacle2, h=h, warm_start=warm)
         res = solvers.minimize_nonlinear(p)
         assert res.polish == "ok", h
         assert res.residuals["det"] <= 1e-15, (h, res.residuals["det"])
@@ -1024,8 +1020,7 @@ def test_failed_al_solve_names_its_start(mesh2, obstacle2, yeoh, gravity, monkey
     monkeypatch.setattr(solvers, "_al_solve", fail)
     warm = mesh2.nodes.ravel() if start == "warm" else None
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.2, warm_start=warm,
-                                 skip_admissibility_check=True)
+                                 obstacle=obstacle2, h=0.2, warm_start=warm)
     message = f"augmented Lagrangian from start {start} failed: inner solve blew up"
     with pytest.raises(solvers.SolveFailure, match=message) as info:
         solvers.minimize_nonlinear(p)
@@ -1037,8 +1032,7 @@ POLISH_FAILURES = {"no-convergence", "active-set-cycling", "rejected-det", "reje
 
 def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity):
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.2,
-                                 skip_admissibility_check=True)
+                                 obstacle=obstacle2, h=0.2)
     res = solvers.minimize_nonlinear(p)
     assert (res.polish == "ok") == ("+newton" in res.termination)
     assert res.polish == "ok" or res.polish in POLISH_FAILURES
@@ -1054,8 +1048,7 @@ def test_newton_polish_converges_at_small_h(mesh2, obstacle2, yeoh, gravity, h):
     # unbalanced KKT matrix loses the constraint directions to the least-squares
     # cutoff and the polish ends with a worse determinant than it started from
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=h,
-                                 skip_admissibility_check=True)
+                                 obstacle=obstacle2, h=h)
     res = solvers.minimize_nonlinear(p)
     assert res.polish == "ok"
     assert res.residuals["det"] <= 1e-14
@@ -1066,8 +1059,7 @@ def test_newton_polish_converges_at_small_h(mesh2, obstacle2, yeoh, gravity, h):
 def test_discarded_newton_polish_is_named(mesh1, yeoh, gravity, monkeypatch, reason):
     obstacle = sl.extract_obstacle(mesh1)
     p = solvers.NonlinearProblem(mesh=mesh1, material=yeoh, load=gravity,
-                                 obstacle=obstacle, h=0.3,
-                                 skip_admissibility_check=True)
+                                 obstacle=obstacle, h=0.3)
     # a dilation breaks det = 1; a downward translation keeps det = 1 but
     # pushes the contact nodes below the plane
     if reason == "rejected-det":
@@ -1093,8 +1085,7 @@ def _tight_al(p):
 def test_failed_finish_resumes_at_the_configured_gtol(mesh2, obstacle2, yeoh, gravity,
                                                       monkeypatch, caplog):
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.2,
-                                 skip_admissibility_check=True)
+                                 obstacle=obstacle2, h=0.2)
     asm, (y_tight, *_) = _tight_al(p)
     oracle, _ = asm.objective(y_tight)
     monkeypatch.setattr(solvers, "_newton_polish",
@@ -1103,10 +1094,10 @@ def test_failed_finish_resumes_at_the_configured_gtol(mesh2, obstacle2, yeoh, gr
         res = solvers.minimize_nonlinear(p)
     assert res.polish == "no-convergence"
     assert "+newton" not in res.termination
-    assert res.residuals["det"] <= p.det_target
+    assert res.residuals["det"] <= solvers.DET_TARGET
     scale = max(1.0, yeoh.c1 / p.h**2)
     assert [t["tail"] for t in res.trace[:p.kappa_stages]] == [False] * p.kappa_stages
-    assert res.trace[0]["inner_gtol"] == p.det_target * scale
+    assert res.trace[0]["inner_gtol"] == solvers.DET_TARGET * scale
     assert res.trace[-1]["tail"] and res.trace[-1]["inner_gtol"] == p.gtol * scale
     assert [t["stage"] for t in res.trace] == list(range(len(res.trace)))
     assert res.iterations == sum(t["inner_iterations"] for t in res.trace)
@@ -1143,8 +1134,7 @@ def test_inexact_al_hands_over_to_the_same_finish(cube, mesh2, obstacle2, mesh3,
     warm = None
     for h, h_next in zip(h_list, (*h_list[1:], None)):
         p = solvers.NonlinearProblem(mesh=mesh, material=yeoh, load=gravity,
-                                     obstacle=obstacle, h=h, warm_start=warm,
-                                     skip_admissibility_check=True)
+                                     obstacle=obstacle, h=h, warm_start=warm)
         res = solvers.minimize_nonlinear(p)
         oracle, outcome = _tight_al_then_finish(p)
         assert res.polish == "ok" and outcome == "ok", (h, res.polish, outcome)
@@ -1155,8 +1145,7 @@ def test_inexact_al_hands_over_to_the_same_finish(cube, mesh2, obstacle2, mesh3,
 
 def test_nonlinear_objective_recomputable(mesh2, obstacle2, yeoh, gravity):
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.2,
-                                 skip_admissibility_check=True)
+                                 obstacle=obstacle2, h=0.2)
     res = solvers.minimize_nonlinear(p)
     value, r = solvers._NonlinearAssembler(p).energy_parts(res.field.y.ravel())
     det_res = float(np.abs(r).max())
