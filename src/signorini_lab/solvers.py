@@ -12,16 +12,22 @@ B^T, computed once per mesh, gives an orthonormal basis Z of null(B) (the
 per-element rows of a Kuhn mesh are far from independent: rank 96 of 162 on
 cube 3), and only the reduced KKT matrix [[Z^T H Z, Z_W^T], [Z_W, 0]] of each
 working set W is factored, once, and reused across iterations and arcs.
-The nonlinear problems use an
-augmented Lagrangian on the per-element determinant with kappa continuation
-and projected L-BFGS-B inner solves, run once per h from the identity or from
-a warm start (h-continuation along a sweep). The AL only globalizes: its inner
-solves are inexact, resolved to the relative accuracy of the feasibility
-target DET_TARGET, and one Newton solve of the KKT system on the identified
-active set finishes the iterate. When that finish fails or is rejected, the
-AL loop resumes from its iterate and multipliers with inner solves at the
-configured gtol, so gtol is the accuracy of every iterate the finish did not
-polish.
+The nonlinear problems impose incompressibility against the stable pressures:
+c(y) = Pi(det F - 1) = 0, with Pi = Q Q^T V the L2(P0) projection onto the
+discrete divergences range(B) (Q volume-orthonormal, V the element volumes).
+Pi(det(I + h grad u) - 1) = h B u + O(h^2), so the constraint linearizes to
+the limit QPs' B u = 0; det F = 1 in every element would also impose the
+dependent rows of B (the singular-edge checkerboards of Kuhn meshes), which
+break LICQ and add an h-independent offset to the energies. An augmented
+Lagrangian on Pi(det F - 1), with kappa continuation and projected L-BFGS-B
+inner solves, runs once per h from the identity or from a warm start
+(h-continuation along a sweep). The AL only globalizes: its inner solves are
+inexact, resolved to the relative accuracy of the feasibility target
+DET_TARGET, and Newton steps on the KKT system of the identified active set
+finish the iterate; with the projected rows that system has full row rank.
+When the finish fails or is rejected, the AL loop resumes from its iterate and
+multipliers with inner solves at the configured gtol, so gtol is the accuracy
+of every iterate the finish did not polish.
 
 Both sides are built from the mesh's sparse P1 gradient operator D (nodal
 displacements to element gradients): the strain Hessian and the Newton
@@ -66,7 +72,7 @@ class Variant(enum.Enum):
 # Most negative bound multiplier an optimal active-set working set may carry.
 QP_MULTIPLIER_TOL = 1e-9
 
-# max|det F - 1| at which the augmented-Lagrangian loop may stop.
+# max|Pi(det F - 1)| at which the augmented-Lagrangian loop may stop.
 DET_TARGET = 1e-6
 
 # Second derivative of det: vec(d2 det / dF dF) = _DET_HESS @ vec(F), from
@@ -215,6 +221,21 @@ def _div_null_space(mesh, b_div):
     key = ("div_null_space",)
     if key not in mesh._cache:
         mesh._cache[key] = _null_space_frame(b_div, 3 * mesh.num_nodes)
+    return mesh._cache[key]
+
+
+def _div_range_basis(mesh):
+    """Volume-orthonormal basis Q (Q^T V Q = I) of range(B), B the div rows,
+    so that Pi = Q Q^T V is the L2(P0) projection onto the discrete
+    divergences. range(B) = range(B Q1) with Q1 the div frame's row-space
+    basis, and B Q1 has full column rank, so one thin QR of V^(1/2) B Q1
+    gives it. Computed once per mesh, when the nonlinear path first asks."""
+    key = ("div_range_basis",)
+    if key not in mesh._cache:
+        b_div = assemble_div_matrix(mesh)
+        root_v = np.sqrt(mesh.element_volumes)[:, None]
+        q, _ = np.linalg.qr(root_v * (b_div @ _div_null_space(mesh, b_div).range_basis))
+        mesh._cache[key] = q / root_v
     return mesh._cache[key]
 
 
@@ -598,26 +619,28 @@ class _NonlinearAssembler:
         self.vols = self.mesh.element_volumes
         self.d = self.mesh.gradient_operator
         self.dt = self.d.T
+        self.q = _div_range_basis(self.mesh)
 
     def deviation(self, y_flat):
         """Per-element F - I, |F|^2 - 3 and det F - 1."""
         d_el = (self.d @ (y_flat - self.x_flat)).reshape(-1, 3, 3)
         return d_el, g_from_deviation(d_el), det_minus_one_from_deviation(d_el)
 
+    def project(self, r):
+        """Pi r = Q Q^T V r, the L2(P0) projection onto range(B)."""
+        return self.q @ (self.q.T @ (self.vols * r))
+
     def _load(self, y_flat):
         return float(self.ell_flat @ (y_flat - self.x_flat)) / self.p.h
 
     def energy_parts(self, y_flat):
         """Rescaled energy with the pressure-compensated density
-        (`material.compensated_density`), exactly the incompressible energy on
-        the constraint set det = 1. Returns (value, r), r = det F - 1."""
+        (`material.compensated_density`): wherever Pi(det - 1) = 0 it equals
+        h^-2 sum vol W - L(y - x) / h, as the constants lie in range(B).
+        Returns (value, r), r = det F - 1."""
         _, g, r = self.deviation(y_flat)
         elastic = float(self.vols @ compensated_density(g, r, self.mat)) / self.p.h**2
         return elastic - self._load(y_flat), r
-
-    def objective(self, y_flat):
-        value, r = self.energy_parts(y_flat)
-        return value, float(np.abs(r).max())
 
     def lagrangian_gradient(self, d_el, g, nu):
         """Nodal gradient of h^-2 sum vol W + sum nu vol (det - 1) - L(y - x) / h:
@@ -628,13 +651,16 @@ class _NonlinearAssembler:
         return self.dt @ (self.vols[:, None, None] * p_el).ravel() - self.ell_flat / self.p.h
 
     def al_value_grad(self, y_flat, lam, kappa):
-        """Augmented Lagrangian with the penalty inside the h^-2 scaling, the
-        penalized incompressible density being W + lam r + (kappa/2) r^2."""
+        """Augmented Lagrangian of Pi r = 0 with the penalty inside the h^-2
+        scaling, the penalized density being W + lam r + (kappa/2) (Pi r)^2.
+        For lam in range(Pi), as the AL loop keeps it, lam r integrates to
+        lam Pi r."""
         h2 = self.p.h**2
         d_el, g, r = self.deviation(y_flat)
-        density = yeoh_density(g, self.mat) + lam * r + 0.5 * kappa * r**2
+        s = self.project(r)
+        density = yeoh_density(g, self.mat) + lam * r + 0.5 * kappa * s**2
         value = float(self.vols @ density) / h2 - self._load(y_flat)
-        return value, self.lagrangian_gradient(d_el, g, (lam + kappa * r) / h2)
+        return value, self.lagrangian_gradient(d_el, g, (lam + kappa * s) / h2)
 
     def constraint_jacobian(self, d_el):
         """J[e, dof] = vol_e d(det F_e - 1)/dy = blockdiag(vol_e vec(cof F_e)^T) D."""
@@ -655,20 +681,22 @@ class _NonlinearAssembler:
 
 
 def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
-    """Augmented-Lagrangian loop around projected L-BFGS-B inner solves.
+    """Augmented-Lagrangian loop on Pi(det - 1) = 0 around projected L-BFGS-B
+    inner solves.
 
-    The multipliers start at the identity pressure unless `lam` is given;
-    with `lam` and the `trace` of an earlier loop the loop resumes it, its
-    stages numbered and its kappa chosen as if it had not stopped. Either way
-    it runs until kappa_stages stages have run in all and max|det - 1| <=
-    DET_TARGET, or for at most kappa_stages + 12 stages. The L-BFGS-B
-    projected-gradient tolerance is the configured gtol times
+    The multipliers start at the identity pressure (a constant, so in
+    range(Pi)) unless `lam` is given, and each stage adds kappa Pi r, so they
+    stay in range(Pi); with `lam` and the `trace` of an earlier loop the loop
+    resumes it, its stages numbered and its kappa chosen as if it had not
+    stopped. Either way it runs until kappa_stages stages have run in all and
+    max|Pi(det - 1)| <= DET_TARGET, or for at most kappa_stages + 12 stages.
+    The L-BFGS-B projected-gradient tolerance is the configured gtol times
     max(1, c1/h^2) for the `tail` that runs after a failed Newton finish,
     whose iterate is returned unpolished; ahead of the finish, gtol is
     raised to DET_TARGET, so stationarity is resolved to the relative
     accuracy of the feasibility target the loop stops on. Returns (y, lam,
-    det_res, trace, iterations), the trace including the earlier stages and
-    the iterations only this call's.
+    trace, iterations), the trace including the earlier stages and the
+    iterations only this call's.
     """
     p = problem
     n3 = y0.size
@@ -682,7 +710,6 @@ def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
     kappas = [p.kappa0 * p.kappa_factor**k for k in range(p.kappa_stages)]
     trace = list(trace)
     total_iter = 0
-    det_res = np.inf
     pgtol = (p.gtol if tail else max(p.gtol, DET_TARGET)) * max(1.0, p.material.c1 / p.h**2)
     first = len(trace)
     for stage in range(first, first + p.kappa_stages + 12):
@@ -694,29 +721,40 @@ def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
         y = res.x
         total_iter += res.nit
         value, r = asm.energy_parts(y)
-        det_res = float(np.abs(r).max())
-        lam = lam + kappa * r
+        s = asm.project(r)
+        proj_res = float(np.abs(s).max())
+        lam = lam + kappa * s
         trace.append({"stage": stage, "kappa": kappa, "objective": value,
-                      "det_residual": det_res, "inner_iterations": res.nit,
-                      "inner_gtol": pgtol, "tail": tail})
-        if stage >= p.kappa_stages - 1 and det_res <= DET_TARGET:
+                      "det_residual": float(np.abs(r).max()), "det_projected": proj_res,
+                      "inner_iterations": res.nit, "inner_gtol": pgtol, "tail": tail})
+        if stage >= p.kappa_stages - 1 and proj_res <= DET_TARGET:
             break
-    return y, lam, det_res, trace, total_iter
+    return y, lam, trace, total_iter
 
 
 def _newton_polish(asm, y, lam, problem, max_rounds=3):
-    """Solve the exact KKT system on the active set found by the AL phase.
+    """Newton steps on the KKT system of Pi(det - 1) = 0 on the active set
+    found by the AL phase.
 
-    The Newton iteration on one active set has converged when max|r1| and
-    max|r2| are at most 1e-11 max(1, h^-2), r1 the stationarity residual on
-    the free dofs and r2 = vol (det - 1), and the determinant has either
-    reached roundoff (max|det - 1| <= 1e-15) or r2 stopped falling (above
-    half its value one step earlier): the h^-2 scale alone would accept a
-    determinant residual that one more step removes.
+    The constraint is c(y) = Q^T V (det - 1), whose rows Q^T J have full rank
+    where the per-element rows J do not, and the multipliers nu = Q mu stay in
+    range(Pi). Each step is the minimum-norm solution of
+    [[h^2 H_ff, (Q^T J_f)^T], [Q^T J_f, 0]] by gelsy's pivoted QR, with
+    relative singular values below 1e-10 dropped: the flat motions (the
+    horizontal translations, and the rotation about e3 under a vertical load)
+    sit at roundoff or at the level of the residual, whose noise they would
+    amplify into the step, while the others are at least 1.3e-5 on cube 1-5
+    (the smallest is the rotation about e3 under a horizontal load, falling
+    about as the square of the cell size). The iteration on one active set
+    has converged when two consecutive iterates have max|r1| <= 1e-11
+    max(1, h^-2), r1 the stationarity residual on the free dofs, and
+    max|c| <= 1e-11: the Newton step between them starts that close to the
+    solution, so it ends at roundoff.
 
-    Returns ((y, nu), "ok") on success, else (None, reason) with reason
-    "no-convergence" (20 Newton steps on one active set) or
-    "active-set-cycling" (`max_rounds` active-set updates ran out).
+    Returns (y, outcome, steps, max|Pi(det - 1)| at the last iterate), y the
+    finished iterate or None; outcome "ok", or "no-convergence" (20 Newton
+    steps on one active set) or "active-set-cycling" (`max_rounds`
+    active-set updates ran out); steps counts the KKT solves of all rounds.
     """
     p = problem
     bound_dofs = obstacle_bound_dofs(p.obstacle)
@@ -724,38 +762,39 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
     active[bound_dofs[y[bound_dofs] <= 1e-8]] = True
     h2 = p.h**2
     nu = lam / h2   # AL multipliers live in material units
+    q = asm.q
+    steps, proj_res = 0, np.inf
     for _ in range(max_rounds):
         yk = y.copy()
         yk[active] = 0.0
         free = np.flatnonzero(~active)
-        converged = False
-        r2_prev = np.inf
+        small = False
         for _ in range(20):
             d_el, g, r = asm.deviation(yk)
             grad_l = asm.lagrangian_gradient(d_el, g, nu)
             r1 = grad_l[free]
-            r2 = asm.vols * r
-            r2_norm = np.abs(r2).max()
-            res_norm = max(np.abs(r1).max() if r1.size else 0.0, r2_norm)
-            if (res_norm <= 1e-11 * max(1.0, 1.0 / h2)
-                    and (np.abs(r).max() <= 1e-15 or r2_norm > 0.5 * r2_prev)):
-                converged = True
+            c = q.T @ (asm.vols * r)
+            proj_res = float(np.abs(q @ c).max())
+            was_small, small = small, (np.abs(c).max() <= 1e-11 and np.abs(r1).max(
+                initial=0.0) <= 1e-11 * max(1.0, 1.0 / h2))
+            if was_small and small:
                 break
-            r2_prev = r2_norm
             hess = asm.lagrangian_hessian(d_el, g, nu)
-            jac = asm.constraint_jacobian(d_el)
-            nf, m = free.size, r2.size
+            jac = q.T @ asm.constraint_jacobian(d_el)[:, free]
+            nf, m = free.size, c.size
             kkt = np.zeros((nf + m, nf + m))
-            # the stationarity rows carry h^2: unscaled, the h^-2 Hessian
-            # pushes the constraint directions under lstsq's cutoff at small h
+            # the stationarity rows carry h^2, which keeps the two blocks of
+            # one scale at small h
             kkt[:nf, :nf] = h2 * hess[np.ix_(free, free)]
-            kkt[:nf, nf:] = jac[:, free].T
-            kkt[nf:, :nf] = jac[:, free]
-            step, *_ = np.linalg.lstsq(kkt, -np.concatenate([h2 * r1, r2]), rcond=None)
+            kkt[:nf, nf:] = jac.T
+            kkt[nf:, :nf] = jac
+            step = scipy.linalg.lstsq(kkt, -np.concatenate([h2 * r1, c]), cond=1e-10,
+                                      lapack_driver="gelsy")[0]
+            steps += 1
             yk[free] += step[:nf]
-            nu += step[nf:] / h2
-        if not converged:
-            return None, "no-convergence"
+            nu += q @ step[nf:] / h2
+        else:
+            return None, "no-convergence", steps, proj_res
         # bound feasibility and multiplier signs on the active set
         mu = grad_l[active]
         inact = bound_dofs[~active[bound_dofs]]
@@ -767,24 +806,25 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
             active[inact[yk[inact] < -1e-12]] = True
             y = yk
             continue
-        return (yk, nu), "ok"
-    return None, "active-set-cycling"
+        return yk, "ok", steps, proj_res
+    return None, "active-set-cycling", steps, proj_res
 
 
 def minimize_nonlinear(problem):
     """Minimize the rescaled incompressible energy along one solver path.
 
-    One augmented-Lagrangian solve starts from the warm start when one is
-    given (in an h-sweep, the previous minimizer rescaled to this h) and from
-    the identity otherwise. Its inner solves are inexact, resolved only to
-    the accuracy of the feasibility target, and a Newton solve of the KKT
-    system on the identified active set then finishes its result. When the
-    finish fails or is rejected, the same AL loop resumes from its iterate and
-    multipliers at the configured gtol, so an unpolished result is resolved
-    to gtol; the result keeps the finish's reason. The reported objective is
-    the plain rescaled energy at the returned iterate, with the determinant
-    residual reported alongside. A failed AL solve raises SolveFailure naming
-    the start.
+    One augmented-Lagrangian solve of Pi(det - 1) = 0 starts from the warm
+    start when one is given (in an h-sweep, the previous minimizer rescaled to
+    this h) and from the identity otherwise. Its inner solves are inexact,
+    resolved only to the accuracy of the feasibility target, and Newton steps
+    on the KKT system of the identified active set then finish its result.
+    When the finish fails or leaves a bound violated, the same AL loop resumes
+    from its iterate and multipliers at the configured gtol, so an unpolished
+    result is resolved to gtol; the result keeps the finish's reason. The
+    reported objective is the plain rescaled energy at the returned iterate;
+    the residuals are the raw max|det - 1| ("det", flagged above 1e-6) and
+    max|Pi(det - 1)| ("det_projected"). A failed AL solve raises SolveFailure
+    naming the start.
     """
     p = problem
     # the linear-order load conditions at a load-scaled tolerance; the zero
@@ -806,27 +846,25 @@ def minimize_nonlinear(problem):
         except Exception as exc:
             raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
 
-    y, lam, det_res, trace, iters = al_solve(y0)
+    y, lam, trace, iters = al_solve(y0)
     termination = f"augmented-lagrangian({name})"
-    polished, polish = _newton_polish(asm, y, lam, p)
-    if polished is not None:
-        y_pol, _ = polished
-        _, det_pol = asm.objective(y_pol)
-        if det_pol > det_res + 1e-12:
-            polish = "rejected-det"
-        elif y_pol[obstacle_bound_dofs(p.obstacle)].min() < -1e-12:
+    y_pol, polish, steps, proj_pol = _newton_polish(asm, y, lam, p)
+    if y_pol is not None:
+        if y_pol[obstacle_bound_dofs(p.obstacle)].min() < -1e-12:
             polish = "rejected-bound"
         else:
-            y, det_res = y_pol, det_pol
+            y = y_pol
             termination += "+newton"
-    logger.info("newton polish at h=%g, start %s: %s", p.h, name, polish)
+    logger.info("newton polish at h=%g, start %s, %d steps, |Pi(det - 1)| %.1e: %s",
+                p.h, name, steps, proj_pol, polish)
     tail = polish != "ok"
     if tail:
-        y, _, det_res, trace, tail_iters = al_solve(y, lam=lam, trace=trace, tail=True)
+        y, _, trace, tail_iters = al_solve(y, lam=lam, trace=trace, tail=True)
         iters += tail_iters
     logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
                 "stages, tail %s", p.h, name, iters, len(trace), "run" if tail else "not run")
-    value, _ = asm.objective(y)
+    value, r = asm.energy_parts(y)
+    det_res = float(np.abs(r).max())
 
     if det_res > 1e-6:
         termination += ",det-residual-flagged"
@@ -837,7 +875,8 @@ def minimize_nonlinear(problem):
     return SolveResult(
         field=field,
         objective=float(value),
-        residuals={"det": float(det_res),
+        residuals={"det": det_res,
+                   "det_projected": float(np.abs(asm.project(r)).max()),
                    "bound_min": float(y_nodal[p.obstacle.node_indices, 2].min())},
         active_nodes=active,
         iterations=iters,
@@ -845,4 +884,3 @@ def minimize_nonlinear(problem):
         trace=trace,
         polish=polish,
     )
-

@@ -283,7 +283,7 @@ def test_cli_log_level(tmp_path, capsys, caplog):
                   if r.name == "signorini_lab.solvers" and "newton polish" in r.getMessage()]
         assert len(polish) == 2  # one per h of the config
         assert all(m.rsplit(": ", 1)[1] in ("ok", "no-convergence", "active-set-cycling",
-                                            "rejected-det", "rejected-bound")
+                                            "rejected-bound")
                    for m in polish)
         capsys.readouterr()
         assert cli_main(["check-load", cfg_path.as_posix()]) == 0
