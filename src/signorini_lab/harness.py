@@ -37,7 +37,6 @@ class ExperimentConfig:
     g_descs: tuple = ()
     h_list: tuple = (0.2, 0.1, 0.05, 0.025)
     solver_maxiter: int = 5000
-    solver_tol: float = 1e-8
     recovery_gamma: float = 0.25
     recovery_steps_per_h: int = 32
     recovery_ledger_samples: int = 8
@@ -165,8 +164,10 @@ def _apply_directive(cfg, tok, g_descs):
     elif key == "h_list":
         cfg.h_list = tuple(float(v) for v in tok[1:])
     elif key == "solver":
+        # gtol is read so that old configs parse; the AL's inner tolerance is
+        # set by its feasibility target
         maxiter, gtol = _values(tok, 1, 2)
-        cfg.solver_maxiter, cfg.solver_tol = int(maxiter), float(gtol)
+        cfg.solver_maxiter, _ = int(maxiter), float(gtol)
     elif key == "multistart":
         logger.warning("config directive 'multistart' has no effect: the nonlinear "
                        "solver runs one warm-started path per h")
@@ -273,13 +274,15 @@ def run_experiment(cfg):
     u_ref = results[solvers.Variant.GTILDE].field
 
     records = []
-    warm = None
-    for h, h_next in zip(cfg.h_list, (*cfg.h_list[1:], None)):
+    last = None   # (h, y) of the last minimizer: the sweep's warm start, rescaled to h
+    for h in cfg.h_list:
+        warm = None
+        if last is not None:
+            warm = (mesh.nodes + (h / last[0]) * (last[1] - mesh.nodes)).ravel()
         problem = solvers.NonlinearProblem(
             mesh=mesh, material=mat, load=load, obstacle=obstacle, h=h,
             kappa0=cfg.penalty[0] * mat.c1, kappa_factor=cfg.penalty[1],
-            kappa_stages=cfg.penalty[2], maxiter=cfg.solver_maxiter,
-            gtol=cfg.solver_tol, warm_start=warm)
+            kappa_stages=cfg.penalty[2], maxiter=cfg.solver_maxiter, warm_start=warm)
         try:
             res = solvers.minimize_nonlinear(problem)
         except solvers.SolveFailure as exc:
@@ -305,10 +308,7 @@ def run_experiment(cfg):
             rotation_axis=rot.axis, rotation_angle=rot.angle, c=c,
             u_ref_l2=geometry.l2_norm(mesh, u_diff),
             termination=res.termination))
-        # chain the sweep: the next h starts from the current minimizer, rescaled
-        warm = None
-        if h_next is not None:
-            warm = (mesh.nodes + (h_next / h) * (y_field.y - mesh.nodes)).ravel()
+        last = (h, y_field.y)
 
     recovery_report = None
     if cfg.run_recovery:

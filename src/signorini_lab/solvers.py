@@ -25,9 +25,8 @@ inner solves, runs once per h from the identity or from a warm start
 inexact, resolved to the relative accuracy of the feasibility target
 DET_TARGET, and Newton steps on the KKT system of the identified active set
 finish the iterate; with the projected rows that system has full row rank.
-When the finish fails or is rejected, the AL loop resumes from its iterate and
-multipliers with inner solves at the configured gtol, so gtol is the accuracy
-of every iterate the finish did not polish.
+A finish that fails raises SolveFailure naming its outcome: every returned
+minimizer is a finished KKT point.
 
 Both sides are built from the mesh's sparse P1 gradient operator D (nodal
 displacements to element gradients): the strain Hessian and the Newton
@@ -75,6 +74,9 @@ QP_MULTIPLIER_TOL = 1e-9
 # max|Pi(det F - 1)| at which the augmented-Lagrangian loop may stop.
 DET_TARGET = 1e-6
 
+# Active-set updates the Newton finish may make before it gives up.
+NEWTON_ROUNDS = 3
+
 # Second derivative of det: vec(d2 det / dF dF) = _DET_HESS @ vec(F), from
 # d2 det / dF_ip dF_jq = eps_ijk eps_pqr F_kr.
 _LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2.0, (3, 3, 3))
@@ -92,7 +94,6 @@ class NonlinearProblem:
     kappa_factor: float = 10.0
     kappa_stages: int = 3
     maxiter: int = 5000
-    gtol: float = 1e-8
     warm_start: np.ndarray = None
 
     def __post_init__(self):
@@ -129,7 +130,6 @@ class SolveResult:
     trace: list = field(default_factory=list)
     theta_star: float = None
     rotation: Rotation = None
-    polish: str = None   # Newton polish outcome: "ok" or why it was not used
 
 
 # ---------------------------------------------------------------------------
@@ -680,39 +680,32 @@ class _NonlinearAssembler:
         return gradient_form(self.mesh, h9)
 
 
-def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
+def _al_solve(asm, y0, problem):
     """Augmented-Lagrangian loop on Pi(det - 1) = 0 around projected L-BFGS-B
     inner solves.
 
     The multipliers start at the identity pressure (a constant, so in
-    range(Pi)) unless `lam` is given, and each stage adds kappa Pi r, so they
-    stay in range(Pi); with `lam` and the `trace` of an earlier loop the loop
-    resumes it, its stages numbered and its kappa chosen as if it had not
-    stopped. Either way it runs until kappa_stages stages have run in all and
-    max|Pi(det - 1)| <= DET_TARGET, or for at most kappa_stages + 12 stages.
-    The L-BFGS-B projected-gradient tolerance is the configured gtol times
-    max(1, c1/h^2) for the `tail` that runs after a failed Newton finish,
-    whose iterate is returned unpolished; ahead of the finish, gtol is
-    raised to DET_TARGET, so stationarity is resolved to the relative
-    accuracy of the feasibility target the loop stops on. Returns (y, lam,
-    trace, iterations), the trace including the earlier stages and the
-    iterations only this call's.
+    range(Pi)) and each stage adds kappa Pi r, so they stay in range(Pi). The
+    loop runs until kappa_stages stages have run and max|Pi(det - 1)| <=
+    DET_TARGET, or for at most kappa_stages + 12 stages. The loop only
+    globalizes for the Newton finish: the L-BFGS-B projected-gradient
+    tolerance is DET_TARGET max(1, c1/h^2), so stationarity is resolved to
+    the relative accuracy of the feasibility target the loop stops on.
+    Returns (y, lam, trace, iterations).
     """
     p = problem
     n3 = y0.size
     lower = np.full(n3, -np.inf)
     lower[obstacle_bound_dofs(p.obstacle)] = 0.0
     bounds = Bounds(lower, np.full(n3, np.inf))
-    if lam is None:
-        # seed the multipliers with the exact pressure at the identity, -dW/d(det)
-        lam = np.full(p.mesh.num_elements, -p.material.pressure)
+    # seed the multipliers with the exact pressure at the identity, -dW/d(det)
+    lam = np.full(p.mesh.num_elements, -p.material.pressure)
     y = y0.copy()
     kappas = [p.kappa0 * p.kappa_factor**k for k in range(p.kappa_stages)]
-    trace = list(trace)
+    trace = []
     total_iter = 0
-    pgtol = (p.gtol if tail else max(p.gtol, DET_TARGET)) * max(1.0, p.material.c1 / p.h**2)
-    first = len(trace)
-    for stage in range(first, first + p.kappa_stages + 12):
+    pgtol = DET_TARGET * max(1.0, p.material.c1 / p.h**2)
+    for stage in range(p.kappa_stages + 12):
         kappa = kappas[min(stage, len(kappas) - 1)]
         res = minimize(lambda yy: asm.al_value_grad(yy, lam, kappa), y, jac=True,
                        method="L-BFGS-B", bounds=bounds,
@@ -726,13 +719,13 @@ def _al_solve(asm, y0, problem, lam=None, trace=(), tail=False):
         lam = lam + kappa * s
         trace.append({"stage": stage, "kappa": kappa, "objective": value,
                       "det_residual": float(np.abs(r).max()), "det_projected": proj_res,
-                      "inner_iterations": res.nit, "inner_gtol": pgtol, "tail": tail})
+                      "inner_iterations": res.nit, "inner_gtol": pgtol})
         if stage >= p.kappa_stages - 1 and proj_res <= DET_TARGET:
             break
     return y, lam, trace, total_iter
 
 
-def _newton_polish(asm, y, lam, problem, max_rounds=3):
+def _newton_polish(asm, y, lam, problem):
     """Newton steps on the KKT system of Pi(det - 1) = 0 on the active set
     found by the AL phase.
 
@@ -753,8 +746,10 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
 
     Returns (y, outcome, steps, max|Pi(det - 1)| at the last iterate), y the
     finished iterate or None; outcome "ok", or "no-convergence" (20 Newton
-    steps on one active set) or "active-set-cycling" (`max_rounds`
+    steps on one active set) or "active-set-cycling" (NEWTON_ROUNDS
     active-set updates ran out); steps counts the KKT solves of all rounds.
+    An "ok" iterate is 0 on the active bounds, which its steps never move, and
+    at least -1e-12 on the others.
     """
     p = problem
     bound_dofs = obstacle_bound_dofs(p.obstacle)
@@ -764,7 +759,7 @@ def _newton_polish(asm, y, lam, problem, max_rounds=3):
     nu = lam / h2   # AL multipliers live in material units
     q = asm.q
     steps, proj_res = 0, np.inf
-    for _ in range(max_rounds):
+    for _ in range(NEWTON_ROUNDS):
         yk = y.copy()
         yk[active] = 0.0
         free = np.flatnonzero(~active)
@@ -814,17 +809,16 @@ def minimize_nonlinear(problem):
     """Minimize the rescaled incompressible energy along one solver path.
 
     One augmented-Lagrangian solve of Pi(det - 1) = 0 starts from the warm
-    start when one is given (in an h-sweep, the previous minimizer rescaled to
+    start when one is given (in an h-sweep, the last minimizer rescaled to
     this h) and from the identity otherwise. Its inner solves are inexact,
     resolved only to the accuracy of the feasibility target, and Newton steps
     on the KKT system of the identified active set then finish its result.
-    When the finish fails or leaves a bound violated, the same AL loop resumes
-    from its iterate and multipliers at the configured gtol, so an unpolished
-    result is resolved to gtol; the result keeps the finish's reason. The
-    reported objective is the plain rescaled energy at the returned iterate;
-    the residuals are the raw max|det - 1| ("det", flagged above 1e-6) and
-    max|Pi(det - 1)| ("det_projected"). A failed AL solve raises SolveFailure
-    naming the start.
+    The reported objective is the plain rescaled energy at the finished
+    iterate; the residuals are the raw max|det - 1| ("det", flagged above
+    1e-6) and max|Pi(det - 1)| ("det_projected"). A failed AL solve raises
+    SolveFailure naming the start, and a failed finish raises SolveFailure
+    naming h, the start, the finish's outcome, its steps and the |Pi(det - 1)|
+    it reached.
     """
     p = problem
     # the linear-order load conditions at a load-scaled tolerance; the zero
@@ -840,32 +834,21 @@ def minimize_nonlinear(problem):
     else:
         name, y0 = "warm", np.asarray(p.warm_start, dtype=float).ravel().copy()
 
-    def al_solve(y_start, **resume):
-        try:
-            return _al_solve(asm, y_start, p, **resume)
-        except Exception as exc:
-            raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
-
-    y, lam, trace, iters = al_solve(y0)
-    termination = f"augmented-lagrangian({name})"
-    y_pol, polish, steps, proj_pol = _newton_polish(asm, y, lam, p)
-    if y_pol is not None:
-        if y_pol[obstacle_bound_dofs(p.obstacle)].min() < -1e-12:
-            polish = "rejected-bound"
-        else:
-            y = y_pol
-            termination += "+newton"
-    logger.info("newton polish at h=%g, start %s, %d steps, |Pi(det - 1)| %.1e: %s",
-                p.h, name, steps, proj_pol, polish)
-    tail = polish != "ok"
-    if tail:
-        y, _, trace, tail_iters = al_solve(y, lam=lam, trace=trace, tail=True)
-        iters += tail_iters
+    try:
+        y, lam, trace, iters = _al_solve(asm, y0, p)
+    except Exception as exc:
+        raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
     logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
-                "stages, tail %s", p.h, name, iters, len(trace), "run" if tail else "not run")
+                "stages", p.h, name, iters, len(trace))
+    y, outcome, steps, proj_res = _newton_polish(asm, y, lam, p)
+    logger.info("newton polish at h=%g, start %s, %d steps, |Pi(det - 1)| %.1e: %s",
+                p.h, name, steps, proj_res, outcome)
+    if y is None:
+        raise SolveFailure(f"newton finish at h={p.h:g} from start {name}: {outcome} after "
+                           f"{steps} steps, |Pi(det - 1)| {proj_res:.1e}")
+    termination = f"augmented-lagrangian({name})+newton"
     value, r = asm.energy_parts(y)
     det_res = float(np.abs(r).max())
-
     if det_res > 1e-6:
         termination += ",det-residual-flagged"
 
@@ -882,5 +865,4 @@ def minimize_nonlinear(problem):
         iterations=iters,
         termination=termination,
         trace=trace,
-        polish=polish,
     )

@@ -102,21 +102,25 @@ def _defaulted(fn, skip_self):
             + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def default_parameter_findings(src, callers):
-    """(examined, findings): the defaulted parameters of the public `src`
-    functions and methods, and the defaulted init fields of their
-    dataclasses and NamedTuples, that no call of `callers` passes. A `*args`
-    or `**kwargs` call passes everything, and assigning a field as an
-    attribute sets it."""
+    """(examined, findings): the defaulted parameters of the `src` functions
+    and methods, private ones included and dunders other than __init__ aside,
+    and the defaulted public init fields of their dataclasses and
+    NamedTuples, that no call of `callers` passes. A `*args` or `**kwargs`
+    call passes everything, and assigning a field as an attribute sets it."""
     calls, stored = _calls(callers), _attributes(callers, ast.Store)
     targets = [(f"{module}: {fn.name}", fn.name, _defaulted(fn, False), set())
                for module, tree in src.items() for fn in tree.body
-               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+               if isinstance(fn, ast.FunctionDef) and not _dunder(fn.name)]
     for module, cls in _classes(src):
         for fn in _methods(cls):
             if fn.name == "__init__":
                 targets.append((f"{module}: {cls.name}", cls.name, _defaulted(fn, True), set()))
-            elif not fn.name.startswith("_"):
+            elif not _dunder(fn.name):
                 targets.append((f"{module}: {cls.name}.{fn.name}", fn.name,
                                 _defaulted(fn, True), set()))
         init = [(name, default) for name, default, init in _fields(cls) if init]
@@ -182,20 +186,25 @@ class Record:
         return self.kept
 
 
+def _step(x, rounds=3):
+    return x
+
+
 def solve(x, passed_tol=1.0, unpassed_tol=1.0):
     rec = Record(1, 2)
-    return rec.kept + rec.level + rec.used(2.0) + solve(x, passed_tol=0.5)
+    return rec.kept + rec.level + rec.used(2.0) + solve(_step(x), passed_tol=0.5)
 """
 PLANTED_TEST = "Record(1, 2, level=3).test_only()\n"
 
 
 @pytest.mark.parametrize("scan, expected", [
     ("members", ["planted.py: Record.test_only", "planted.py: Record.unread"]),
-    ("defaults", ["planted.py: Record(level)", "planted.py: solve(unpassed_tol)"]),
+    ("defaults", ["planted.py: Record(level)", "planted.py: _step(rounds)",
+                  "planted.py: solve(unpassed_tol)"]),
 ])
 def test_scans_flag_planted_source(scan, expected):
     # an unread field, a method that only a test calls, and unpassed defaults
-    # (one of them passed by a test only)
+    # (one of them passed by a test only, one of a private function)
     src = {"planted.py": ast.parse(PLANTED)}
     if scan == "members":
         examined, findings = class_member_findings(
