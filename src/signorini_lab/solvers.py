@@ -25,8 +25,10 @@ inner solves, runs once per h from the identity or from a warm start
 inexact, resolved to the relative accuracy of the feasibility target
 DET_TARGET, and Newton steps on the KKT system of the identified active set
 finish the iterate; with the projected rows that system has full row rank.
-A finish that fails raises SolveFailure naming its outcome: every returned
-minimizer is a finished KKT point.
+The finish takes over after the first kappa stage; only when it fails there
+does the AL run the rest of its schedule, and the finish is tried once more
+at its end. A last finish that fails raises SolveFailure naming its outcome:
+every returned minimizer is a finished KKT point.
 
 Both sides are built from the mesh's sparse P1 gradient operator D (nodal
 displacements to element gradients): the strain Hessian and the Newton
@@ -682,16 +684,18 @@ class _NonlinearAssembler:
 
 def _al_solve(asm, y0, problem):
     """Augmented-Lagrangian loop on Pi(det - 1) = 0 around projected L-BFGS-B
-    inner solves.
+    inner solves, as a generator that yields (y, lam, trace) after each stage.
 
     The multipliers start at the identity pressure (a constant, so in
     range(Pi)) and each stage adds kappa Pi r, so they stay in range(Pi). The
-    loop runs until kappa_stages stages have run and max|Pi(det - 1)| <=
+    schedule runs until kappa_stages stages have run and max|Pi(det - 1)| <=
     DET_TARGET, or for at most kappa_stages + 12 stages. The loop only
     globalizes for the Newton finish: the L-BFGS-B projected-gradient
     tolerance is DET_TARGET max(1, c1/h^2), so stationarity is resolved to
-    the relative accuracy of the feasibility target the loop stops on.
-    Returns (y, lam, trace, iterations).
+    the relative accuracy of the feasibility target the loop stops on. The
+    trace gets one entry per stage, that is per L-BFGS-B call. The next stage
+    starts from the yielded y and lam, so a consumer reads them and does not
+    modify them; draining the generator runs the full schedule.
     """
     p = problem
     n3 = y0.size
@@ -703,7 +707,6 @@ def _al_solve(asm, y0, problem):
     y = y0.copy()
     kappas = [p.kappa0 * p.kappa_factor**k for k in range(p.kappa_stages)]
     trace = []
-    total_iter = 0
     pgtol = DET_TARGET * max(1.0, p.material.c1 / p.h**2)
     for stage in range(p.kappa_stages + 12):
         kappa = kappas[min(stage, len(kappas) - 1)]
@@ -712,7 +715,6 @@ def _al_solve(asm, y0, problem):
                        options={"maxiter": p.maxiter, "ftol": 1e-16,
                                 "gtol": pgtol, "maxcor": 30})
         y = res.x
-        total_iter += res.nit
         value, r = asm.energy_parts(y)
         s = asm.project(r)
         proj_res = float(np.abs(s).max())
@@ -720,9 +722,9 @@ def _al_solve(asm, y0, problem):
         trace.append({"stage": stage, "kappa": kappa, "objective": value,
                       "det_residual": float(np.abs(r).max()), "det_projected": proj_res,
                       "inner_iterations": res.nit, "inner_gtol": pgtol})
+        yield y, lam, trace
         if stage >= p.kappa_stages - 1 and proj_res <= DET_TARGET:
-            break
-    return y, lam, trace, total_iter
+            return
 
 
 def _newton_polish(asm, y, lam, problem):
@@ -808,17 +810,24 @@ def _newton_polish(asm, y, lam, problem):
 def minimize_nonlinear(problem):
     """Minimize the rescaled incompressible energy along one solver path.
 
-    One augmented-Lagrangian solve of Pi(det - 1) = 0 starts from the warm
+    The augmented-Lagrangian solve of Pi(det - 1) = 0 starts from the warm
     start when one is given (in an h-sweep, the last minimizer rescaled to
     this h) and from the identity otherwise. Its inner solves are inexact,
     resolved only to the accuracy of the feasibility target, and Newton steps
-    on the KKT system of the identified active set then finish its result.
+    on the KKT system of the identified active set finish its iterate. The
+    finish is first tried after the first kappa stage (Birgin & Martinez,
+    Optim. Methods Softw. 23, 2008: Newton on the KKT system as early as it
+    converges, the AL as the globalization). That try reads the iterate and
+    changes nothing, so when it fails the AL resumes and runs its full
+    schedule exactly as it would have without the try, and the finish is
+    tried once more at its end. The stage after which the finish ran records
+    its outcome ("finish") and its steps ("finish_steps") in the trace.
     The reported objective is the plain rescaled energy at the finished
     iterate; the residuals are the raw max|det - 1| ("det", flagged above
     1e-6) and max|Pi(det - 1)| ("det_projected"). A failed AL solve raises
-    SolveFailure naming the start, and a failed finish raises SolveFailure
-    naming h, the start, the finish's outcome, its steps and the |Pi(det - 1)|
-    it reached.
+    SolveFailure naming the start, and a failed last finish raises
+    SolveFailure naming h, the start, the finish's outcome, its steps and the
+    |Pi(det - 1)| it reached.
     """
     p = problem
     # the linear-order load conditions at a load-scaled tolerance; the zero
@@ -834,15 +843,27 @@ def minimize_nonlinear(problem):
     else:
         name, y0 = "warm", np.asarray(p.warm_start, dtype=float).ravel().copy()
 
-    try:
-        y, lam, trace, iters = _al_solve(asm, y0, p)
-    except Exception as exc:
-        raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
-    logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
-                "stages", p.h, name, iters, len(trace))
-    y, outcome, steps, proj_res = _newton_polish(asm, y, lam, p)
-    logger.info("newton polish at h=%g, start %s, %d steps, |Pi(det - 1)| %.1e: %s",
-                p.h, name, steps, proj_res, outcome)
+    stages = _al_solve(asm, y0, p)
+    for first in (True, False):
+        # the first stage, then, after a failed finish, the rest of the schedule
+        try:
+            for y_al, lam, trace in stages:
+                if first:
+                    break
+        except Exception as exc:
+            raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
+        if "finish" in trace[-1]:
+            break   # the schedule ended at the stage the failed try followed
+        iters = sum(t["inner_iterations"] for t in trace)
+        logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
+                    "stages", p.h, name, iters, len(trace))
+        y, outcome, steps, proj_res = _newton_polish(asm, y_al, lam, p)
+        trace[-1].update(finish=outcome, finish_steps=steps)
+        logger.info("newton polish at h=%g, start %s, after stage %d, %d steps, "
+                    "|Pi(det - 1)| %.1e: %s", p.h, name, trace[-1]["stage"], steps, proj_res,
+                    outcome)
+        if y is not None:
+            break
     if y is None:
         raise SolveFailure(f"newton finish at h={p.h:g} from start {name}: {outcome} after "
                            f"{steps} steps, |Pi(det - 1)| {proj_res:.1e}")

@@ -956,6 +956,13 @@ def test_nonlinear_gravity_between_bounds(mesh2, obstacle2, yeoh, gravity,
     assert all(b <= o + 1e-12 for b, o in zip(best_so_far, objs))
 
 
+def _full_schedule(asm, y0, p):
+    """(y, lam, trace) after the AL's whole kappa schedule from y0."""
+    for state in solvers._al_solve(asm, y0, p):
+        pass
+    return state
+
+
 def _random_start_oracle(p, n_starts=4, seed=0):
     """Best polished value over seeded random starts, each an AL solve plus a
     Newton polish, with the start perturbation the former multistart used."""
@@ -966,7 +973,7 @@ def _random_start_oracle(p, n_starts=4, seed=0):
     for _ in range(n_starts):
         y0 = p.mesh.nodes.ravel() + p.h * 0.1 * rng.standard_normal(3 * p.mesh.num_nodes)
         y0[bound] = np.maximum(y0[bound], 0.0)
-        y, lam, *_ = solvers._al_solve(asm, y0, p)
+        y, lam, _ = _full_schedule(asm, y0, p)
         y_pol = solvers._newton_polish(asm, y, lam, p)[0]
         if y_pol is not None and y_pol[bound].min() >= -1e-12:
             y = y_pol
@@ -1015,6 +1022,7 @@ def test_newton_finish_reaches_roundoff_determinants_on_the_acceptance_chain(
 def test_failed_al_solve_names_its_start(mesh2, obstacle2, yeoh, gravity, monkeypatch, start):
     def fail(asm, y0, problem):
         raise FloatingPointError("inner solve blew up")
+        yield  # a generator of stages, like _al_solve
 
     monkeypatch.setattr(solvers, "_al_solve", fail)
     warm = mesh2.nodes.ravel() if start == "warm" else None
@@ -1100,14 +1108,14 @@ def test_finish_on_a_perturbed_mesh_fails_by_name(perturbed_cube3, yeoh, gravity
 
 
 def _tight_al(p):
-    """The AL loop with the feasibility target and its inner tolerance at 1e-8,
-    from the problem's start: the reference that the inexact stages are
-    checked against."""
+    """The AL loop's full schedule with the feasibility target and its inner
+    tolerance at 1e-8, from the problem's start: the reference that the
+    inexact stages are checked against."""
     asm = solvers._NonlinearAssembler(p)
     y0 = p.mesh.nodes if p.warm_start is None else p.warm_start
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "DET_TARGET", 1e-8)
-        return asm, solvers._al_solve(asm, np.asarray(y0, dtype=float).ravel(), p)
+        return asm, _full_schedule(asm, np.asarray(y0, dtype=float).ravel(), p)
 
 
 def _tight_al_then_finish(p):
@@ -1140,6 +1148,61 @@ def test_inexact_al_hands_over_to_the_same_finish(cube, mesh2, obstacle2, mesh3,
         assert abs(res.objective - oracle) <= 1e-12 * (1.0 + abs(oracle)), (h, oracle)
         if h_next is not None:
             warm = (mesh.nodes + (h_next / h) * (res.field.y - mesh.nodes)).ravel()
+
+
+@pytest.mark.parametrize("cube, load", [(2, "gravity"), (3, "gravity"), (4, "gravity"),
+                                        (2, "identity-only"), (3, "identity-only")])
+def test_acceptance_chain_hands_over_after_one_stage(cube, load, mesh2, mesh3, yeoh, gravity,
+                                                     identity_only_load):
+    # the finish converges from the first kappa stage's iterate at every h of
+    # the acceptance chain, so the rest of the schedule never runs
+    mesh = {2: mesh2, 3: mesh3}[cube] if cube < 4 else sl.build_box_mesh(cube)
+    obstacle = sl.extract_obstacle(mesh)
+    f = gravity if load == "gravity" else identity_only_load
+    h_list = (0.2, 0.1, 0.05, 0.025)
+    warm = None
+    for h, h_next in zip(h_list, (*h_list[1:], None)):
+        p = solvers.NonlinearProblem(mesh=mesh, material=yeoh, load=f,
+                                     obstacle=obstacle, h=h, warm_start=warm)
+        res = solvers.minimize_nonlinear(p)
+        assert [(t["stage"], t["finish"]) for t in res.trace] == [(0, "ok")], (h, res.trace)
+        if h_next is not None:
+            warm = (mesh.nodes + (h_next / h) * (res.field.y - mesh.nodes)).ravel()
+
+
+def test_failed_handover_falls_back_to_the_full_schedule(mesh2, obstacle2, yeoh, gravity,
+                                                         monkeypatch, caplog):
+    # a first finish that fails leaves the AL iterate as it found it, so the
+    # fallback is the full kappa schedule and the finish, bit for bit
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                 obstacle=obstacle2, h=0.2)
+    asm = solvers._NonlinearAssembler(p)
+    y_ref, lam_ref, trace_ref = _full_schedule(asm, mesh2.nodes.ravel().copy(), p)
+    y_fin, outcome, *_ = solvers._newton_polish(asm, y_ref, lam_ref, p)
+    assert outcome == "ok" and len(trace_ref) >= p.kappa_stages
+    polish = solvers._newton_polish
+    tries = []
+
+    def fail_first(asm, y, lam, problem):
+        before = (y.copy(), lam.copy())
+        out = polish(asm, y, lam, problem)
+        tries.append(np.array_equal(y, before[0]) and np.array_equal(lam, before[1]))
+        return out if len(tries) > 1 else (None, "no-convergence", *out[2:])
+
+    monkeypatch.setattr(solvers, "_newton_polish", fail_first)
+    with caplog.at_level(logging.INFO, logger="signorini_lab.solvers"):
+        res = solvers.minimize_nonlinear(p)
+    assert tries == [True, True]
+    assert np.array_equal(res.field.y.ravel(), y_fin)
+    assert res.objective == asm.energy_parts(y_fin)[0]
+    assert res.iterations == sum(t["inner_iterations"] for t in trace_ref)
+    finish_keys = ("finish", "finish_steps")
+    assert [{k: v for k, v in t.items() if k not in finish_keys}
+            for t in res.trace] == trace_ref
+    last = len(trace_ref) - 1
+    assert [t.get("finish") for t in res.trace] == ["no-convergence"] + [None] * (last - 1) + ["ok"]
+    polish_lines = [m.getMessage() for m in caplog.records if "newton polish" in m.getMessage()]
+    assert [m.split(", ")[2] for m in polish_lines] == ["after stage 0", f"after stage {last}"]
 
 
 def test_gamma_limit_gap_has_no_offset_on_cube3(tmp_path):
@@ -1193,6 +1256,12 @@ def test_nonlinear_objective_recomputable(mesh2, obstacle2, yeoh, gravity, caplo
     assert any(m.getMessage().endswith(f"{res.iterations} L-BFGS-B iterations over "
                                        f"{len(res.trace)} stages")
                for m in caplog.records)
+    # the stage the finish followed records its outcome and steps, and so
+    # does the INFO line
+    last = res.trace[-1]
+    assert last["finish"] == "ok" and last["finish_steps"] >= 1
+    assert any(f"after stage {last['stage']}, {last['finish_steps']} steps" in m.getMessage()
+               and m.getMessage().endswith(": ok") for m in caplog.records)
 
 
 def test_nonlinear_rejects_inadmissible_load(mesh2, obstacle2, yeoh):
