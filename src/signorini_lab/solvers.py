@@ -843,27 +843,33 @@ def minimize_nonlinear(problem):
     else:
         name, y0 = "warm", np.asarray(p.warm_start, dtype=float).ravel().copy()
 
-    stages = _al_solve(asm, y0, p)
-    for first in (True, False):
-        # the first stage, then, after a failed finish, the rest of the schedule
-        try:
-            for y_al, lam, trace in stages:
-                if first:
-                    break
-        except Exception as exc:
-            raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
-        if "finish" in trace[-1]:
-            break   # the schedule ended at the stage the failed try followed
-        iters = sum(t["inner_iterations"] for t in trace)
+    def finish(y_al, lam, trace):
+        # the Newton finish from the last stage's iterate, logged and traced
         logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
-                    "stages", p.h, name, iters, len(trace))
+                    "stages", p.h, name, sum(t["inner_iterations"] for t in trace), len(trace))
         y, outcome, steps, proj_res = _newton_polish(asm, y_al, lam, p)
         trace[-1].update(finish=outcome, finish_steps=steps)
         logger.info("newton polish at h=%g, start %s, after stage %d, %d steps, "
                     "|Pi(det - 1)| %.1e: %s", p.h, name, trace[-1]["stage"], steps, proj_res,
                     outcome)
-        if y is not None:
-            break
+        return y, outcome, steps, proj_res
+
+    stages = _al_solve(asm, y0, p)
+    try:
+        y_al, lam, trace = next(stages)
+    except Exception as exc:
+        raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
+    y, outcome, steps, proj_res = finish(y_al, lam, trace)
+    if y is None:
+        # the rest of the schedule from the same (y, lam); trace grows in place
+        tried = len(trace)
+        try:
+            for y_al, lam, trace in stages:
+                pass
+        except Exception as exc:
+            raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
+        if len(trace) > tried:
+            y, outcome, steps, proj_res = finish(y_al, lam, trace)
     if y is None:
         raise SolveFailure(f"newton finish at h={p.h:g} from start {name}: {outcome} after "
                            f"{steps} steps, |Pi(det - 1)| {proj_res:.1e}")
@@ -883,7 +889,7 @@ def minimize_nonlinear(problem):
                    "det_projected": float(np.abs(asm.project(r)).max()),
                    "bound_min": float(y_nodal[p.obstacle.node_indices, 2].min())},
         active_nodes=active,
-        iterations=iters,
+        iterations=sum(t["inner_iterations"] for t in trace),
         termination=termination,
         trace=trace,
     )

@@ -1126,38 +1126,21 @@ def _tight_al_then_finish(p):
     return asm.energy_parts(y if y_pol is None else y_pol)[0], outcome
 
 
-@pytest.mark.parametrize("cube", [2, 3, 4])
-def test_inexact_al_hands_over_to_the_same_finish(cube, mesh2, obstacle2, mesh3, obstacle3,
-                                                  yeoh, gravity):
-    # the acceptance h list with the harness's warm chain; from the same start
-    # the inexact AL and the tight one lead the finish to the same energy: the
+@pytest.mark.parametrize("cube, load", [
+    pytest.param(2, "gravity", id="2"), pytest.param(3, "gravity", id="3"),
+    pytest.param(4, "gravity", id="4"), pytest.param(2, "identity-only", id="2-identity-only"),
+    pytest.param(3, "identity-only", id="3-identity-only")])
+def test_inexact_al_hands_over_to_the_same_finish(cube, load, mesh2, obstacle2, mesh3, obstacle3,
+                                                  yeoh, gravity, identity_only_load):
+    # the acceptance h list with the harness's warm chain; the finish converges
+    # from the first kappa stage's iterate at every h, and from the same start
+    # the inexact AL and the tight one lead it to the same energy: the
     # projected constraint has full rank, so the KKT point is isolated
     if cube == 4:
         mesh = sl.build_box_mesh(4)
         obstacle = sl.extract_obstacle(mesh)
     else:
         mesh, obstacle = (mesh2, obstacle2) if cube == 2 else (mesh3, obstacle3)
-    h_list = (0.2, 0.1, 0.05, 0.025)
-    warm = None
-    for h, h_next in zip(h_list, (*h_list[1:], None)):
-        p = solvers.NonlinearProblem(mesh=mesh, material=yeoh, load=gravity,
-                                     obstacle=obstacle, h=h, warm_start=warm)
-        res = solvers.minimize_nonlinear(p)
-        oracle, outcome = _tight_al_then_finish(p)
-        assert "+newton" in res.termination and outcome == "ok", (h, res.termination, outcome)
-        assert abs(res.objective - oracle) <= 1e-12 * (1.0 + abs(oracle)), (h, oracle)
-        if h_next is not None:
-            warm = (mesh.nodes + (h_next / h) * (res.field.y - mesh.nodes)).ravel()
-
-
-@pytest.mark.parametrize("cube, load", [(2, "gravity"), (3, "gravity"), (4, "gravity"),
-                                        (2, "identity-only"), (3, "identity-only")])
-def test_acceptance_chain_hands_over_after_one_stage(cube, load, mesh2, mesh3, yeoh, gravity,
-                                                     identity_only_load):
-    # the finish converges from the first kappa stage's iterate at every h of
-    # the acceptance chain, so the rest of the schedule never runs
-    mesh = {2: mesh2, 3: mesh3}[cube] if cube < 4 else sl.build_box_mesh(cube)
-    obstacle = sl.extract_obstacle(mesh)
     f = gravity if load == "gravity" else identity_only_load
     h_list = (0.2, 0.1, 0.05, 0.025)
     warm = None
@@ -1166,33 +1149,28 @@ def test_acceptance_chain_hands_over_after_one_stage(cube, load, mesh2, mesh3, y
                                      obstacle=obstacle, h=h, warm_start=warm)
         res = solvers.minimize_nonlinear(p)
         assert [(t["stage"], t["finish"]) for t in res.trace] == [(0, "ok")], (h, res.trace)
+        oracle, outcome = _tight_al_then_finish(p)
+        assert "+newton" in res.termination and outcome == "ok", (h, res.termination, outcome)
+        assert abs(res.objective - oracle) <= 1e-12 * (1.0 + abs(oracle)), (h, oracle)
         if h_next is not None:
             warm = (mesh.nodes + (h_next / h) * (res.field.y - mesh.nodes)).ravel()
 
 
 def test_failed_handover_falls_back_to_the_full_schedule(mesh2, obstacle2, yeoh, gravity,
-                                                         monkeypatch, caplog):
-    # a first finish that fails leaves the AL iterate as it found it, so the
-    # fallback is the full kappa schedule and the finish, bit for bit
-    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                 obstacle=obstacle2, h=0.2)
+                                                         caplog):
+    # a weak first penalty at a large h: the first kappa stage crushes the
+    # body flat (det F = 0 in every element) and the finish cannot converge
+    # from there. The try leaves the AL iterate as it found it, so the
+    # fallback is the full kappa schedule and the finish, bit for bit, and
+    # that finish is ok
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity, obstacle=obstacle2,
+                                 h=0.6, kappa0=0.1, kappa_factor=100.0, kappa_stages=3)
     asm = solvers._NonlinearAssembler(p)
     y_ref, lam_ref, trace_ref = _full_schedule(asm, mesh2.nodes.ravel().copy(), p)
     y_fin, outcome, *_ = solvers._newton_polish(asm, y_ref, lam_ref, p)
-    assert outcome == "ok" and len(trace_ref) >= p.kappa_stages
-    polish = solvers._newton_polish
-    tries = []
-
-    def fail_first(asm, y, lam, problem):
-        before = (y.copy(), lam.copy())
-        out = polish(asm, y, lam, problem)
-        tries.append(np.array_equal(y, before[0]) and np.array_equal(lam, before[1]))
-        return out if len(tries) > 1 else (None, "no-convergence", *out[2:])
-
-    monkeypatch.setattr(solvers, "_newton_polish", fail_first)
+    assert outcome == "ok" and len(trace_ref) > p.kappa_stages
     with caplog.at_level(logging.INFO, logger="signorini_lab.solvers"):
         res = solvers.minimize_nonlinear(p)
-    assert tries == [True, True]
     assert np.array_equal(res.field.y.ravel(), y_fin)
     assert res.objective == asm.energy_parts(y_fin)[0]
     assert res.iterations == sum(t["inner_iterations"] for t in trace_ref)
