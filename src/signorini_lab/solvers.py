@@ -25,10 +25,14 @@ inner solves, runs once per h from the identity or from a warm start
 inexact, resolved to the relative accuracy of the feasibility target
 DET_TARGET, and Newton steps on the KKT system of the identified active set
 finish the iterate; with the projected rows that system has full row rank.
-The finish takes over after the first kappa stage; only when it fails there
-does the AL run the rest of its schedule, and the finish is tried once more
-at its end. A last finish that fails raises SolveFailure naming its outcome:
-every returned minimizer is a finished KKT point.
+The finish is first tried from the start itself: at small h the minimizer is
+a small perturbation of it (the Gamma-limit is a linearization), so Newton
+converges from the identity and from the sweep's rescaled warm start, and no
+AL runs. Only when that try fails does the AL run its first kappa stage and
+hand over to the finish; when that fails too, the AL runs the rest of its
+schedule, and the finish is tried once more at its end. A last finish that
+fails raises SolveFailure naming its outcome: every returned minimizer is a
+finished KKT point.
 
 Both sides are built from the mesh's sparse P1 gradient operator D (nodal
 displacements to element gradients): the strain Hessian and the Newton
@@ -682,28 +686,36 @@ class _NonlinearAssembler:
         return gradient_form(self.mesh, h9)
 
 
+def _identity_pressure(problem):
+    """The multipliers' seed: the exact pressure at the identity, -dW/d(det),
+    in every element (a constant, so in range(Pi))."""
+    return np.full(problem.mesh.num_elements, -problem.material.pressure)
+
+
 def _al_solve(asm, y0, problem):
     """Augmented-Lagrangian loop on Pi(det - 1) = 0 around projected L-BFGS-B
     inner solves, as a generator that yields (y, lam, trace) after each stage.
+    `minimize_nonlinear` runs it only where the Newton finish fails from the
+    start itself.
 
-    The multipliers start at the identity pressure (a constant, so in
-    range(Pi)) and each stage adds kappa Pi r, so they stay in range(Pi). The
-    schedule runs until kappa_stages stages have run and max|Pi(det - 1)| <=
-    DET_TARGET, or for at most kappa_stages + 12 stages. The loop only
-    globalizes for the Newton finish: the L-BFGS-B projected-gradient
-    tolerance is DET_TARGET max(1, c1/h^2), so stationarity is resolved to
-    the relative accuracy of the feasibility target the loop stops on. The
-    trace gets one entry per stage, that is per L-BFGS-B call. The next stage
-    starts from the yielded y and lam, so a consumer reads them and does not
-    modify them; draining the generator runs the full schedule.
+    The multipliers start at `_identity_pressure`, the seed that the direct
+    Newton try uses too, and each stage adds kappa Pi r, so they stay in
+    range(Pi). The schedule runs until kappa_stages stages have run and
+    max|Pi(det - 1)| <= DET_TARGET, or for at most kappa_stages + 12 stages.
+    The loop only globalizes for the Newton finish: the L-BFGS-B
+    projected-gradient tolerance is DET_TARGET max(1, c1/h^2), so
+    stationarity is resolved to the relative accuracy of the feasibility
+    target the loop stops on. The trace gets one entry per stage, that is per
+    L-BFGS-B call. The next stage starts from the yielded y and lam, so a
+    consumer reads them and does not modify them; draining the generator
+    runs the full schedule.
     """
     p = problem
     n3 = y0.size
     lower = np.full(n3, -np.inf)
     lower[obstacle_bound_dofs(p.obstacle)] = 0.0
     bounds = Bounds(lower, np.full(n3, np.inf))
-    # seed the multipliers with the exact pressure at the identity, -dW/d(det)
-    lam = np.full(p.mesh.num_elements, -p.material.pressure)
+    lam = _identity_pressure(p)
     y = y0.copy()
     kappas = [p.kappa0 * p.kappa_factor**k for k in range(p.kappa_stages)]
     trace = []
@@ -729,7 +741,8 @@ def _al_solve(asm, y0, problem):
 
 def _newton_polish(asm, y, lam, problem):
     """Newton steps on the KKT system of Pi(det - 1) = 0 on the active set
-    found by the AL phase.
+    of the iterate `y` (the start itself, or an AL stage's iterate), with
+    multipliers seeded by `lam`. Neither `y` nor `lam` is modified.
 
     The constraint is c(y) = Q^T V (det - 1), whose rows Q^T J have full rank
     where the per-element rows J do not, and the multipliers nu = Q mu stay in
@@ -810,24 +823,29 @@ def _newton_polish(asm, y, lam, problem):
 def minimize_nonlinear(problem):
     """Minimize the rescaled incompressible energy along one solver path.
 
-    The augmented-Lagrangian solve of Pi(det - 1) = 0 starts from the warm
-    start when one is given (in an h-sweep, the last minimizer rescaled to
-    this h) and from the identity otherwise. Its inner solves are inexact,
-    resolved only to the accuracy of the feasibility target, and Newton steps
-    on the KKT system of the identified active set finish its iterate. The
-    finish is first tried after the first kappa stage (Birgin & Martinez,
-    Optim. Methods Softw. 23, 2008: Newton on the KKT system as early as it
-    converges, the AL as the globalization). That try reads the iterate and
-    changes nothing, so when it fails the AL resumes and runs its full
-    schedule exactly as it would have without the try, and the finish is
-    tried once more at its end. The stage after which the finish ran records
-    its outcome ("finish") and its steps ("finish_steps") in the trace.
-    The reported objective is the plain rescaled energy at the finished
-    iterate; the residuals are the raw max|det - 1| ("det", flagged above
-    1e-6) and max|Pi(det - 1)| ("det_projected"). A failed AL solve raises
-    SolveFailure naming the start, and a failed last finish raises
-    SolveFailure naming h, the start, the finish's outcome, its steps and the
-    |Pi(det - 1)| it reached.
+    The path starts from the warm start when one is given (in an h-sweep, the
+    last minimizer rescaled to this h) and from the identity otherwise. Newton
+    steps on the KKT system of Pi(det - 1) = 0 on the identified active set
+    are first tried from the start itself, with the AL's multiplier seed
+    `_identity_pressure`: at small h the minimizer is a small perturbation of
+    the start, and the finish converges from there (Birgin & Martinez, Optim.
+    Methods Softw. 23, 2008: Newton on the KKT system wherever it converges,
+    the AL only as the globalization). Only when that try fails does the
+    augmented-Lagrangian solve run from the same start; its inner solves are
+    inexact, resolved only to the accuracy of the feasibility target. The
+    finish is tried after its first kappa stage, and when that try fails too,
+    the AL runs its full schedule and the finish is tried once more at its
+    end. No try changes the iterate or the multipliers it reads, so each
+    fallback runs exactly as it would have without the tries before it. A
+    direct finish leaves an empty trace and 0 iterations; after an AL stage
+    the stage records the try's outcome ("finish") and its steps
+    ("finish_steps"). The termination names the path, "direct" or
+    "augmented-lagrangian", and the start. The reported objective is the
+    plain rescaled energy at the finished iterate; the residuals are the raw
+    max|det - 1| ("det", flagged above 1e-6) and max|Pi(det - 1)|
+    ("det_projected"). A failed AL solve raises SolveFailure naming the
+    start, and a failed last finish raises SolveFailure naming h, the start,
+    the finish's outcome, its steps and the |Pi(det - 1)| it reached.
     """
     p = problem
     # the linear-order load conditions at a load-scaled tolerance; the zero
@@ -843,23 +861,29 @@ def minimize_nonlinear(problem):
     else:
         name, y0 = "warm", np.asarray(p.warm_start, dtype=float).ravel().copy()
 
-    def finish(y_al, lam, trace):
-        # the Newton finish from the last stage's iterate, logged and traced
-        logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
-                    "stages", p.h, name, sum(t["inner_iterations"] for t in trace), len(trace))
-        y, outcome, steps, proj_res = _newton_polish(asm, y_al, lam, p)
-        trace[-1].update(finish=outcome, finish_steps=steps)
-        logger.info("newton polish at h=%g, start %s, after stage %d, %d steps, "
-                    "|Pi(det - 1)| %.1e: %s", p.h, name, trace[-1]["stage"], steps, proj_res,
-                    outcome)
+    def finish(y_start, lam, trace):
+        # one try of the Newton finish, logged; after an AL stage, also traced
+        y, outcome, steps, proj_res = _newton_polish(asm, y_start, lam, p)
+        where = "before any stage"
+        if trace:
+            logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over "
+                        "%d stages", p.h, name, sum(t["inner_iterations"] for t in trace),
+                        len(trace))
+            trace[-1].update(finish=outcome, finish_steps=steps)
+            where = f"after stage {trace[-1]['stage']}"
+        logger.info("newton polish at h=%g, start %s, %s, %d steps, |Pi(det - 1)| %.1e: %s",
+                    p.h, name, where, steps, proj_res, outcome)
         return y, outcome, steps, proj_res
 
-    stages = _al_solve(asm, y0, p)
-    try:
-        y_al, lam, trace = next(stages)
-    except Exception as exc:
-        raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
-    y, outcome, steps, proj_res = finish(y_al, lam, trace)
+    trace = []
+    y, outcome, steps, proj_res = finish(y0, _identity_pressure(p), trace)
+    if y is None:
+        stages = _al_solve(asm, y0, p)
+        try:
+            y_al, lam, trace = next(stages)
+        except Exception as exc:
+            raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
+        y, outcome, steps, proj_res = finish(y_al, lam, trace)
     if y is None:
         # the rest of the schedule from the same (y, lam); trace grows in place
         tried = len(trace)
@@ -873,7 +897,7 @@ def minimize_nonlinear(problem):
     if y is None:
         raise SolveFailure(f"newton finish at h={p.h:g} from start {name}: {outcome} after "
                            f"{steps} steps, |Pi(det - 1)| {proj_res:.1e}")
-    termination = f"augmented-lagrangian({name})+newton"
+    termination = f"{'augmented-lagrangian' if trace else 'direct'}({name})+newton"
     value, r = asm.energy_parts(y)
     det_res = float(np.abs(r).max())
     if det_res > 1e-6:

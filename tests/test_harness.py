@@ -133,8 +133,8 @@ def test_gap_recomputable(tmp_path):
 def test_sweep_runs_one_warm_started_path(tmp_path):
     cfg = harness.parse_config(FAST_CONFIG.format(out=tmp_path.as_posix()))
     first, second = harness.run_experiment(cfg).records
-    assert first.termination.startswith("augmented-lagrangian(identity)")
-    assert second.termination.startswith("augmented-lagrangian(warm)")
+    assert first.termination.startswith("direct(identity)")
+    assert second.termination.startswith("direct(warm)")
 
 
 def test_sweep_warm_starts_from_the_last_success(tmp_path, monkeypatch):
@@ -153,7 +153,7 @@ def test_sweep_warm_starts_from_the_last_success(tmp_path, monkeypatch):
         "h_list 0.3 0.15", "h_list 0.3 0.15 0.075"))
     records = harness.run_experiment(cfg).records
     assert [r.termination.split("(")[0] for r in records] == [
-        "augmented-lagrangian", "failed: forced", "augmented-lagrangian"]
+        "direct", "failed: forced", "direct"]
     nodes, y1 = calls[0].mesh.nodes, results[0].field.y
     assert calls[0].warm_start is None
     for call, h in zip(calls[1:], (0.15, 0.075)):
