@@ -18,21 +18,19 @@ discrete divergences range(B) (Q volume-orthonormal, V the element volumes).
 Pi(det(I + h grad u) - 1) = h B u + O(h^2), so the constraint linearizes to
 the limit QPs' B u = 0; det F = 1 in every element would also impose the
 dependent rows of B (the singular-edge checkerboards of Kuhn meshes), which
-break LICQ and add an h-independent offset to the energies. An augmented
-Lagrangian on Pi(det F - 1), with kappa continuation and projected L-BFGS-B
-inner solves, runs once per h from the identity or from a warm start
-(h-continuation along a sweep). The AL only globalizes: its inner solves are
-inexact, resolved to the relative accuracy of the feasibility target
-DET_TARGET, and Newton steps on the KKT system of the identified active set
-finish the iterate; with the projected rows that system has full row rank.
-The finish is first tried from the start itself: at small h the minimizer is
-a small perturbation of it (the Gamma-limit is a linearization), so Newton
-converges from the identity and from the sweep's rescaled warm start, and no
-AL runs. Only when that try fails does the AL run its first kappa stage and
-hand over to the finish; when that fails too, the AL runs the rest of its
-schedule, and the finish is tried once more at its end. A last finish that
-fails raises SolveFailure naming its outcome: every returned minimizer is a
-finished KKT point.
+break LICQ and add an h-independent offset to the energies. Each h is
+solved from the identity or from a warm start (h-continuation along a
+sweep) by Newton steps on the KKT system of the identified active set; with
+the projected rows that system has full row rank. The finish is first tried
+from the start itself: at small h the minimizer is a small perturbation of
+it (the Gamma-limit is a linearization), so Newton converges from the
+identity and from the sweep's rescaled warm start. Only where that try fails
+does an augmented Lagrangian on Pi(det F - 1), with kappa continuation and
+projected L-BFGS-B inner solves, run from the same start as the fallback.
+It only globalizes: its inner solves are inexact, resolved to the relative
+accuracy of the feasibility target DET_TARGET, and the finish is tried once
+more at its end. A finish that fails there raises SolveFailure naming its
+outcome: every returned minimizer is a finished KKT point.
 
 Both sides are built from the mesh's sparse P1 gradient operator D (nodal
 displacements to element gradients): the strain Hessian and the Newton
@@ -694,21 +692,18 @@ def _identity_pressure(problem):
 
 def _al_solve(asm, y0, problem):
     """Augmented-Lagrangian loop on Pi(det - 1) = 0 around projected L-BFGS-B
-    inner solves, as a generator that yields (y, lam, trace) after each stage.
-    `minimize_nonlinear` runs it only where the Newton finish fails from the
-    start itself.
+    inner solves. `minimize_nonlinear` runs it only where the Newton finish
+    fails from the start itself.
 
     The multipliers start at `_identity_pressure`, the seed that the direct
     Newton try uses too, and each stage adds kappa Pi r, so they stay in
-    range(Pi). The schedule runs until kappa_stages stages have run and
+    range(Pi). The loop runs until kappa_stages stages have run and
     max|Pi(det - 1)| <= DET_TARGET, or for at most kappa_stages + 12 stages.
     The loop only globalizes for the Newton finish: the L-BFGS-B
     projected-gradient tolerance is DET_TARGET max(1, c1/h^2), so
     stationarity is resolved to the relative accuracy of the feasibility
-    target the loop stops on. The trace gets one entry per stage, that is per
-    L-BFGS-B call. The next stage starts from the yielded y and lam, so a
-    consumer reads them and does not modify them; draining the generator
-    runs the full schedule.
+    target the loop stops on. Returns (y, lam, trace), the trace one entry
+    per stage, that is per L-BFGS-B call.
     """
     p = problem
     n3 = y0.size
@@ -734,14 +729,14 @@ def _al_solve(asm, y0, problem):
         trace.append({"stage": stage, "kappa": kappa, "objective": value,
                       "det_residual": float(np.abs(r).max()), "det_projected": proj_res,
                       "inner_iterations": res.nit, "inner_gtol": pgtol})
-        yield y, lam, trace
         if stage >= p.kappa_stages - 1 and proj_res <= DET_TARGET:
-            return
+            break
+    return y, lam, trace
 
 
 def _newton_polish(asm, y, lam, problem):
     """Newton steps on the KKT system of Pi(det - 1) = 0 on the active set
-    of the iterate `y` (the start itself, or an AL stage's iterate), with
+    of the iterate `y` (the start itself, or the AL's last iterate), with
     multipliers seeded by `lam`. Neither `y` nor `lam` is modified.
 
     The constraint is c(y) = Q^T V (det - 1), whose rows Q^T J have full rank
@@ -831,21 +826,19 @@ def minimize_nonlinear(problem):
     the start, and the finish converges from there (Birgin & Martinez, Optim.
     Methods Softw. 23, 2008: Newton on the KKT system wherever it converges,
     the AL only as the globalization). Only when that try fails does the
-    augmented-Lagrangian solve run from the same start; its inner solves are
-    inexact, resolved only to the accuracy of the feasibility target. The
-    finish is tried after its first kappa stage, and when that try fails too,
-    the AL runs its full schedule and the finish is tried once more at its
-    end. No try changes the iterate or the multipliers it reads, so each
-    fallback runs exactly as it would have without the tries before it. A
-    direct finish leaves an empty trace and 0 iterations; after an AL stage
-    the stage records the try's outcome ("finish") and its steps
-    ("finish_steps"). The termination names the path, "direct" or
-    "augmented-lagrangian", and the start. The reported objective is the
-    plain rescaled energy at the finished iterate; the residuals are the raw
-    max|det - 1| ("det", flagged above 1e-6) and max|Pi(det - 1)|
-    ("det_projected"). A failed AL solve raises SolveFailure naming the
-    start, and a failed last finish raises SolveFailure naming h, the start,
-    the finish's outcome, its steps and the |Pi(det - 1)| it reached.
+    augmented-Lagrangian solve run its full kappa schedule from the same
+    start; its inner solves are inexact, resolved only to the accuracy of the
+    feasibility target, and the finish is tried once more at its end. The
+    first try changes neither the start nor the seed, so the fallback runs
+    exactly as it would have without it. A direct finish leaves an empty
+    trace and 0 iterations; the AL leaves one trace entry per kappa stage.
+    The termination names the path, "direct" or "augmented-lagrangian", and
+    the start. The reported objective is the plain rescaled energy at the
+    finished iterate; the residuals are the raw max|det - 1| ("det", flagged
+    above 1e-6) and max|Pi(det - 1)| ("det_projected"). A failed AL solve
+    raises SolveFailure naming the start, and a failed last finish raises
+    SolveFailure naming h, the start, the finish's outcome, its steps and
+    the |Pi(det - 1)| it reached.
     """
     p = problem
     # the linear-order load conditions at a load-scaled tolerance; the zero
@@ -861,39 +854,21 @@ def minimize_nonlinear(problem):
     else:
         name, y0 = "warm", np.asarray(p.warm_start, dtype=float).ravel().copy()
 
-    def finish(y_start, lam, trace):
-        # one try of the Newton finish, logged; after an AL stage, also traced
-        y, outcome, steps, proj_res = _newton_polish(asm, y_start, lam, p)
-        where = "before any stage"
-        if trace:
-            logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over "
-                        "%d stages", p.h, name, sum(t["inner_iterations"] for t in trace),
-                        len(trace))
-            trace[-1].update(finish=outcome, finish_steps=steps)
-            where = f"after stage {trace[-1]['stage']}"
-        logger.info("newton polish at h=%g, start %s, %s, %d steps, |Pi(det - 1)| %.1e: %s",
-                    p.h, name, where, steps, proj_res, outcome)
-        return y, outcome, steps, proj_res
-
+    y, outcome, steps, proj_res = _newton_polish(asm, y0, _identity_pressure(p), p)
+    logger.info("newton polish at h=%g, start %s, before any stage, %d steps, "
+                "|Pi(det - 1)| %.1e: %s", p.h, name, steps, proj_res, outcome)
     trace = []
-    y, outcome, steps, proj_res = finish(y0, _identity_pressure(p), trace)
     if y is None:
-        stages = _al_solve(asm, y0, p)
         try:
-            y_al, lam, trace = next(stages)
+            y_al, lam, trace = _al_solve(asm, y0, p)
         except Exception as exc:
             raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
-        y, outcome, steps, proj_res = finish(y_al, lam, trace)
-    if y is None:
-        # the rest of the schedule from the same (y, lam); trace grows in place
-        tried = len(trace)
-        try:
-            for y_al, lam, trace in stages:
-                pass
-        except Exception as exc:
-            raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
-        if len(trace) > tried:
-            y, outcome, steps, proj_res = finish(y_al, lam, trace)
+        logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
+                    "stages", p.h, name, sum(t["inner_iterations"] for t in trace), len(trace))
+        y, outcome, steps, proj_res = _newton_polish(asm, y_al, lam, p)
+        logger.info("newton polish at h=%g, start %s, after stage %d, %d steps, "
+                    "|Pi(det - 1)| %.1e: %s", p.h, name, trace[-1]["stage"], steps, proj_res,
+                    outcome)
     if y is None:
         raise SolveFailure(f"newton finish at h={p.h:g} from start {name}: {outcome} after "
                            f"{steps} steps, |Pi(det - 1)| {proj_res:.1e}")
