@@ -1117,7 +1117,7 @@ def _tight_al(p):
 
 
 def _tight_al_then_finish(p):
-    """Oracle of the handover: the tight AL solve, then the Newton finish.
+    """Oracle of the finish: the tight AL solve, then the Newton finish.
     Returns (energy, outcome)."""
     asm, (y, lam, *_) = _tight_al(p)
     y_pol, outcome, *_ = solvers._newton_polish(asm, y, lam, p)
