@@ -37,6 +37,9 @@ def main(argv=None):
         except harness.ExperimentError as exc:
             print(f"abort: {exc}", file=sys.stderr)
             return 2
+        except solvers.SolveFailure as exc:
+            print(f"solve failed: {exc}", file=sys.stderr)
+            return 2
         sys.stdout.write(harness.render_report(report.records, report))
         print(f"csv: {report.csv_path}")
         return 0 if report.verdict else 1
@@ -65,8 +68,12 @@ def main(argv=None):
         return 0 if failure is None else 1
 
     if args.command == "limit":
-        results = harness.limit_triple(mesh, mat, load, obstacle,
-                                       harness.limit_kernel(load, obstacle, mesh))
+        try:
+            results = harness.limit_triple(mesh, mat, load, obstacle,
+                                           harness.limit_kernel(load, obstacle, mesh))
+        except solvers.SolveFailure as exc:
+            print(f"solve failed: {exc}", file=sys.stderr)
+            return 2
         for variant, res in results.items():
             print(f"min {variant.value:8s} = {res.objective:.12e}")
         s = harness.sandwich_summary([], results[solvers.Variant.EI].objective,
@@ -82,7 +89,11 @@ def main(argv=None):
                                            obstacle=obstacle,
                                            variant=solvers.Variant.GTILDE,
                                            kernel_class=kernel)
-        res = solvers.minimize_limit(problem)
+        try:
+            res = solvers.minimize_limit(problem)
+        except solvers.SolveFailure as exc:
+            print(f"solve failed: {exc}", file=sys.stderr)
+            return 2
         try:
             steps = recovery.build_recovery_sequence(
                 res.field, mat, load, obstacle, mesh, cfg.h_list,

@@ -21,10 +21,14 @@ dependent rows of B (the singular-edge checkerboards of Kuhn meshes), which
 break LICQ and add an h-independent offset to the energies. Each h is
 solved from the identity or from a warm start (h-continuation along a
 sweep) by Newton steps on the KKT system of the identified active set; with
-the projected rows that system has full row rank. The finish is first tried
-from the start itself: at small h the minimizer is a small perturbation of
-it (the Gamma-limit is a linearization), so Newton converges from the
-identity and from the sweep's rescaled warm start. Only where that try fails
+the projected rows that system has full row rank, and its null space is the
+flat motions (the horizontal translations, and the rotation about e3 under a
+vertical load), known in closed form: each step borders the KKT matrix by
+them and solves the square system by one LU factorization, with no
+numerical rank decision. The finish is first tried from the start itself:
+at small h the minimizer is a small perturbation of it (the Gamma-limit is
+a linearization), so Newton converges from the identity and from the
+sweep's rescaled warm start. Only where that try fails
 does an augmented Lagrangian on Pi(det F - 1), with kappa continuation and
 projected L-BFGS-B inner solves, run from the same start as the fallback.
 It only globalizes: its inner solves are inexact, resolved to the relative
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -439,6 +444,14 @@ def _limit_load_parts(ell):
     return parts.reshape(-1, 3)
 
 
+def _load_is_vertical(ell):
+    """Whether the nodal load vectors `ell` (n, 3) have no horizontal part,
+    to 1e-14 max(1, max|ell|): the load term is then invariant under the
+    rotations about e3, so the limit QPs need no angle and the rotation about
+    e3 is a flat motion of the nonlinear energy."""
+    return float(np.abs(ell[:, :2]).max()) <= 1e-14 * max(1.0, float(np.abs(ell).max()))
+
+
 def _arc_end(rows, tols, theta):
     """(distance, row) from `theta` to the first angle at which a row
     a + b cos + d sin falls below its -tol; (inf, None) when none ever does.
@@ -569,11 +582,9 @@ def minimize_limit(problem, shared=None):
     ell = load_vector(p.load, p.mesh)
     g_parts = np.zeros((h.shape[0], 3))
     g_parts[:n3] = -_limit_load_parts(ell)
-    theta_independent = float(np.abs(ell[:, :2]).max()) <= 1e-14 * max(
-        1.0, float(np.abs(ell).max()))
     if (p.variant == Variant.EI
             or p.kernel_class in (None, KernelClass.IDENTITY_ONLY)
-            or theta_independent):
+            or _load_is_vertical(ell)):
         best_theta = 0.0
         g = g_parts[:, 0] + g_parts[:, 1]   # the load at theta = 0
         best_x, info = active_set_qp(h, g, b_mat, np.zeros(b_mat.shape[0]), bound_idx,
@@ -624,6 +635,8 @@ class _NonlinearAssembler:
         self.d = self.mesh.gradient_operator
         self.dt = self.d.T
         self.q = _div_range_basis(self.mesh)
+        # under a vertical load the rotation about e3 is flat at every iterate
+        self.load_vertical = _load_is_vertical(self.ell_flat.reshape(-1, 3))
 
     def deviation(self, y_flat):
         """Per-element F - I, |F|^2 - 3 and det F - 1."""
@@ -646,13 +659,18 @@ class _NonlinearAssembler:
         elastic = float(self.vols @ compensated_density(g, r, self.mat)) / self.p.h**2
         return elastic - self._load(y_flat), r
 
+    def stress(self, d_el, g, nu):
+        """Per-element Piola stress 2 W'(g) F / h^2 + nu cof F of
+        h^-2 W + nu (det - 1)."""
+        f_el = d_el + np.eye(3)
+        return ((2.0 * yeoh_slope(g, self.mat) / self.p.h**2)[:, None, None] * f_el
+                + nu[:, None, None] * cofactor(f_el))
+
     def lagrangian_gradient(self, d_el, g, nu):
         """Nodal gradient of h^-2 sum vol W + sum nu vol (det - 1) - L(y - x) / h:
-        D^T of the volume-weighted Piola stress 2 W'(g) F / h^2 + nu cof F."""
-        f_el = d_el + np.eye(3)
-        p_el = ((2.0 * yeoh_slope(g, self.mat) / self.p.h**2)[:, None, None] * f_el
-                + nu[:, None, None] * cofactor(f_el))
-        return self.dt @ (self.vols[:, None, None] * p_el).ravel() - self.ell_flat / self.p.h
+        D^T of the volume-weighted Piola stress."""
+        return (self.dt @ (self.vols[:, None, None] * self.stress(d_el, g, nu)).ravel()
+                - self.ell_flat / self.p.h)
 
     def al_value_grad(self, y_flat, lam, kappa):
         """Augmented Lagrangian of Pi r = 0 with the penalty inside the h^-2
@@ -670,6 +688,48 @@ class _NonlinearAssembler:
         """J[e, dof] = vol_e d(det F_e - 1)/dy = blockdiag(vol_e vec(cof F_e)^T) D."""
         cof = cofactor(d_el + np.eye(3))
         return gradient_rows(self.mesh, self.vols[:, None] * cof.reshape(-1, 9))
+
+    def newton_step(self, y, d_el, g, nu, free, r1, c):
+        """Newton step (dy on the free dofs, dmu) at the iterate y of the KKT
+        system of Q^T V (det - 1) = 0, r1 and c its residuals: one LU
+        factorization of [[h^2 H_ff, (Q^T J_f)^T, N], [Q^T J_f, 0, 0],
+        [N^T, 0, 0]], bordered by the flat motions N on the free dofs, and the
+        border's multipliers dropped. N holds the horizontal translations and
+        the rotation about e3 at y, (-y2, y1, 0) per node, where that rotation
+        is flat: under a vertical load, and at a stress-free iterate under any
+        load (H (e3 ^ y) = e3 ^ the load-free gradient, which the start of a
+        sweep, the identity with the identity pressure, makes exactly 0).
+        Elsewhere, under a horizontal load, it is a genuine mode. The
+        stationarity rows carry h^2, which keeps the two blocks of one scale
+        at small h. Returns None where the bordered matrix is singular: an
+        exactly zero pivot (lu_factor's LinAlgWarning) or a non-finite step."""
+        h2 = self.p.h**2
+        nf, m = free.size, self.q.shape[1]
+        rotation = self.load_vertical or not self.stress(d_el, g, nu).any()
+        border = np.zeros((y.size, 3 if rotation else 2))
+        border[0::3, 0] = border[1::3, 1] = 1.0
+        if rotation:
+            border[0::3, 2], border[1::3, 2] = -y[1::3], y[0::3]
+        n_dim = nf + m + border.shape[1]
+        # in LAPACK's column order, so that the factorization works in place
+        kkt = np.zeros((n_dim, n_dim), order="F")
+        kkt[:nf, :nf] = h2 * self.lagrangian_hessian(d_el, g, nu)[np.ix_(free, free)]
+        kkt[nf:nf + m, :nf] = self.q.T @ self.constraint_jacobian(d_el)[:, free]
+        kkt[:nf, nf:nf + m] = kkt[nf:nf + m, :nf].T
+        kkt[:nf, nf + m:] = border[free]
+        kkt[nf + m:, :nf] = kkt[:nf, nf + m:].T
+        rhs = np.zeros(n_dim)
+        rhs[:nf], rhs[nf:nf + m] = -h2 * r1, -c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                lu = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
+            except scipy.linalg.LinAlgWarning:
+                return None
+        step = scipy.linalg.lu_solve(lu, rhs, overwrite_b=True, check_finite=False)
+        if not np.isfinite(step).all():
+            return None
+        return step[:nf], step[nf:nf + m]
 
     def lagrangian_hessian(self, d_el, g, nu):
         """Dense Hessian of h^-2 W + nu vol (det - 1) with respect to nodal y:
@@ -741,25 +801,26 @@ def _newton_polish(asm, y, lam, problem):
 
     The constraint is c(y) = Q^T V (det - 1), whose rows Q^T J have full rank
     where the per-element rows J do not, and the multipliers nu = Q mu stay in
-    range(Pi). Each step is the minimum-norm solution of
-    [[h^2 H_ff, (Q^T J_f)^T], [Q^T J_f, 0]] by gelsy's pivoted QR, with
-    relative singular values below 1e-10 dropped: the flat motions (the
-    horizontal translations, and the rotation about e3 under a vertical load)
-    sit at roundoff or at the level of the residual, whose noise they would
-    amplify into the step, while the others are at least 1.3e-5 on cube 1-5
-    (the smallest is the rotation about e3 under a horizontal load, falling
-    about as the square of the cell size). The iteration on one active set
-    has converged when two consecutive iterates have max|r1| <= 1e-11
+    range(Pi). What is left singular is known in closed form: the flat
+    motions, the horizontal translations and, under a vertical load or at a
+    stress-free iterate, the rotation about e3. Each step
+    (`_NonlinearAssembler.newton_step`) factors the KKT matrix bordered by
+    them by LU: the step is orthogonal to the flat motions, as the
+    minimum-norm step is where they span the null space, and takes no
+    residual noise along them (Benzi, Golub & Liesen, Acta Numerica 14, 2005,
+    on bordered saddle-point systems). The iteration on one active set has
+    converged when two consecutive iterates have max|r1| <= 1e-11
     max(1, h^-2), r1 the stationarity residual on the free dofs, and
     max|c| <= 1e-11: the Newton step between them starts that close to the
     solution, so it ends at roundoff.
 
     Returns (y, outcome, steps, max|Pi(det - 1)| at the last iterate), y the
     finished iterate or None; outcome "ok", or "no-convergence" (20 Newton
-    steps on one active set) or "active-set-cycling" (NEWTON_ROUNDS
-    active-set updates ran out); steps counts the KKT solves of all rounds.
-    An "ok" iterate is 0 on the active bounds, which its steps never move, and
-    at least -1e-12 on the others.
+    steps on one active set), "active-set-cycling" (NEWTON_ROUNDS active-set
+    updates ran out) or "singular-kkt" (the bordered matrix is singular, as
+    when no bound is active and the vertical translation is flat too); steps
+    counts the KKT solves of all rounds. An "ok" iterate is 0 on the active
+    bounds, which its steps never move, and at least -1e-12 on the others.
     """
     p = problem
     bound_dofs = obstacle_bound_dofs(p.obstacle)
@@ -784,20 +845,12 @@ def _newton_polish(asm, y, lam, problem):
                 initial=0.0) <= 1e-11 * max(1.0, 1.0 / h2))
             if was_small and small:
                 break
-            hess = asm.lagrangian_hessian(d_el, g, nu)
-            jac = q.T @ asm.constraint_jacobian(d_el)[:, free]
-            nf, m = free.size, c.size
-            kkt = np.zeros((nf + m, nf + m))
-            # the stationarity rows carry h^2, which keeps the two blocks of
-            # one scale at small h
-            kkt[:nf, :nf] = h2 * hess[np.ix_(free, free)]
-            kkt[:nf, nf:] = jac.T
-            kkt[nf:, :nf] = jac
-            step = scipy.linalg.lstsq(kkt, -np.concatenate([h2 * r1, c]), cond=1e-10,
-                                      lapack_driver="gelsy")[0]
+            step = asm.newton_step(yk, d_el, g, nu, free, r1, c)
+            if step is None:
+                return None, "singular-kkt", steps, proj_res
             steps += 1
-            yk[free] += step[:nf]
-            nu += q @ step[nf:] / h2
+            yk[free] += step[0]
+            nu += q @ step[1] / h2
         else:
             return None, "no-convergence", steps, proj_res
         # bound feasibility and multiplier signs on the active set

@@ -369,6 +369,24 @@ def test_cli_malformed_mesh_file_is_a_one_line_error(lift, last_tet, message, tm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, module, name", [
+    ("run", harness, "limit_triple"), ("limit", harness, "limit_triple"),
+    ("recover", solvers, "minimize_limit")], ids=["run", "limit", "recover"])
+def test_cli_failed_limit_solve_is_a_one_line_error(command, module, name, tmp_path, capsys,
+                                                    monkeypatch):
+    # a limit QP that does not converge (as on cube 3 with its interior nodes
+    # moved by up to 1e-7 of a cell) once ended each command in a traceback
+    def fail(*args, **kwargs):
+        raise solvers.SolveFailure("active-set QP did not converge")
+
+    monkeypatch.setattr(module, name, fail)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix()))
+    assert cli_main([command, cfg_path.as_posix()]) == 2
+    assert capsys.readouterr().err == "solve failed: active-set QP did not converge\n"
+    assert not (tmp_path / "out").exists()
+
+
 RECOVERY_CONFIG = """domain cube 2
 material yeoh 1.0 0.2 0.1
 f constant 0 0 -1

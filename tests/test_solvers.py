@@ -1,7 +1,9 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import signorini_lab as sl
@@ -1032,7 +1034,72 @@ def test_failed_al_solve_names_its_start(mesh2, obstacle2, yeoh, heavy, monkeypa
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 
-POLISH_FAILURES = {"no-convergence", "active-set-cycling"}
+POLISH_FAILURES = {"no-convergence", "active-set-cycling", "singular-kkt"}
+
+
+def _gelsy_step(asm, d_el, g, nu, free, r1, c):
+    """Oracle of the finish's step: the minimum-norm least-squares solution of
+    the unbordered KKT system [[h^2 H_ff, (Q^T J_f)^T], [Q^T J_f, 0]] by
+    gelsy's pivoted QR with relative singular values below 1e-10 dropped, as
+    the finish solved it before the flat motions were bordered."""
+    h2 = asm.p.h**2
+    jac = asm.q.T @ asm.constraint_jacobian(d_el)[:, free]
+    nf, m = free.size, c.size
+    kkt = np.zeros((nf + m, nf + m))
+    kkt[:nf, :nf] = h2 * asm.lagrangian_hessian(d_el, g, nu)[np.ix_(free, free)]
+    kkt[:nf, nf:] = jac.T
+    kkt[nf:, :nf] = jac
+    step = scipy.linalg.lstsq(kkt, -np.concatenate([h2 * r1, c]), cond=1e-10,
+                              lapack_driver="gelsy")[0]
+    return step[:nf], step[nf:]
+
+
+@pytest.mark.parametrize("load", ["gravity", "identity-only"])
+def test_bordered_newton_step_is_the_minimum_norm_step(load, mesh2, obstacle2, yeoh, gravity,
+                                                       identity_only_load):
+    # the border holds exactly the flat motions: three under gravity (the
+    # horizontal translations and the rotation about e3), two under the
+    # identity-only load at the acceptance chain's h = 0.1 start (the h = 0.2
+    # minimizer rescaled), where its horizontal part makes that rotation a
+    # genuine mode, and three at the stress-free identity under either load
+    f = gravity if load == "gravity" else identity_only_load
+    first = solvers.minimize_nonlinear(solvers.NonlinearProblem(
+        mesh=mesh2, material=yeoh, load=f, obstacle=obstacle2, h=0.2))
+    bound = obstacle_bound_dofs(obstacle2)
+    for h, y in ((0.2, mesh2.nodes.ravel().copy()),
+                 (0.1, (mesh2.nodes + 0.5 * (first.field.y - mesh2.nodes)).ravel())):
+        p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=f, obstacle=obstacle2, h=h)
+        asm = solvers._NonlinearAssembler(p)
+        assert asm.load_vertical == (load == "gravity")
+        nu = solvers._identity_pressure(p) / h**2
+        free = np.setdiff1d(np.arange(y.size), bound[y[bound] <= 1e-8])
+        d_el, g, r = asm.deviation(y)
+        r1 = asm.lagrangian_gradient(d_el, g, nu)[free]
+        c = asm.q.T @ (asm.vols * r)
+        step = np.concatenate(asm.newton_step(y, d_el, g, nu, free, r1, c))
+        oracle = np.concatenate(_gelsy_step(asm, d_el, g, nu, free, r1, c))
+        err = np.linalg.norm(step - oracle) / np.linalg.norm(oracle)
+        assert err <= 1e-10, (h, err)
+
+
+def test_newton_finish_never_drifts_along_a_flat_motion(mesh3, obstacle3, yeoh, gravity):
+    # the acceptance chain on cube 3: the finished displacement carries no
+    # rotation about e3 and no horizontal translation beyond roundoff. The
+    # least-squares step took residual noise along the rotation, which left a
+    # relative moment of up to 1e-10 on this chain
+    h_list = (0.2, 0.1, 0.05, 0.025)
+    x = mesh3.nodes
+    warm = None
+    for h, h_next in zip(h_list, (*h_list[1:], None)):
+        res = solvers.minimize_nonlinear(solvers.NonlinearProblem(
+            mesh=mesh3, material=yeoh, load=gravity, obstacle=obstacle3, h=h, warm_start=warm))
+        u = res.field.y - x
+        size = np.abs(u).sum()
+        moment = (x[:, 0] * u[:, 1] - x[:, 1] * u[:, 0]).sum() / size
+        assert abs(moment) <= 1e-14, (h, moment)
+        assert np.abs(u[:, :2].sum(axis=0)).max() / size <= 1e-13, h
+        if h_next is not None:
+            warm = (x + (h_next / h) * u).ravel()
 
 
 def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity, monkeypatch):
@@ -1045,6 +1112,34 @@ def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity, monkeyp
     lam = np.zeros(mesh2.num_elements)
     monkeypatch.setattr(solvers, "NEWTON_ROUNDS", 0)
     assert solvers._newton_polish(asm, y, lam, p)[:2] == (None, "active-set-cycling")
+
+
+@pytest.mark.parametrize("case", ["zero-pivot", "non-finite-step"])
+def test_singular_bordered_kkt_ends_the_finish_by_name(case, mesh2, obstacle2, yeoh, gravity,
+                                                       monkeypatch):
+    # a singular bordered KKT, as when no bound is active and the vertical
+    # translation is flat too. A vanishing constraint Jacobian leaves exact
+    # zero rows, whose zero pivot lu_factor warns of; a Hessian of NaNs gives
+    # a step that is not finite, on which numpy would warn. Either ends the
+    # try by name, and no warning escapes
+    asm_cls = solvers._NonlinearAssembler
+    if case == "zero-pivot":
+        jacobian = asm_cls.constraint_jacobian
+        monkeypatch.setattr(asm_cls, "constraint_jacobian",
+                            lambda self, d_el: 0.0 * jacobian(self, d_el))
+    else:
+        hessian = asm_cls.lagrangian_hessian
+        monkeypatch.setattr(asm_cls, "lagrangian_hessian",
+                            lambda self, *args: np.full_like(hessian(self, *args), np.nan))
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                 obstacle=obstacle2, h=0.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = solvers._newton_polish(solvers._NonlinearAssembler(p),
+                                        mesh2.nodes.ravel().copy(),
+                                        solvers._identity_pressure(p), p)
+    assert result[:3] == (None, "singular-kkt", 0)
+    assert caught == []
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-4])
