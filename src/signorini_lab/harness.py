@@ -32,11 +32,9 @@ EQUALITY_TOL = 1e-8
 class ExperimentConfig:
     domain: tuple = ("box", (2, 2, 2), (1.0, 1.0, 1.0))
     material: tuple = (1.0, 0.2, 0.1)
-    penalty: tuple = (100.0, 10.0, 3)       # kappa0 factor stages (times c1)
     f_desc: loads.FieldDescriptor = None
     g_descs: tuple = ()
     h_list: tuple = (0.2, 0.1, 0.05, 0.025)
-    solver_maxiter: int = 5000
     recovery_gamma: float = 0.25
     recovery_steps_per_h: int = 32
     recovery_ledger_samples: int = 8
@@ -44,7 +42,6 @@ class ExperimentConfig:
     output_dir: str = "out"
     seed: int = 1234
     tol_conv: float = 5e-3
-    budget: int = 2000
     require_global_phi: bool = False
 
     def validate(self):
@@ -64,10 +61,6 @@ class ExperimentConfig:
             material_mod.yeoh_material(*self.material)
         except material_mod.MaterialError as exc:
             raise ExperimentError(f"material yeoh {self.material}: {exc}") from exc
-        kappa0, factor, stages = self.penalty
-        if not (kappa0 > 0.0 and factor >= 1.0 and stages >= 1):
-            raise ExperimentError(f"penalty {self.penalty} needs kappa0 > 0, factor >= 1 "
-                                  "and at least one stage")
         return self
 
 
@@ -123,7 +116,7 @@ def parse_config(source):
             _apply_directive(cfg, ln.split(), g_descs)
         except IndexError as exc:
             raise ExperimentError(f"line {number} {ln!r}: too few values") from exc
-        except (ValueError, loads.LoadError) as exc:
+        except ValueError as exc:
             raise ExperimentError(f"line {number} {ln!r}: {exc}") from exc
     cfg.g_descs = tuple(g_descs)
     return cfg.validate()
@@ -138,9 +131,22 @@ def _values(tok, start, *counts):
     return vals
 
 
+# Directives that old configs still carry, each with the reason it sets nothing.
+_AL_SCHEDULE = "the AL fallback's schedule is fixed in solvers"
+_RETIRED_DIRECTIVES = {
+    "multistart": "the nonlinear solver runs one warm-started path per h",
+    "penalty": _AL_SCHEDULE,
+    "continuation": _AL_SCHEDULE,
+    "solver": _AL_SCHEDULE,
+    "budget": "the load gate samples no rotations",
+}
+
+
 def _apply_directive(cfg, tok, g_descs):
     key = tok[0]
-    if key == "domain":
+    if key in _RETIRED_DIRECTIVES:
+        logger.warning("config directive %r has no effect: %s", key, _RETIRED_DIRECTIVES[key])
+    elif key == "domain":
         if tok[1] == "cube":
             cfg.domain = ("box", (int(_values(tok, 2, 1)[0]),) * 3, (1.0, 1.0, 1.0))
         elif tok[1] == "box":
@@ -156,21 +162,23 @@ def _apply_directive(cfg, tok, g_descs):
         if tok[1] != "yeoh":
             raise ExperimentError("only yeoh materials are supported")
         cfg.material = tuple(float(v) for v in _values(tok, 2, 3))
-    elif key in ("penalty", "continuation"):
-        kappa0, factor, stages = _values(tok, 1, 3)
-        cfg.penalty = (float(kappa0), float(factor), int(stages))
-    elif key in ("f", "g"):
-        cfg.f_desc, _ = loads._parse_load_directive(tok, cfg.f_desc, g_descs)
+    elif key == "f":
+        if tok[1] == "constant":
+            cfg.f_desc = loads.constant_field([float(v) for v in _values(tok, 2, 3)])
+        elif tok[1] == "affine":
+            vals = [float(v) for v in _values(tok, 2, 12)]
+            cfg.f_desc = loads.affine_field(np.reshape(vals[:9], (3, 3)), vals[9:])
+        else:
+            raise ValueError(f"unknown volume descriptor {tok[1]!r}")
+    elif key == "g":
+        if not tok[1].startswith("region="):
+            raise ValueError("surface descriptor needs region=<name>")
+        if tok[2] != "constant":
+            raise ValueError(f"unknown surface descriptor {tok[2]!r}")
+        g_descs.append((tok[1].split("=", 1)[1],
+                        loads.constant_field([float(v) for v in _values(tok, 3, 3)])))
     elif key == "h_list":
         cfg.h_list = tuple(float(v) for v in tok[1:])
-    elif key == "solver":
-        # gtol is read so that old configs parse; the AL's inner tolerance is
-        # set by its feasibility target
-        maxiter, gtol = _values(tok, 1, 2)
-        cfg.solver_maxiter, _ = int(maxiter), float(gtol)
-    elif key == "multistart":
-        logger.warning("config directive 'multistart' has no effect: the nonlinear "
-                       "solver runs one warm-started path per h")
     elif key == "recovery":
         gamma, steps, samples = _values(tok, 1, 3)
         cfg.recovery_gamma = float(gamma)
@@ -184,8 +192,6 @@ def _apply_directive(cfg, tok, g_descs):
         cfg.seed = int(_values(tok, 1, 1)[0])
     elif key == "tol_conv":
         cfg.tol_conv = float(_values(tok, 1, 1)[0])
-    elif key == "budget":
-        cfg.budget = int(_values(tok, 1, 1)[0])
     elif key == "require_global_phi":
         cfg.require_global_phi = bool(int(_values(tok, 1, 1)[0]))
     else:
@@ -257,8 +263,7 @@ def run_experiment(cfg):
     cfg.validate()
     mesh, obstacle, mat, load = build_setup(cfg)
     zero_load = loads.is_zero_load(load, mesh)
-    adm = loads.verify_global_admissibility(load, obstacle, mesh,
-                                            budget=cfg.budget, seed=cfg.seed)
+    adm = loads.verify_global_admissibility(load, obstacle, mesh)
     failure = admissibility_failure(adm, cfg, zero_load)
     if failure is not None:
         raise ExperimentError(f"admissibility failure: {failure}")
@@ -280,9 +285,7 @@ def run_experiment(cfg):
         if last is not None:
             warm = (mesh.nodes + (h / last[0]) * (last[1] - mesh.nodes)).ravel()
         problem = solvers.NonlinearProblem(
-            mesh=mesh, material=mat, load=load, obstacle=obstacle, h=h,
-            kappa0=cfg.penalty[0] * mat.c1, kappa_factor=cfg.penalty[1],
-            kappa_stages=cfg.penalty[2], maxiter=cfg.solver_maxiter, warm_start=warm)
+            mesh=mesh, material=mat, load=load, obstacle=obstacle, h=h, warm_start=warm)
         try:
             res = solvers.minimize_nonlinear(problem)
         except solvers.SolveFailure as exc:

@@ -233,7 +233,6 @@ class AdmissibilityReport:
     shear_ok: bool = False
     global_phi_ok: bool = False
     seed: int = 0                           # recorded; the suprema do not sample
-    budget: int = 0
     tol: float = field(default=ADMISSIBILITY_TOL, init=False)
     violations: tuple = ()
 
@@ -358,9 +357,9 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0):
     and, for L(e3) >= 0, the Phi supremum are top eigenvalues; for L(e3) < 0
     Phi is bracketed (see `_phi_bracket`) and `global_phi_ok` is decided on
     the upper bound, so it never passes a load that fails. `budget` and `seed`
-    are accepted for existing callers and recorded in the report; they do not
-    change the result. Every condition is decided at ADMISSIBILITY_TOL.
-    Violations are reported, never raised.
+    are accepted for existing callers, and `seed` is recorded in the report;
+    they do not change the result. Every condition is decided at
+    ADMISSIBILITY_TOL. Violations are reported, never raised.
     """
     if budget < 1000:
         raise ValueError("budget must be at least 1000")
@@ -431,7 +430,7 @@ def verify_global_admissibility(load, obstacle, mesh, budget=2000, seed=0):
         conditions_basic_ok=bool(conditions_basic_ok),
         shear_ok=bool(worst_shear <= tol),
         global_phi_ok=bool(phi_upper <= tol),
-        seed=seed, budget=budget, violations=tuple(violations),
+        seed=seed, violations=tuple(violations),
     )
 
 
@@ -461,33 +460,3 @@ def _load_center(f_res, t_mom, hull):
     residual = float(np.linalg.norm(torque0 - np.cross(center, f_res)))
     interior = point_in_hull_2d(center[:2], hull, strict_margin=1e-12)
     return center, residual, interior
-
-
-def _load_values(tokens, start, count):
-    vals = tokens[start:]
-    if len(vals) != count:
-        raise LoadError(f"{' '.join(tokens[:start])} needs {count} values, got {len(vals)}")
-    return [float(v) for v in vals]
-
-
-def _parse_load_directive(tokens, f_desc, g_descs):
-    """Apply one load directive of a config: `f constant cx cy cz`,
-    `f affine <9> <3>` or `g region=<name> constant cx cy cz`."""
-    if tokens[0] == "f":
-        if tokens[1] == "constant":
-            f_desc = constant_field(_load_values(tokens, 2, 3))
-        elif tokens[1] == "affine":
-            vals = _load_values(tokens, 2, 12)
-            f_desc = affine_field(np.array(vals[:9]).reshape(3, 3), vals[9:])
-        else:
-            raise LoadError(f"unknown volume descriptor {tokens[1]!r}")
-    elif tokens[0] == "g":
-        if not tokens[1].startswith("region="):
-            raise LoadError("surface descriptor needs region=<name>")
-        region = tokens[1].split("=", 1)[1]
-        if tokens[2] != "constant":
-            raise LoadError(f"unknown surface descriptor {tokens[2]!r}")
-        g_descs.append((region, constant_field(_load_values(tokens, 3, 3))))
-    else:
-        raise LoadError(f"unknown load directive {tokens[0]!r}")
-    return f_desc, g_descs

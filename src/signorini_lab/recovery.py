@@ -13,7 +13,7 @@ norm bounds.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -140,7 +140,6 @@ class ReflectedExtension:
         first = self.mesh.tets[:, 0]
         self.offsets = self.values[first] - np.einsum(
             "eij,ej->ei", self.gradients, self.mesh.nodes[first])
-        self.divergences = np.trace(self.gradients, axis1=1, axis2=2)
 
         self.sup_bound = float(np.linalg.norm(self.values, axis=1).max())
         self.lip_bound = float(np.sqrt((self.gradients ** 2).sum(axis=(1, 2))).max())
@@ -192,9 +191,6 @@ class ReflectedExtension:
     def eval_gradients(self, points):
         return self.gradients[self.locate(points)[0]]
 
-    def eval_divergences(self, points):
-        return self.divergences[self.locate(points)[0]]
-
 
 @dataclass
 class SmoothField:
@@ -202,9 +198,8 @@ class SmoothField:
 
     sup_norm and grad_norm are rigorous upper bounds for the field and its
     gradient; holder_seminorm bounds its gamma-Hoelder seminorm, for the gamma
-    of `mollify`. The diagnostics dictionary carries the divergence
-    probe of a mollified field. anchor_fn, when set, builds the FlowAnchor
-    that integrate_flow evaluates through.
+    of `mollify`. anchor_fn, when set, builds the FlowAnchor that
+    integrate_flow evaluates through.
     """
 
     eval_fn: callable
@@ -215,9 +210,7 @@ class SmoothField:
     eps: float
     box_lo: np.ndarray
     box_hi: np.ndarray
-    div_fn: callable = None
     anchor_fn: callable = None
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def holder_norm(self):
@@ -468,17 +461,13 @@ def mollify(ext, eps, gamma=0.25, nq=8):
     as the input wherever the quadrature ball avoids the blend layer.
 
     A point list is evaluated by locating every (point, quadrature offset)
-    pair, as the divergence probe below does: the largest divergence of the
-    field at the element centroids whose quadrature ball avoids the blend
-    layer, recorded as diagnostics["div_probe_max"]. The field's `anchor`
-    builds a FlowAnchor at fixed base points, which folds the pairs that
-    cannot change element within the reach into per-point affine maps and
-    the pairs tied on a Kuhn face into one map per sign pattern of their tie
-    forms; `integrate_flow` evaluates through it.
+    pair. The field's `anchor` builds a FlowAnchor at fixed base points,
+    which folds the pairs that cannot change element within the reach into
+    per-point affine maps and the pairs tied on a Kuhn face into one map per
+    sign pattern of their tie forms; `integrate_flow` evaluates through it.
     """
     if nq < 4:
         raise UnderResolvedError("eps is below two sampling-grid spacings (nq < 4)")
-    mesh = ext.base
     if eps <= 0.0 or eps >= 0.9 * float(ext.lengths.min()):
         raise UnderResolvedError("mollification radius must sit inside the reflected layer")
     offsets, weights = _ball_quadrature(eps, nq)
@@ -502,22 +491,14 @@ def mollify(ext, eps, gamma=0.25, nq=8):
         grads = ext.eval_gradients(big).reshape(offsets.shape[0], npts, 3, 3)
         return np.einsum("q,qpij->pij", weights, grads)
 
-    def div_fn(points):
-        npts, big = _shifted(points)
-        divs = ext.eval_divergences(big).reshape(offsets.shape[0], npts)
-        return weights @ divs
-
     diam = float(np.linalg.norm(ext.box_hi - ext.box_lo))
     semi = _holder_seminorm_bound(ext.lip_bound, ext.sup_bound, gamma, diam)
-    cents = mesh.nodes[mesh.tets].mean(axis=1)
-    safe = cents[ext.blend_distance(cents) > eps * 1.0001]
-    diag = {"div_probe_max": float(np.abs(div_fn(safe)).max())} if safe.shape[0] else {}
     return SmoothField(
-        eval_fn=eval_fn, grad_fn=grad_fn, div_fn=div_fn,
+        eval_fn=eval_fn, grad_fn=grad_fn,
         anchor_fn=lambda x, reach: FlowAnchor(ext, offsets, weights, x, reach),
         sup_norm=ext.sup_bound, grad_norm=ext.lip_bound,
         holder_seminorm=semi, eps=eps,
-        box_lo=ext.box_lo + eps, box_hi=ext.box_hi - eps, diagnostics=diag,
+        box_lo=ext.box_lo + eps, box_hi=ext.box_hi - eps,
     )
 
 
@@ -666,8 +647,7 @@ def bogovskii_correct(v_field, mesh):
     mean = float(vols @ div) / float(vols.sum())
     rhs = -div + mean
 
-    boundary = set(int(i) for i in mesh.boundary_node_indices())
-    interior = np.array([i for i in range(mesh.num_nodes) if i not in boundary], dtype=int)
+    interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_indices())
     free = (3 * interior[:, None] + np.arange(3)[None, :]).ravel()
 
     b_full = assemble_div_matrix(mesh)

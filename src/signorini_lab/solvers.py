@@ -29,12 +29,13 @@ numerical rank decision. The finish is first tried from the start itself:
 at small h the minimizer is a small perturbation of it (the Gamma-limit is
 a linearization), so Newton converges from the identity and from the
 sweep's rescaled warm start. Only where that try fails
-does an augmented Lagrangian on Pi(det F - 1), with kappa continuation and
-projected L-BFGS-B inner solves, run from the same start as the fallback.
-It only globalizes: its inner solves are inexact, resolved to the relative
-accuracy of the feasibility target DET_TARGET, and the finish is tried once
-more at its end. A finish that fails there raises SolveFailure naming its
-outcome: every returned minimizer is a finished KKT point.
+does an augmented Lagrangian on Pi(det F - 1), with a fixed kappa
+continuation (the module constants KAPPA0, KAPPA_FACTOR and KAPPA_STAGES)
+and projected L-BFGS-B inner solves, run from the same start as the
+fallback. It only globalizes: its inner solves are inexact, resolved to the
+relative accuracy of the feasibility target DET_TARGET, and the finish is
+tried once more at its end. A finish that fails there raises SolveFailure
+naming its outcome: every returned minimizer is a finished KKT point.
 
 Both sides are built from the mesh's sparse P1 gradient operator D (nodal
 displacements to element gradients): the strain Hessian and the Newton
@@ -86,6 +87,13 @@ DET_TARGET = 1e-6
 # Active-set updates the Newton finish may make before it gives up.
 NEWTON_ROUNDS = 3
 
+# The augmented Lagrangian's penalty schedule: KAPPA0 c1 times KAPPA_FACTOR**k
+# at stage k < KAPPA_STAGES, each stage at most LBFGSB_MAXITER iterations.
+KAPPA0 = 100.0
+KAPPA_FACTOR = 10.0
+KAPPA_STAGES = 3
+LBFGSB_MAXITER = 5000
+
 # Second derivative of det: vec(d2 det / dF dF) = _DET_HESS @ vec(F), from
 # d2 det / dF_ip dF_jq = eps_ijk eps_pqr F_kr.
 _LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2.0, (3, 3, 3))
@@ -99,10 +107,6 @@ class NonlinearProblem:
     load: LoadSpec
     obstacle: ObstacleSet
     h: float
-    kappa0: float = None          # defaults to 100 c1
-    kappa_factor: float = 10.0
-    kappa_stages: int = 3
-    maxiter: int = 5000
     warm_start: np.ndarray = None
 
     def __post_init__(self):
@@ -110,8 +114,6 @@ class NonlinearProblem:
             raise ValueError("h must be in (0, 1)")
         if self.obstacle.num_nodes == 0:
             raise ValueError("obstacle set must be nonempty")
-        if self.kappa0 is None:
-            self.kappa0 = 100.0 * self.material.c1
 
 
 @dataclass
@@ -757,13 +759,14 @@ def _al_solve(asm, y0, problem):
 
     The multipliers start at `_identity_pressure`, the seed that the direct
     Newton try uses too, and each stage adds kappa Pi r, so they stay in
-    range(Pi). The loop runs until kappa_stages stages have run and
-    max|Pi(det - 1)| <= DET_TARGET, or for at most kappa_stages + 12 stages.
-    The loop only globalizes for the Newton finish: the L-BFGS-B
-    projected-gradient tolerance is DET_TARGET max(1, c1/h^2), so
-    stationarity is resolved to the relative accuracy of the feasibility
-    target the loop stops on. Returns (y, lam, trace), the trace one entry
-    per stage, that is per L-BFGS-B call.
+    range(Pi). Stage k penalizes with kappa = KAPPA0 c1 KAPPA_FACTOR**k, the
+    last of them repeated. The loop runs until KAPPA_STAGES stages have run
+    and max|Pi(det - 1)| <= DET_TARGET, or for at most KAPPA_STAGES + 12
+    stages. The loop only globalizes for the Newton finish: the L-BFGS-B
+    projected-gradient tolerance is DET_TARGET max(1, c1/h^2), with at most
+    LBFGSB_MAXITER iterations, so stationarity is resolved to the relative
+    accuracy of the feasibility target the loop stops on. Returns (y, lam,
+    trace), the trace one entry per stage, that is per L-BFGS-B call.
     """
     p = problem
     n3 = y0.size
@@ -772,14 +775,15 @@ def _al_solve(asm, y0, problem):
     bounds = Bounds(lower, np.full(n3, np.inf))
     lam = _identity_pressure(p)
     y = y0.copy()
-    kappas = [p.kappa0 * p.kappa_factor**k for k in range(p.kappa_stages)]
+    kappa0 = KAPPA0 * p.material.c1
+    kappas = [kappa0 * KAPPA_FACTOR**k for k in range(KAPPA_STAGES)]
     trace = []
     pgtol = DET_TARGET * max(1.0, p.material.c1 / p.h**2)
-    for stage in range(p.kappa_stages + 12):
+    for stage in range(KAPPA_STAGES + 12):
         kappa = kappas[min(stage, len(kappas) - 1)]
         res = minimize(lambda yy: asm.al_value_grad(yy, lam, kappa), y, jac=True,
                        method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": p.maxiter, "ftol": 1e-16,
+                       options={"maxiter": LBFGSB_MAXITER, "ftol": 1e-16,
                                 "gtol": pgtol, "maxcor": 30})
         y = res.x
         value, r = asm.energy_parts(y)
@@ -789,7 +793,7 @@ def _al_solve(asm, y0, problem):
         trace.append({"stage": stage, "kappa": kappa, "objective": value,
                       "det_residual": float(np.abs(r).max()), "det_projected": proj_res,
                       "inner_iterations": res.nit, "inner_gtol": pgtol})
-        if stage >= p.kappa_stages - 1 and proj_res <= DET_TARGET:
+        if stage >= KAPPA_STAGES - 1 and proj_res <= DET_TARGET:
             break
     return y, lam, trace
 
@@ -879,8 +883,8 @@ def minimize_nonlinear(problem):
     the start, and the finish converges from there (Birgin & Martinez, Optim.
     Methods Softw. 23, 2008: Newton on the KKT system wherever it converges,
     the AL only as the globalization). Only when that try fails does the
-    augmented-Lagrangian solve run its full kappa schedule from the same
-    start; its inner solves are inexact, resolved only to the accuracy of the
+    augmented-Lagrangian solve run its fixed kappa schedule (`_al_solve`)
+    from the same start; its inner solves are inexact, resolved only to the accuracy of the
     feasibility target, and the finish is tried once more at its end. The
     first try changes neither the start nor the seed, so the fallback runs
     exactly as it would have without it. A direct finish leaves an empty

@@ -16,7 +16,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 PINNED = {"determinant_expansion_check", "bogovskii_correct", "verify_taylor_remainder"}
 # the findings that stay, each for its reason
 MEMBERS_ALLOWED = {
-    # perfbench passes it to yeoh_material; ROADMAP item 3 removes both
+    # perfbench passes it to yeoh_material; ROADMAP item 1 removes both
     "material.py: MaterialModel.penalty_kappa",
 }
 DEFAULTS_ALLOWED = {

@@ -52,14 +52,13 @@ require_global_phi 0
         cfg = harness.parse_config(text)
     assert cfg.domain == ("box", (2, 3, 1), (1.0, 2.0, 0.5))
     assert cfg.material == (1.5, 0.1, 0.05)
-    assert cfg.penalty == (50.0, 5.0, 4)
     assert cfg.f_desc.kind == "affine"
     assert cfg.g_descs[0][0] == "top"
     assert cfg.h_list == (0.2, 0.1)
-    # multistart is accepted so that old configs parse, and only warns
+    # the retired directives are accepted so that old configs parse, and only warn
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1 and "multistart" in warnings[0] and "no effect" in warnings[0]
-    assert not hasattr(cfg, "multistart_seed") and not hasattr(cfg, "multistart_n")
+    assert [w.split("'")[1] for w in warnings] == ["penalty", "solver", "multistart", "budget"]
+    assert all("no effect" in w for w in warnings)
     assert cfg.recovery_gamma == 0.5
     assert cfg.run_recovery
     assert cfg.tol_conv == 1e-2
@@ -72,14 +71,27 @@ def test_parse_config_rejects_bad_h_list():
         harness.parse_config("nonsense 1")
 
 
-@pytest.mark.parametrize("line", ["solver 5000", "domain cube x", "f bogus 1 2 3",
+@pytest.mark.parametrize("line", ["recovery 0.5 16", "domain cube x", "f bogus 1 2 3",
                                   "g top constant 0 0 1", "material yeoh 1 0.2",
-                                  "penalty 100 10 3 4", "seed 1 2", "domain box 2 2 2 1 1",
+                                  "tol_conv 1 2", "seed 1 2", "domain box 2 2 2 1 1",
                                   "f affine 0 0 0 0 0 0 -1 0 0 0 0",
                                   "g region=top constant 0 0 1 1"])
 def test_parse_config_names_a_malformed_line(line):
     with pytest.raises(harness.ExperimentError, match=f"line 2 '{line}'"):
         harness.parse_config(f"domain cube 1\n{line}\nf constant 0 0 -1")
+
+
+@pytest.mark.parametrize("line", ["multistart 1234 1", "penalty 0.1 100 3",
+                                  "continuation 100 10 3", "solver 5000 1e-8", "budget 2000",
+                                  "penalty 100 10 0", "solver 5000"])
+def test_retired_directive_warns_once_and_sets_nothing(line, caplog):
+    base = "domain cube 1\nh_list 0.2 0.1\nseed 3\n"
+    with caplog.at_level(logging.WARNING, logger="signorini_lab.harness"):
+        cfg = harness.parse_config(base + line)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"config directive '{line.split()[0]}' has no effect: ")
+    assert cfg == harness.parse_config(base)
 
 
 def test_verdict_logic_pure():
@@ -326,16 +338,15 @@ def test_cli_bad_load_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["check-load", cfg_path.as_posix()]) == 1
     capsys.readouterr()
-    cfg_path.write_text("domain cube 1\nsolver 5000\n")
+    cfg_path.write_text("domain cube 1\nrecovery 0.5 16\n")
     assert cli_main(["run", cfg_path.as_posix()]) == 2
-    assert "config error: line 2 'solver 5000'" in capsys.readouterr().err
+    assert "config error: line 2 'recovery 0.5 16'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["f constant 0 0", "domain box 2 2", "domain cube 0",
-                                  "material yeoh -1 0 0", "penalty 100 10 0"])
+                                  "material yeoh -1 0 0", "tol_conv 1 2"])
 def test_cli_rejects_values_of_the_wrong_count_or_range(line, tmp_path, capsys):
-    # each of these once parsed and then ended `lab run` in a traceback or
-    # in NaN records
+    # each of these is a config error, not a traceback or NaN records
     cfg_path = tmp_path / "bad.txt"
     cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix())
                         + line + "\n")

@@ -1256,35 +1256,39 @@ def test_inexact_al_hands_over_to_the_same_finish(cube, load, mesh2, obstacle2, 
 
 
 def test_failed_handover_falls_back_to_the_full_schedule(mesh2, obstacle2, yeoh, heavy,
-                                                         caplog):
+                                                         caplog, monkeypatch):
     # a heavy load at a large h: the finish does not converge from the
     # identity, and the AL runs. The direct try leaves the start and the seed
     # as it found them, so the fallback is the full kappa schedule and the
-    # finish, bit for bit, and that finish is ok: with the default penalty,
-    # and with a weak first penalty whose first stage crushes the body flat
-    for kwargs in ({"h": 0.5},
-                   {"h": 0.6, "kappa0": 0.1, "kappa_factor": 100.0, "kappa_stages": 3}):
+    # finish, bit for bit, and that finish is ok: with the default schedule,
+    # and then with a weak first penalty whose first stage crushes the body flat
+    for h, schedule in ((0.5, {}), (0.6, {"KAPPA0": 0.1, "KAPPA_FACTOR": 100.0})):
+        for name, value in schedule.items():
+            monkeypatch.setattr(solvers, name, value)
         p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=heavy, obstacle=obstacle2,
-                                     **kwargs)
+                                     h=h)
         asm = solvers._NonlinearAssembler(p)
         y_ref, lam_ref, trace_ref = solvers._al_solve(asm, mesh2.nodes.ravel().copy(), p)
         y_fin, outcome, *_ = solvers._newton_polish(asm, y_ref, lam_ref, p)
-        assert outcome == "ok", kwargs
+        assert outcome == "ok", h
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="signorini_lab.solvers"):
             res = solvers.minimize_nonlinear(p)
-        assert res.termination == "augmented-lagrangian(identity)+newton", kwargs
+        assert res.termination == "augmented-lagrangian(identity)+newton", h
         assert np.array_equal(res.field.y.ravel(), y_fin)
         assert res.objective == asm.energy_parts(y_fin)[0]
         assert res.iterations == sum(t["inner_iterations"] for t in trace_ref) > 0
         assert res.trace == trace_ref
         assert [t["stage"] for t in res.trace] == list(range(len(res.trace)))
+        kappas = [solvers.KAPPA0 * yeoh.c1 * solvers.KAPPA_FACTOR**k
+                  for k in range(solvers.KAPPA_STAGES)]
+        assert [t["kappa"] for t in res.trace][:solvers.KAPPA_STAGES] == kappas, h
         assert all(t["inner_gtol"] == solvers.DET_TARGET * max(1.0, yeoh.c1 / p.h**2)
                    for t in res.trace)
         polish = [m.getMessage() for m in caplog.records if "newton polish" in m.getMessage()]
         assert [m.split(", ")[2] for m in polish] == [
-            "before any stage", f"after stage {len(trace_ref) - 1}"], kwargs
-        assert [m.rsplit(": ", 1)[1] for m in polish] == ["no-convergence", "ok"], kwargs
+            "before any stage", f"after stage {len(trace_ref) - 1}"], h
+        assert [m.rsplit(": ", 1)[1] for m in polish] == ["no-convergence", "ok"], h
         assert any(m.getMessage().endswith(f": {res.iterations} L-BFGS-B iterations over "
                                            f"{len(trace_ref)} stages") for m in caplog.records)
 
