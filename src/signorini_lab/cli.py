@@ -24,27 +24,40 @@ def main(argv=None):
     logging.getLogger("signorini_lab").setLevel(args.log_level)
 
     try:
-        cfg = harness.parse_config(args.config)
-        if args.command != "run":   # run_experiment builds its own set-up
-            mesh, obstacle, mat, load = harness.build_setup(cfg)
+        with open(args.config) as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"config error: cannot read {args.config}: {reason}", file=sys.stderr)
+        return 2
+    try:
+        cfg = harness.parse_config(text)
+        # run_experiment builds its own set-up
+        setup = None if args.command == "run" else harness.build_setup(cfg)
     except harness.ExperimentError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return _command(args.command, cfg, setup)
+    except solvers.SolveFailure as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return 2
 
-    if args.command == "run":
+
+def _command(command, cfg, setup):
+    """Exit code of `command`; `setup` is `harness.build_setup(cfg)`, None for run."""
+    if command == "run":
         try:
             report = harness.run_experiment(cfg)
         except harness.ExperimentError as exc:
             print(f"abort: {exc}", file=sys.stderr)
             return 2
-        except solvers.SolveFailure as exc:
-            print(f"solve failed: {exc}", file=sys.stderr)
-            return 2
         sys.stdout.write(harness.render_report(report.records, report))
         print(f"csv: {report.csv_path}")
         return 0 if report.verdict else 1
 
-    if args.command == "check-load":
+    mesh, obstacle, mat, load = setup
+    if command == "check-load":
         rep = loads.verify_global_admissibility(load, obstacle, mesh)
         print(f"L(e1), L(e2), L(e3) = {rep.L_e1:.6e}, {rep.L_e2:.6e}, {rep.L_e3:.6e}")
         print(f"torque about e3     = {rep.torque_about_e3:.6e}")
@@ -66,13 +79,9 @@ def main(argv=None):
         print(f"gate: {'PASS' if failure is None else 'FAIL'}")
         return 0 if failure is None else 1
 
-    if args.command == "limit":
-        try:
-            results = harness.limit_triple(mesh, mat, load, obstacle,
-                                           harness.limit_kernel(load, obstacle, mesh))
-        except solvers.SolveFailure as exc:
-            print(f"solve failed: {exc}", file=sys.stderr)
-            return 2
+    if command == "limit":
+        results = harness.limit_triple(mesh, mat, load, obstacle,
+                                       harness.limit_kernel(load, obstacle, mesh))
         for variant, res in results.items():
             print(f"min {variant.value:8s} = {res.objective:.12e}")
         s = harness.sandwich_summary([], results[solvers.Variant.EI].objective,
@@ -82,17 +91,13 @@ def main(argv=None):
         print(f"ordering and equality: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
 
-    if args.command == "recover":
+    if command == "recover":
         kernel = harness.limit_kernel(load, obstacle, mesh)
         problem = solvers.QuadraticProblem(mesh=mesh, material=mat, load=load,
                                            obstacle=obstacle,
                                            variant=solvers.Variant.GTILDE,
                                            kernel_class=kernel)
-        try:
-            res = solvers.minimize_limit(problem)
-        except solvers.SolveFailure as exc:
-            print(f"solve failed: {exc}", file=sys.stderr)
-            return 2
+        res = solvers.minimize_limit(problem)
         try:
             steps = recovery.build_recovery_sequence(
                 res.field, mat, load, obstacle, mesh, cfg.h_list,

@@ -11,7 +11,8 @@ primal active-set method in the null space of the div rows: a pivoted QR of
 B^T, computed once per mesh, gives an orthonormal basis Z of null(B) (the
 per-element rows of a Kuhn mesh are far from independent: rank 96 of 162 on
 cube 3), and only the reduced KKT matrix [[Z^T H Z, Z_W^T], [Z_W, 0]] of each
-working set W is factored, once, and reused across iterations and arcs.
+working set W is factored, once, and reused across iterations, arcs and
+every later limit solve on the mesh and material (cached on the mesh).
 The nonlinear problems impose incompressibility against the stable pressures:
 c(y) = Pi(det F - 1) = 0, with Pi = Q Q^T V the L2(P0) projection onto the
 discrete divergences range(B) (Q volume-orthonormal, V the element volumes).
@@ -227,11 +228,19 @@ def _null_space_frame(a_eq, n):
                            piv[:rank])
 
 
-def _div_null_space(mesh, b_div):
-    """Frame of the mesh's divergence rows `b_div`, computed once per mesh."""
+def _div_rows(mesh):
+    """The mesh's div rows B (`assemble_div_matrix`), assembled once per mesh."""
+    key = ("div_rows",)
+    if key not in mesh._cache:
+        mesh._cache[key] = assemble_div_matrix(mesh)
+    return mesh._cache[key]
+
+
+def _div_null_space(mesh):
+    """Frame of the mesh's div rows B, computed once per mesh."""
     key = ("div_null_space",)
     if key not in mesh._cache:
-        mesh._cache[key] = _null_space_frame(b_div, 3 * mesh.num_nodes)
+        mesh._cache[key] = _null_space_frame(_div_rows(mesh), 3 * mesh.num_nodes)
     return mesh._cache[key]
 
 
@@ -243,9 +252,8 @@ def _div_range_basis(mesh):
     gives it. Computed once per mesh, when the nonlinear path first asks."""
     key = ("div_range_basis",)
     if key not in mesh._cache:
-        b_div = assemble_div_matrix(mesh)
         root_v = np.sqrt(mesh.element_volumes)[:, None]
-        q, _ = np.linalg.qr(root_v * (b_div @ _div_null_space(mesh, b_div).range_basis))
+        q, _ = np.linalg.qr(root_v * (_div_rows(mesh) @ _div_null_space(mesh).range_basis))
         mesh._cache[key] = q / root_v
     return mesh._cache[key]
 
@@ -543,7 +551,20 @@ def _angle_path(h, g_parts, b_mat, bound_idx, factors):
     raise SolveFailure(f"angle path did not close after {max_arcs} arcs")
 
 
-def minimize_limit(problem, shared=None):
+def _limit_setup(mesh, material, with_shear):
+    """(H, `active_set_qp`'s factors) of the limit QPs, cached on the mesh
+    under the material's constants and the family, plain (E^I, G^I) or with
+    G~'s two shear columns, whose frame is the div frame padded (the shear
+    coordinates are free)."""
+    key = ("limit_setup", material.c1, material.c2, material.c3, with_shear)
+    if key not in mesh._cache:
+        frame = _div_null_space(mesh)
+        mesh._cache[key] = (assemble_strain_hessian(mesh, material, with_shear=with_shear),
+                            {"null_space": frame.padded(2) if with_shear else frame})
+    return mesh._cache[key]
+
+
+def minimize_limit(problem):
     """Global minimum of the selected limit functional.
 
     Swapping the kernel maximum with the outer minimum decomposes the problem
@@ -551,32 +572,17 @@ def minimize_limit(problem, shared=None):
     a theta-dependent load the minimum over theta is exact (`_angle_path`):
     one QP per arc of the circle on which a working set stays optimal, each
     arc minimized in closed form. E^I, the identity kernel and loads with no
-    horizontal part take a single QP at theta = 0. `shared`, a dict that a
-    caller passes to several calls on one mesh and material, carries H, the
-    div rows, the null-space frame, Z^T H Z and the working-set factors from
-    one call to the next (E^I and G^I have the same H); a dict filled for
-    another mesh or material raises ValueError. Unbounded directions are
-    impossible for admissible loads; an unsatisfiable QP raises SolveFailure.
+    horizontal part take a single QP at theta = 0. The div rows, H, the
+    null-space frame, Z^T H Z and the working-set factors live on the mesh
+    (`_limit_setup`), so every limit solve on one mesh and material reuses
+    them, whatever its load and variant. Unbounded directions are impossible
+    for admissible loads; an unsatisfiable QP raises SolveFailure.
     """
     p = problem
     n3 = 3 * p.mesh.num_nodes
     with_shear = p.variant == Variant.GTILDE
-    if shared is None:
-        shared = {}
-    mesh, material = shared.setdefault("owner", (p.mesh, p.material))
-    if mesh is not p.mesh or material is not p.material:
-        raise ValueError("shared limit set-up belongs to another mesh or material")
-    if "div" not in shared:
-        shared["div"] = assemble_div_matrix(p.mesh)
-    b_mat = shared["div"]
-    family = "shear" if with_shear else "plain"
-    if family not in shared:
-        # H and B are fixed here: one factorization per working set, and the
-        # div null space is the mesh's (the shear coordinates are free)
-        frame = _div_null_space(p.mesh, b_mat)
-        shared[family] = (assemble_strain_hessian(p.mesh, p.material, with_shear=with_shear),
-                          {"null_space": frame.padded(2) if with_shear else frame})
-    h, factors = shared[family]
+    b_mat = _div_rows(p.mesh)
+    h, factors = _limit_setup(p.mesh, p.material, with_shear)
     if with_shear:
         b_mat = np.hstack([b_mat, np.zeros((b_mat.shape[0], 2))])
     bound_idx = obstacle_bound_dofs(p.obstacle)

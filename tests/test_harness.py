@@ -75,7 +75,8 @@ def test_parse_config_rejects_bad_h_list():
                                   "g top constant 0 0 1", "material yeoh 1 0.2",
                                   "tol_conv 1 2", "seed 1 2", "domain box 2 2 2 1 1",
                                   "f affine 0 0 0 0 0 0 -1 0 0 0 0",
-                                  "g region=top constant 0 0 1 1"])
+                                  "g region=top constant 0 0 1 1", "domain sphere 2",
+                                  "material neo 1 0 0", "nonsense 1"])
 def test_parse_config_names_a_malformed_line(line):
     with pytest.raises(harness.ExperimentError, match=f"line 2 '{line}'"):
         harness.parse_config(f"domain cube 1\n{line}\nf constant 0 0 -1")
@@ -230,17 +231,9 @@ def test_sandwich_check(tmp_path):
         assert slack <= max(0.1 * h, 1e-8)
 
 
-def test_limit_triple_shares_the_set_up(yeoh, monkeypatch):
-    # E^I and G^I have one H and one B, and G^I's QP at theta = 0 is E^I's:
-    # one limit_triple assembles the div rows once and each H once, and
-    # factors no working set of one H twice, with the results of separate
-    # minimize_limit calls
-    from test_solvers import scan_load
-
-    mesh = sl.build_box_mesh(2)   # a fresh mesh: its div null space is not cached yet
-    obstacle = sl.extract_obstacle(mesh)
-    load = scan_load(mesh, np.random.default_rng(3), amplitude=10.0)
-    kernel = sl.KernelClass.ROTATIONS_ABOUT_E3
+def _count_limit_set_up(monkeypatch):
+    """Counts of the limit set-up's assemblies and the (H size, working set)
+    of every working-set factorization, recorded through monkeypatch."""
     counts = {"assemble_strain_hessian": 0, "assemble_div_matrix": 0}
     factored = []
 
@@ -261,31 +254,71 @@ def test_limit_triple_shares_the_set_up(yeoh, monkeypatch):
     for name in counts:
         monkeypatch.setattr(solvers, name, counting(name))
     monkeypatch.setattr(solvers, "_kkt_factor", recording_factor)
+    return counts, factored
+
+
+def test_limit_triple_shares_the_set_up(yeoh, monkeypatch):
+    # E^I and G^I have one H and one B, and G^I's QP at theta = 0 is E^I's:
+    # one limit_triple assembles the div rows once and each H once, and
+    # factors no working set of one H twice. The set-up stays on the mesh, so
+    # separate minimize_limit calls after it assemble and factor nothing new
+    # and give exactly the same results
+    from test_solvers import scan_load
+
+    mesh = sl.build_box_mesh(2)   # a fresh mesh: its div null space is not cached yet
+    obstacle = sl.extract_obstacle(mesh)
+    load = scan_load(mesh, np.random.default_rng(3), amplitude=10.0)
+    kernel = sl.KernelClass.ROTATIONS_ABOUT_E3
+    counts, factored = _count_limit_set_up(monkeypatch)
     results = harness.limit_triple(mesh, yeoh, load, obstacle, kernel)
     assert counts == {"assemble_strain_hessian": 2, "assemble_div_matrix": 1}
     assert factored and len(factored) == len(set(factored))
-    shared_factored = len(factored)
+    before = (dict(counts), len(factored))
     for variant, res in results.items():
         alone = solvers.minimize_limit(solvers.QuadraticProblem(
             mesh=mesh, material=yeoh, load=load, obstacle=obstacle, variant=variant,
             kernel_class=kernel))
-        tol = 1e-14 * (1.0 + abs(alone.objective))
-        assert abs(res.objective - alone.objective) <= tol, variant
-        assert abs(res.theta_star - alone.theta_star) <= tol, variant
-    # separate calls factor E^I's working sets again for G^I
-    assert len(factored) - shared_factored > shared_factored
+        assert alone.objective == res.objective, variant
+        assert alone.theta_star == res.theta_star, variant
+        assert np.array_equal(alone.field.u, res.field.u), variant
+    assert (counts, len(factored)) == before
 
 
-def test_minimize_limit_refuses_a_set_up_of_another_mesh(mesh2, obstacle2, yeoh, gravity):
-    shared = {}
-    problem = solvers.QuadraticProblem(mesh=mesh2, material=yeoh, load=gravity,
-                                       obstacle=obstacle2, variant=solvers.Variant.EI)
-    solvers.minimize_limit(problem, shared=shared)
-    other = sl.build_box_mesh(1)
-    with pytest.raises(ValueError, match="another mesh"):
-        solvers.minimize_limit(solvers.QuadraticProblem(
-            mesh=other, material=yeoh, load=gravity, obstacle=sl.extract_obstacle(other),
-            variant=solvers.Variant.EI), shared=shared)
+def test_limit_set_up_is_keyed_by_the_material_constants(monkeypatch):
+    # the set-up lives on the mesh under the material's constants: two
+    # materials on one mesh each get their own, exactly as on a mesh of their
+    # own, a new material object of the same constants reuses it, and a
+    # repeated solve adds no cache entry
+    from test_solvers import scan_load
+
+    mesh = sl.build_box_mesh(2)
+    load = scan_load(mesh, np.random.default_rng(3), amplitude=10.0)
+    soft, stiff = sl.yeoh_material(1.0, 0.2, 0.1), sl.yeoh_material(2.0, 0.2, 0.1)
+
+    def solve(on_mesh, mat, variant):
+        return solvers.minimize_limit(solvers.QuadraticProblem(
+            mesh=on_mesh, material=mat, load=load, obstacle=sl.extract_obstacle(on_mesh),
+            variant=variant, kernel_class=sl.KernelClass.ROTATIONS_ABOUT_E3))
+
+    on_one = {(mat.c1, v): solve(mesh, mat, v) for mat in (soft, stiff) for v in solvers.Variant}
+    for mat in (soft, stiff):
+        for v in solvers.Variant:
+            own = solve(sl.build_box_mesh(2), mat, v)
+            assert on_one[mat.c1, v].objective == own.objective, (mat.c1, v)
+            assert np.array_equal(on_one[mat.c1, v].field.u, own.field.u), (mat.c1, v)
+    for v in solvers.Variant:
+        assert on_one[1.0, v].objective != on_one[2.0, v].objective, v
+
+    keys = set(mesh._cache)
+    counts, factored = _count_limit_set_up(monkeypatch)
+    for v in solvers.Variant:
+        again = solve(mesh, sl.yeoh_material(1.0, 0.2, 0.1), v)
+        assert again.objective == on_one[1.0, v].objective, v
+        assert np.array_equal(again.field.u, on_one[1.0, v].field.u), v
+        solve(mesh, stiff, v)
+    assert counts == {"assemble_strain_hessian": 0, "assemble_div_matrix": 0}
+    assert factored == []
+    assert set(mesh._cache) == keys
 
 
 def test_cli_run_and_check(tmp_path, capsys):
@@ -341,6 +374,16 @@ def test_cli_bad_load_exit_code(tmp_path, capsys):
     cfg_path.write_text("domain cube 1\nrecovery 0.5 16\n")
     assert cli_main(["run", cfg_path.as_posix()]) == 2
     assert "config error: line 2 'recovery 0.5 16'" in capsys.readouterr().err
+
+
+def test_cli_missing_config_file_is_reported_as_missing(tmp_path, capsys):
+    # a path that does not exist was once parsed as the one-line config
+    # text `<path>`: "unknown config directive"
+    missing = (tmp_path / "no_such.cfg").as_posix()
+    for command in ("run", "check-load", "limit", "recover"):
+        assert cli_main([command, missing]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot read {missing}: No such file or directory\n", command
 
 
 @pytest.mark.parametrize("line", ["f constant 0 0", "domain box 2 2", "domain cube 0",

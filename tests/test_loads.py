@@ -465,7 +465,7 @@ g region=top constant 0 0 -0.25
 """
     path = tmp_path / "load.txt"
     path.write_text(text)
-    cfg = sl.parse_config(path.as_posix())
+    cfg = sl.parse_config(path.read_text())
     load = sl.LoadSpec(f=cfg.f_desc, g=cfg.g_descs)
     assert load.f.kind == "affine"
     assert load.g[0][0] == "top"
