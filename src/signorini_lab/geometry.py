@@ -348,6 +348,25 @@ def gradient_form(mesh, blocks):
     return (d.T @ _block_diagonal(blocks) @ d).toarray()
 
 
+def element_gradient_maps(mesh):
+    """(D_e, dofs): per element e the (9, 12) map D_e of its local nodal
+    displacements to vec(grad u) on e, the element's block of
+    `gradient_operator`, and the (12,) global dofs of its local columns,
+    3 tets[e, a] + i at column 3a + i. Built once per mesh from the element
+    gradient maps, not read out of the sparse operator, whose entry order is
+    scipy's."""
+    key = "element_gradient_maps"
+    if key not in mesh._cache:
+        _, g = _grad_maps(mesh.nodes, mesh.tets)
+        m = mesh.num_elements
+        d = np.zeros((m, 3, 3, 4, 3))   # element, component i, direction j, node a, component
+        for i in range(3):
+            d[:, i, :, :, i] = g
+        dofs = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(m, 12)
+        mesh._cache[key] = (d.reshape(m, 9, 12), dofs)
+    return mesh._cache[key]
+
+
 def _scatter(cells, weights, base, n):
     """Dense n x n sum over cells c of weights[c] * base on the nodes cells[c]."""
     pairs = (cells[:, :, None] * n + cells[:, None, :]).ravel()

@@ -38,11 +38,15 @@ relative accuracy of the feasibility target DET_TARGET, and the finish is
 tried once more at its end. A finish that fails there raises SolveFailure
 naming its outcome: every returned minimizer is a finished KKT point.
 
-Both sides are built from the mesh's sparse P1 gradient operator D (nodal
-displacements to element gradients): the strain Hessian and the Newton
-Hessian are D^T blockdiag(9x9 element blocks) D, the div rows and constraint
-Jacobian are blockdiag(element rows) D, and nodal gradients are D^T applied
-to the volume-weighted Piola stress.
+Both sides are built from the mesh's P1 gradient operator D (nodal
+displacements to element gradients). The limit QPs' strain Hessian is the
+sparse product D^T blockdiag(9x9 element blocks) D, the div rows are
+blockdiag(element rows) D, and nodal gradients are D^T applied to the
+volume-weighted Piola stress. The Newton finish forms no global Hessian or
+Jacobian: each element's 12x12 Hessian block D_e^T h9_e D_e and Jacobian row
+vol_e vec(cof F_e)^T D_e, D_e the element's 9x12 gradient map, go straight
+into the bordered KKT matrix, in one workspace per h that LAPACK factors in
+place.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.optimize import Bounds, minimize
 
-from .geometry import Mesh, ObstacleSet, gradient_form, gradient_rows
+from .geometry import Mesh, ObstacleSet, element_gradient_maps, gradient_form, gradient_rows
 from .kinematics import DeformationField, DisplacementField
 from .loads import (KernelClass, LoadSpec, Rotation, is_zero_load, linear_order_violations,
                     load_moments, load_vector)
@@ -190,26 +195,28 @@ class _NullSpaceFrame(NamedTuple):
     """
 
     z: np.ndarray            # (n, n - rank)
-    range_basis: np.ndarray  # (n, rank)
+    range_basis: np.ndarray  # (n', rank), n' <= n: the rows past n' are 0
     r11: np.ndarray          # (rank, rank) upper triangular
     rows: np.ndarray         # (rank,) independent rows of A_eq
 
     def particular(self, b_eq):
-        """Minimum-norm x with A_eq[rows] x = b_eq[rows]; exactly 0 for b_eq = 0."""
+        """Minimum-norm x with A_eq[rows] x = b_eq[rows]; exactly 0 for b_eq = 0.
+        x has the length of z's rows, zero past those of `range_basis`."""
         b_eq = np.asarray(b_eq, dtype=float)
-        if not b_eq[self.rows].any():
-            return np.zeros(self.z.shape[0])
-        c = scipy.linalg.solve_triangular(self.r11, b_eq[self.rows], trans="T")
-        return self.range_basis @ c
+        x = np.zeros(self.z.shape[0])
+        if b_eq[self.rows].any():
+            c = scipy.linalg.solve_triangular(self.r11, b_eq[self.rows], trans="T")
+            x[:self.range_basis.shape[0]] = self.range_basis @ c
+        return x
 
     def padded(self, extra):
-        """Frame of [A_eq, 0] with `extra` zero columns appended."""
+        """Frame of [A_eq, 0] with `extra` zero columns appended; it shares
+        this frame's `range_basis`, which `particular` pads."""
         n, k = self.z.shape
         z = np.zeros((n + extra, k + extra))
         z[:n, :k] = self.z
         z[n:, k:] = np.eye(extra)
-        q1 = np.vstack([self.range_basis, np.zeros((extra, self.range_basis.shape[1]))])
-        return _NullSpaceFrame(z, q1, self.r11, self.rows)
+        return _NullSpaceFrame(z, self.range_basis, self.r11, self.rows)
 
 
 def _null_space_frame(a_eq, n):
@@ -627,10 +634,12 @@ def minimize_limit(problem):
 # nonlinear problem
 
 class _NonlinearAssembler:
-    """Energy, augmented-Lagrangian value/gradient and Newton blocks for G_h.
+    """Energy, augmented-Lagrangian value/gradient and Newton steps for G_h at one h.
 
     Every element quantity is a function of the element gradients D @ (y - x)
-    and is pulled back to nodal y through D^T.
+    and is pulled back to nodal y through D^T; the Newton blocks are built per
+    element from the element gradient maps D_e and scattered into one KKT
+    workspace that every step of the assembler reuses.
     """
 
     def __init__(self, problem):
@@ -645,6 +654,14 @@ class _NonlinearAssembler:
         self.q = _div_range_basis(self.mesh)
         # under a vertical load the rotation about e3 is flat at every iterate
         self.load_vertical = _load_is_vertical(self.ell_flat.reshape(-1, 3))
+        self.grad_maps, self.dofs = element_gradient_maps(self.mesh)
+        # every Newton step's KKT matrix, at most 3N + m + 3 square, is
+        # assembled and factored here; the last entry is the dump slot of the
+        # Hessian entries of fixed dofs
+        n_max = self.x_flat.size + self.q.shape[1] + 3
+        self.workspace = np.empty(n_max * n_max + 1)
+        self._index_key = self._index = None
+        self._jac_indptr = np.arange(0, 12 * self.mesh.num_elements + 1, 12, dtype=np.int32)
 
     def deviation(self, y_flat):
         """Per-element F - I, |F|^2 - 3 and det F - 1."""
@@ -692,10 +709,66 @@ class _NonlinearAssembler:
         value = float(self.vols @ density) / h2 - self._load(y_flat)
         return value, self.lagrangian_gradient(d_el, g, (lam + kappa * s) / h2)
 
-    def constraint_jacobian(self, d_el):
-        """J[e, dof] = vol_e d(det F_e - 1)/dy = blockdiag(vol_e vec(cof F_e)^T) D."""
-        cof = cofactor(d_el + np.eye(3))
-        return gradient_rows(self.mesh, self.vols[:, None] * cof.reshape(-1, 9))
+    def element_hessians(self, d_el, g, nu):
+        """Per-element 12x12 blocks D_e^T h9_e D_e of h^2 times the Hessian of
+        h^-2 W + nu vol (det - 1) with respect to nodal y, h9_e the 9x9
+        Hessian in F and D_e the element's gradient map."""
+        m = d_el.shape[0]
+        vec_f = (d_el + np.eye(3)).reshape(m, 9)
+        hw = (2.0 * yeoh_slope(g, self.mat)[:, None, None] * np.eye(9)
+              + 4.0 * yeoh_curvature(g, self.mat)[:, None, None]
+              * vec_f[:, :, None] * vec_f[:, None, :])
+        hdet = (vec_f @ _DET_HESS.T).reshape(m, 9, 9)
+        h9 = self.vols[:, None, None] * hw + (self.p.h**2 * nu * self.vols)[:, None, None] * hdet
+        return self.grad_maps.transpose(0, 2, 1) @ (h9 @ self.grad_maps)
+
+    def element_jacobians(self, d_el):
+        """Per-element rows vol_e vec(cof F_e)^T D_e of the Jacobian of vol (det - 1)."""
+        cof = cofactor(d_el + np.eye(3)).reshape(-1, 1, 9)
+        return ((self.vols[:, None, None] * cof) @ self.grad_maps)[:, 0]
+
+    def _kkt_index(self, free, n):
+        """(flat, rows) for the free dofs `free` and an n x n KKT matrix: the
+        flat workspace index, in column order, of every entry of the element
+        Hessians, the dump slot where either dof is fixed, and each element
+        dof's row among the free dofs, free.size where it is fixed. Kept for
+        the last (n, free), which the steps on one active set share."""
+        key = (n, free.tobytes())
+        if key != self._index_key:
+            row = np.full(self.x_flat.size, free.size, dtype=np.int32)
+            row[free] = np.arange(free.size)
+            rows = row[self.dofs]
+            fixed = rows == free.size
+            flat = rows[:, :, None] + n * rows[:, None, :].astype(np.int64)
+            flat[fixed[:, :, None] | fixed[:, None, :]] = self.workspace.size - 1
+            self._index_key, self._index = key, (flat.ravel(), rows.ravel())
+        return self._index
+
+    def kkt_matrix(self, y, d_el, g, nu, free):
+        """The bordered KKT matrix of `newton_step` at the iterate y, assembled
+        in the workspace and returned as its column-ordered view, which
+        LAPACK factors in place: the element Hessians are scattered into the
+        h^2 H_ff block, the element Jacobian rows give Q^T J_f, and the flat
+        motions N the border."""
+        nf, m = free.size, self.q.shape[1]
+        rotation = self.load_vertical or not self.stress(d_el, g, nu).any()
+        border = np.zeros((y.size, 3 if rotation else 2))
+        border[0::3, 0] = border[1::3, 1] = 1.0
+        if rotation:
+            border[0::3, 2], border[1::3, 2] = -y[1::3], y[0::3]
+        n = nf + m + border.shape[1]
+        flat, rows = self._kkt_index(free, n)
+        kkt = self.workspace[:n * n].reshape((n, n), order="F")
+        kkt.fill(0.0)
+        np.add.at(self.workspace, flat, self.element_hessians(d_el, g, nu).ravel())
+        jac_t = scipy.sparse.csc_array(
+            (self.element_jacobians(d_el).ravel(), rows, self._jac_indptr),
+            shape=(nf + 1, d_el.shape[0])) @ self.q
+        kkt[:nf, nf:nf + m] = jac_t[:nf]
+        kkt[nf:nf + m, :nf] = jac_t[:nf].T
+        kkt[:nf, nf + m:] = border[free]
+        kkt[nf + m:, :nf] = kkt[:nf, nf + m:].T
+        return kkt
 
     def newton_step(self, y, d_el, g, nu, free, r1, c):
         """Newton step (dy on the free dofs, dmu) at the iterate y of the KKT
@@ -709,25 +782,14 @@ class _NonlinearAssembler:
         sweep, the identity with the identity pressure, makes exactly 0).
         Elsewhere, under a horizontal load, it is a genuine mode. The
         stationarity rows carry h^2, which keeps the two blocks of one scale
-        at small h. Returns None where the bordered matrix is singular: an
+        at small h. The matrix is assembled from per-element blocks in the
+        assembler's workspace (`kkt_matrix`) and factored there, so no step
+        allocates it. Returns None where the bordered matrix is singular: an
         exactly zero pivot (lu_factor's LinAlgWarning) or a non-finite step."""
-        h2 = self.p.h**2
-        nf, m = free.size, self.q.shape[1]
-        rotation = self.load_vertical or not self.stress(d_el, g, nu).any()
-        border = np.zeros((y.size, 3 if rotation else 2))
-        border[0::3, 0] = border[1::3, 1] = 1.0
-        if rotation:
-            border[0::3, 2], border[1::3, 2] = -y[1::3], y[0::3]
-        n_dim = nf + m + border.shape[1]
-        # in LAPACK's column order, so that the factorization works in place
-        kkt = np.zeros((n_dim, n_dim), order="F")
-        kkt[:nf, :nf] = h2 * self.lagrangian_hessian(d_el, g, nu)[np.ix_(free, free)]
-        kkt[nf:nf + m, :nf] = self.q.T @ self.constraint_jacobian(d_el)[:, free]
-        kkt[:nf, nf:nf + m] = kkt[nf:nf + m, :nf].T
-        kkt[:nf, nf + m:] = border[free]
-        kkt[nf + m:, :nf] = kkt[:nf, nf + m:].T
-        rhs = np.zeros(n_dim)
-        rhs[:nf], rhs[nf:nf + m] = -h2 * r1, -c
+        kkt = self.kkt_matrix(y, d_el, g, nu, free)
+        nf, m = free.size, c.size
+        rhs = np.zeros(kkt.shape[0])
+        rhs[:nf], rhs[nf:nf + m] = -self.p.h**2 * r1, -c
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             try:
@@ -738,18 +800,6 @@ class _NonlinearAssembler:
         if not np.isfinite(step).all():
             return None
         return step[:nf], step[nf:nf + m]
-
-    def lagrangian_hessian(self, d_el, g, nu):
-        """Dense Hessian of h^-2 W + nu vol (det - 1) with respect to nodal y:
-        D^T blockdiag(h9_e) D with the 9x9 Hessians h9_e in F."""
-        m = d_el.shape[0]
-        vec_f = (d_el + np.eye(3)).reshape(m, 9)
-        hw = (2.0 * yeoh_slope(g, self.mat)[:, None, None] * np.eye(9)
-              + 4.0 * yeoh_curvature(g, self.mat)[:, None, None]
-              * vec_f[:, :, None] * vec_f[:, None, :])
-        hdet = (vec_f @ _DET_HESS.T).reshape(m, 9, 9)
-        h9 = (self.vols / self.p.h**2)[:, None, None] * hw + (nu * self.vols)[:, None, None] * hdet
-        return gradient_form(self.mesh, h9)
 
 
 def _identity_pressure(problem):

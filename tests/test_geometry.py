@@ -7,6 +7,7 @@ from signorini_lab.geometry import (
     _grad_maps,
     boundary_region,
     convex_hull_2d,
+    element_gradient_maps,
     l2_norm,
     point_in_hull_2d,
     surface_mass_matrix,
@@ -75,6 +76,11 @@ def test_gradient_operator_matches_element_maps(n):
         assert_allclose((d @ u.ravel()).reshape(m, 3, 3), want, rtol=0, atol=1e-13)
         assert_allclose(mesh.element_gradients(u), want, rtol=0, atol=1e-13)
         assert_allclose(mesh.element_gradients(u[:, 0]), want[:, 0, :], rtol=0, atol=1e-13)
+    # the element blocks D_e, scattered to their dofs, are D's rows exactly
+    maps, dofs = element_gradient_maps(mesh)
+    dense = np.zeros((m, 9, 3 * mesh.num_nodes))
+    dense[np.arange(m)[:, None, None], np.arange(9)[:, None], dofs[:, None, :]] = maps
+    assert np.array_equal(dense.reshape(9 * m, -1), d.toarray())
 
 
 def test_boundary_tiles_once(mesh2):

@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose
 import signorini_lab as sl
 from conftest import random_divergence_free
 from signorini_lab import solvers
-from signorini_lab.geometry import volume_mass_matrix
+from signorini_lab.geometry import gradient_form, gradient_rows, volume_mass_matrix
 from signorini_lab.kinematics import DisplacementField
 from signorini_lab.loads import Rotation, load_vector
-from signorini_lab.material import det_minus_one_from_deviation
+from signorini_lab.material import (cofactor, det_minus_one_from_deviation, yeoh_curvature,
+                                   yeoh_slope)
 from signorini_lab.solvers import (
     Variant,
     active_set_qp,
@@ -321,6 +322,21 @@ def test_active_set_qp_redundant_kuhn_rows(mesh2, obstacle2, yeoh, gravity):
     flat[0, :, 0] = flat[1, :, 1] = 1.0
     flat[2, :, 0], flat[2, :, 1] = -nodes[:, 1], nodes[:, 0]
     assert np.abs(flat.reshape(3, -1) @ x).max() < 1e-10 * np.abs(x).max()
+
+
+def test_padded_frame_shares_the_div_frames_range_basis(mesh2):
+    # G~'s frame appends two free coordinates to the div frame without a copy
+    # of its row-space basis; its particular solution is the div frame's with
+    # two zeros appended
+    frame = solvers._div_null_space(mesh2)
+    padded = frame.padded(2)
+    assert padded.range_basis is frame.range_basis
+    b_eq = assemble_div_matrix(mesh2) @ np.random.default_rng(3).standard_normal(
+        3 * mesh2.num_nodes)
+    x = frame.particular(b_eq)
+    assert np.abs(x).max() > 0.0
+    assert np.array_equal(padded.particular(b_eq), np.concatenate([x, np.zeros(2)]))
+    assert np.array_equal(padded.particular(0.0 * b_eq), np.zeros(x.size + 2))
 
 
 def full_kkt_qp_oracle(h, g, a_eq, b_eq, bound_idx, warm_working=None):
@@ -908,26 +924,54 @@ def test_al_gradient_matches_central_differences(nonlinear_point):
     assert np.abs(grad - fd).max() <= 1e-8 * np.abs(grad).max()
 
 
-def test_lagrangian_hessian_matches_central_differences(nonlinear_point):
+def test_kkt_hessian_block_matches_central_differences(nonlinear_point):
     # the gradient of h^-2 sum vol W + sum nu vol (det - 1) - L/h is the AL
-    # gradient with lam = h^2 nu and kappa = 0
+    # gradient with lam = h^2 nu and kappa = 0; with every dof free the KKT
+    # matrix's leading block is h^2 times its Hessian
     asm, y, lam = nonlinear_point
     h2 = asm.p.h**2
     nu = lam / h2
     d_el, g = _deviation(asm.mesh, y)
-    hess = asm.lagrangian_hessian(d_el, g, nu)
+    n = y.size
+    hess = asm.kkt_matrix(y, d_el, g, nu, np.arange(n))[:n, :n] / h2
     assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
     fd = _central_jacobian(lambda yy: asm.al_value_grad(yy, lam, 0.0)[1], y, 1e-6)
     assert np.abs(hess - fd).max() <= 1e-8 * np.abs(hess).max()
 
 
-def test_constraint_jacobian_matches_central_differences(nonlinear_point):
-    asm, y, _ = nonlinear_point
-    jac = asm.constraint_jacobian(_deviation(asm.mesh, y)[0])
+def test_kkt_constraint_block_matches_central_differences(nonlinear_point):
+    # with every dof free the KKT matrix's constraint rows are Q^T J, the
+    # Jacobian of c(y) = Q^T V (det - 1)
+    asm, y, lam = nonlinear_point
+    d_el, g = _deviation(asm.mesh, y)
+    n, m = y.size, asm.q.shape[1]
+    jac = asm.kkt_matrix(y, d_el, g, lam / asm.p.h**2, np.arange(n))[n:n + m, :n].copy()
     fd = _central_jacobian(
-        lambda yy: asm.vols * det_minus_one_from_deviation(_deviation(asm.mesh, yy)[0]), y, 1e-6)
+        lambda yy: asm.q.T @ (asm.vols * det_minus_one_from_deviation(_deviation(asm.mesh, yy)[0])),
+        y, 1e-6)
     assert jac.shape == fd.shape
     assert np.abs(jac - fd).max() <= 1e-8 * np.abs(jac).max()
+
+
+def _dense_hessian(asm, d_el, g, nu):
+    """Oracle of the Lagrangian Hessian: dense D^T blockdiag(h9_e) D by
+    `gradient_form`, h9_e the 9x9 Hessian in F of h^-2 vol W + nu vol (det - 1)."""
+    m = d_el.shape[0]
+    vec_f = (d_el + np.eye(3)).reshape(m, 9)
+    hw = (2.0 * yeoh_slope(g, asm.mat)[:, None, None] * np.eye(9)
+          + 4.0 * yeoh_curvature(g, asm.mat)[:, None, None] * vec_f[:, :, None] * vec_f[:, None, :])
+    hdet = (vec_f @ solvers._DET_HESS.T).reshape(m, 9, 9)
+    h9 = (asm.vols / asm.p.h**2)[:, None, None] * hw + (nu * asm.vols)[:, None, None] * hdet
+    return gradient_form(asm.mesh, h9)
+
+
+def _oracle_kkt_blocks(asm, d_el, g, nu, free):
+    """Oracle of the finish's unbordered KKT blocks (h^2 H_ff, Q^T J_f): the
+    dense Hessian's free block by `np.ix_`, and Q^T times the dense Jacobian
+    blockdiag(vol_e vec(cof F_e)^T) D of `gradient_rows` on the free columns."""
+    jac = gradient_rows(asm.mesh, asm.vols[:, None] * cofactor(d_el + np.eye(3)).reshape(-1, 9))
+    return (asm.p.h**2 * _dense_hessian(asm, d_el, g, nu)[np.ix_(free, free)],
+            asm.q.T @ jac[:, free])
 
 
 # ---------------------------------------------------------------------------
@@ -1043,10 +1087,10 @@ def _gelsy_step(asm, d_el, g, nu, free, r1, c):
     gelsy's pivoted QR with relative singular values below 1e-10 dropped, as
     the finish solved it before the flat motions were bordered."""
     h2 = asm.p.h**2
-    jac = asm.q.T @ asm.constraint_jacobian(d_el)[:, free]
+    hff, jac = _oracle_kkt_blocks(asm, d_el, g, nu, free)
     nf, m = free.size, c.size
     kkt = np.zeros((nf + m, nf + m))
-    kkt[:nf, :nf] = h2 * asm.lagrangian_hessian(d_el, g, nu)[np.ix_(free, free)]
+    kkt[:nf, :nf] = hff
     kkt[:nf, nf:] = jac.T
     kkt[nf:, :nf] = jac
     step = scipy.linalg.lstsq(kkt, -np.concatenate([h2 * r1, c]), cond=1e-10,
@@ -1080,6 +1124,109 @@ def test_bordered_newton_step_is_the_minimum_norm_step(load, mesh2, obstacle2, y
         oracle = np.concatenate(_gelsy_step(asm, d_el, g, nu, free, r1, c))
         err = np.linalg.norm(step - oracle) / np.linalg.norm(oracle)
         assert err <= 1e-10, (h, err)
+
+
+@pytest.mark.parametrize("cube", [2, 3])
+@pytest.mark.parametrize("load", ["gravity", "identity-only"])
+def test_kkt_matrix_matches_the_dense_oracle(cube, load, request, yeoh, gravity,
+                                             identity_only_load):
+    # the element blocks scattered in place against the dense products, block
+    # by block, at a stressed iterate with half the bound dofs freed: under
+    # gravity the border has 3 columns, under the identity-only load 2
+    mesh = request.getfixturevalue(f"mesh{cube}")
+    obstacle = request.getfixturevalue(f"obstacle{cube}")
+    f = gravity if load == "gravity" else identity_only_load
+    p = solvers.NonlinearProblem(mesh=mesh, material=yeoh, load=f, obstacle=obstacle, h=0.2)
+    asm = solvers._NonlinearAssembler(p)
+    rng = np.random.default_rng(cube)
+    y = mesh.nodes.ravel() + 0.02 * rng.standard_normal(3 * mesh.num_nodes)
+    nu = solvers._identity_pressure(p) / p.h**2 + rng.standard_normal(mesh.num_elements)
+    free = np.setdiff1d(np.arange(y.size), obstacle_bound_dofs(obstacle)[::2])
+    d_el, g, _ = asm.deviation(y)
+    kkt = asm.kkt_matrix(y, d_el, g, nu, free).copy()
+    hff, jac = _oracle_kkt_blocks(asm, d_el, g, nu, free)
+    nf, m, nb = free.size, asm.q.shape[1], 3 if load == "gravity" else 2
+    assert kkt.shape == (nf + m + nb,) * 2
+    for block, want in ((kkt[:nf, :nf], hff), (kkt[nf:nf + m, :nf], jac),
+                        (kkt[:nf, nf:nf + m], jac.T)):
+        assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+    border = np.zeros((y.size, 3))
+    border[0::3, 0] = border[1::3, 1] = 1.0
+    border[0::3, 2], border[1::3, 2] = -y[1::3], y[0::3]
+    assert np.array_equal(kkt[:nf, nf + m:], border[free, :nb])
+    assert np.array_equal(kkt[nf + m:, :nf], border[free, :nb].T)
+    assert not kkt[nf:, nf:].any()
+
+
+def test_kkt_workspace_keeps_no_state_between_steps(yeoh, identity_only_load):
+    # a large KKT (the stress-free identity, 3 border columns) and then a
+    # smaller one (a stressed iterate under the identity-only load, 2 border
+    # columns, 5 more dofs fixed) on one mesh give, bit for bit, the step of a
+    # fresh mesh; so do two assemblers at different h interleaved on one mesh
+    def assembler(mesh, h):
+        return solvers._NonlinearAssembler(solvers.NonlinearProblem(
+            mesh=mesh, material=yeoh, load=identity_only_load,
+            obstacle=sl.extract_obstacle(mesh), h=h))
+
+    def step(asm, stressed):
+        p = asm.p
+        bound = obstacle_bound_dofs(p.obstacle)
+        y = p.mesh.nodes.ravel().copy()
+        free = np.setdiff1d(np.arange(y.size), bound)
+        if stressed:
+            y[free] += 0.01 * np.random.default_rng(5).standard_normal(free.size)
+            free = free[5:]
+        nu = solvers._identity_pressure(p) / p.h**2
+        d_el, g, r = asm.deviation(y)
+        r1 = asm.lagrangian_gradient(d_el, g, nu)[free]
+        out = asm.newton_step(y, d_el, g, nu, free, r1, asm.q.T @ (asm.vols * r))
+        assert out is not None
+        return np.concatenate(out)
+
+    fresh = {h: step(assembler(sl.build_box_mesh(2), h), True) for h in (0.2, 0.1)}
+    mesh = sl.build_box_mesh(2)
+    asm = assembler(mesh, 0.2)
+    step(asm, False)
+    assert np.array_equal(step(asm, True), fresh[0.2])
+    a, b = assembler(mesh, 0.2), assembler(mesh, 0.1)
+    step(b, False)
+    assert np.array_equal(step(a, True), fresh[0.2])
+    assert np.array_equal(step(b, True), fresh[0.1])
+    step(a, False)
+    assert np.array_equal(step(a, True), fresh[0.2])
+
+
+def test_every_finish_factorization_works_in_the_workspace(mesh3, obstacle3, yeoh, gravity,
+                                                           monkeypatch):
+    # over the cube-3 acceptance chain every LU factors a view of its
+    # assembler's workspace, in place: no step allocates its KKT matrix
+    made, in_place = [], []
+
+    class Recording(solvers._NonlinearAssembler):
+        def __init__(self, problem):
+            super().__init__(problem)
+            made.append(self)
+
+    lu_factor = scipy.linalg.lu_factor
+
+    def checked(a, **kwargs):
+        lu = lu_factor(a, **kwargs)
+        in_place.append(np.shares_memory(a, made[-1].workspace)
+                        and np.shares_memory(lu[0], a))
+        return lu
+
+    monkeypatch.setattr(solvers, "_NonlinearAssembler", Recording)
+    monkeypatch.setattr(solvers.scipy.linalg, "lu_factor", checked)
+    h_list = (0.2, 0.1, 0.05, 0.025)
+    warm = None
+    for h, h_next in zip(h_list, (*h_list[1:], None)):
+        res = solvers.minimize_nonlinear(solvers.NonlinearProblem(
+            mesh=mesh3, material=yeoh, load=gravity, obstacle=obstacle3, h=h, warm_start=warm))
+        assert res.termination.startswith("direct"), h
+        if h_next is not None:
+            warm = (mesh3.nodes + (h_next / h) * (res.field.y - mesh3.nodes)).ravel()
+    assert len(made) == len(h_list)
+    assert len(in_place) >= len(h_list) and all(in_place), in_place
 
 
 def test_newton_finish_never_drifts_along_a_flat_motion(mesh3, obstacle3, yeoh, gravity):
@@ -1118,19 +1265,19 @@ def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity, monkeyp
 def test_singular_bordered_kkt_ends_the_finish_by_name(case, mesh2, obstacle2, yeoh, gravity,
                                                        monkeypatch):
     # a singular bordered KKT, as when no bound is active and the vertical
-    # translation is flat too. A vanishing constraint Jacobian leaves exact
-    # zero rows, whose zero pivot lu_factor warns of; a Hessian of NaNs gives
-    # a step that is not finite, on which numpy would warn. Either ends the
-    # try by name, and no warning escapes
+    # translation is flat too. Vanishing element Jacobian rows leave exact
+    # zero rows, whose zero pivot lu_factor warns of; element Hessians of NaNs
+    # give a step that is not finite, on which numpy would warn. Either ends
+    # the try by name, and no warning escapes
     asm_cls = solvers._NonlinearAssembler
     if case == "zero-pivot":
-        jacobian = asm_cls.constraint_jacobian
-        monkeypatch.setattr(asm_cls, "constraint_jacobian",
-                            lambda self, d_el: 0.0 * jacobian(self, d_el))
+        jacobians = asm_cls.element_jacobians
+        monkeypatch.setattr(asm_cls, "element_jacobians",
+                            lambda self, d_el: 0.0 * jacobians(self, d_el))
     else:
-        hessian = asm_cls.lagrangian_hessian
-        monkeypatch.setattr(asm_cls, "lagrangian_hessian",
-                            lambda self, *args: np.full_like(hessian(self, *args), np.nan))
+        hessians = asm_cls.element_hessians
+        monkeypatch.setattr(asm_cls, "element_hessians",
+                            lambda self, *args: np.full_like(hessians(self, *args), np.nan))
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
                                  obstacle=obstacle2, h=0.2)
     with warnings.catch_warnings(record=True) as caught:
