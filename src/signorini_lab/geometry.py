@@ -4,6 +4,12 @@ Built-in domains are axis-aligned boxes resting on the plane {x3 = 0}, split
 into Kuhn tetrahedra (six per cube, all sharing the cell's main diagonal, so
 subdivisions of neighbouring cells conform). Arbitrary meshes can be loaded
 from the text format described in `read_mesh_file`.
+
+A `Mesh` is an immutable value: its fields cannot be assigned and its arrays
+are read-only. Whatever is computed once per mesh (element gradient maps,
+mass matrices, load vectors, the div rows and frames and the limit set-up)
+goes through `Mesh.cached`, which builds it once, marks its arrays read-only
+and keeps it as long as the mesh, so no cached value can go stale.
 """
 
 from __future__ import annotations
@@ -32,7 +38,16 @@ _TET_FACES = ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))
 PLANE_TOL = 1e-12
 
 
-@dataclass
+def _freeze(value):
+    """Mark read-only the ndarray `value`, or each ndarray element of the
+    tuple (or NamedTuple) `value`; return it."""
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return value
+
+
+@dataclass(frozen=True)
 class Mesh:
     """Immutable tetrahedral mesh with its P1 gradient operator.
 
@@ -41,7 +56,12 @@ class Mesh:
     gradient_operator is the map for vector fields as one sparse (9M, 3N)
     matrix D: row 9e + 3i + j and column 3a + i hold G_e[j, a], so
     (D @ u.ravel()).reshape(M, 3, 3)[e, i, j] = d u_i / d x_j on element e.
-    boundary_area_vectors hold outward-oriented triangle area vectors.
+    boundary_area_vectors hold outward-oriented triangle area vectors. The
+    box fields describe a mesh of `build_box_mesh` and are None otherwise.
+
+    No field can be assigned, and every array, D's included, is read-only.
+    Quantities that live as long as the mesh sit in its cache, which only
+    `cached` reads or writes.
     """
 
     nodes: np.ndarray                 # (N, 3)
@@ -55,7 +75,16 @@ class Mesh:
     box_lengths: np.ndarray | None = None
     box_divisions: np.ndarray | None = None
     box_parity: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def cached(self, key, build):
+        """build(), called once per key and shared by every later call with
+        that key for the life of the mesh. Its arrays, the value or the
+        elements of a tuple value, are marked read-only; other containers in
+        a tuple value are stored as they are."""
+        if key not in self._cache:
+            self._cache[key] = _freeze(build())
+        return self._cache[key]
 
     @property
     def num_nodes(self):
@@ -158,9 +187,12 @@ def _boundary_faces(tets):
     return faces[np.sort(first[counts == 1])]
 
 
-def _finish_mesh(nodes, tets, analytic_volume=None, box=None):
-    tets = np.asarray(tets, dtype=int)
-    nodes = np.asarray(nodes, dtype=float)
+def _finish_mesh(nodes, tets, analytic_volume=None, **box):
+    """The validated mesh of the given nodes and tets, reoriented to positive
+    volumes; `box` holds the box fields of a box mesh. The mesh owns copies
+    of the inputs, all read-only."""
+    tets = np.array(tets, dtype=int)
+    nodes = np.array(nodes, dtype=float)
     # Fix orientation so every signed volume is positive.
     p = nodes[tets]
     det = np.linalg.det(p[:, 1:, :] - p[:, :1, :])
@@ -173,19 +205,12 @@ def _finish_mesh(nodes, tets, analytic_volume=None, box=None):
     btris = _boundary_faces(tets)
     pa, pb, pc = nodes[btris[:, 0]], nodes[btris[:, 1]], nodes[btris[:, 2]]
     areas = 0.5 * np.cross(pb - pa, pc - pa)
-    mesh = Mesh(
-        nodes=nodes,
-        tets=tets,
-        boundary_tris=btris,
-        boundary_area_vectors=areas,
-        element_volumes=vols,
-        gradient_operator=_gradient_operator(tets, grads, nodes.shape[0]),
-        analytic_volume=analytic_volume,
-    )
-    if box is not None:
-        mesh.box_origin = np.asarray(box[0], dtype=float)
-        mesh.box_lengths = np.asarray(box[1], dtype=float)
-        mesh.box_divisions = np.asarray(box[2], dtype=int)
+    d = _gradient_operator(tets, grads, nodes.shape[0])
+    box = {name: np.array(v) for name, v in box.items()}
+    _freeze((nodes, tets, btris, areas, vols, d.data, d.indices, d.indptr, *box.values()))
+    mesh = Mesh(nodes=nodes, tets=tets, boundary_tris=btris, boundary_area_vectors=areas,
+                element_volumes=vols, gradient_operator=d, analytic_volume=analytic_volume,
+                **box)
     mesh.validate()
     return mesh
 
@@ -226,14 +251,9 @@ def build_box_mesh(divisions, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
             steps[q, c + 1:, ax] = 1
     v = start[:, None, None, :] + dirs[:, None, None, :] * steps[None]
     tets = ((v[..., 0] * (ny + 1) + v[..., 1]) * (nz + 1) + v[..., 2]).reshape(-1, 4)
-    mesh = _finish_mesh(
-        nodes,
-        tets,
-        analytic_volume=float(np.prod(lengths)),
-        box=(origin, lengths, (nx, ny, nz)),
-    )
-    mesh.box_parity = parity
-    return mesh
+    return _finish_mesh(nodes, tets, analytic_volume=float(np.prod(lengths)),
+                        box_origin=origin, box_lengths=lengths, box_divisions=(nx, ny, nz),
+                        box_parity=parity)
 
 
 def convex_hull_2d(points):
@@ -309,25 +329,13 @@ def boundary_region(mesh, name):
     return np.nonzero(mask)[0]
 
 
-def _resolve_region(mesh, region):
-    if isinstance(region, str):
-        return boundary_region(mesh, region)
-    idx = np.asarray(region, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= mesh.boundary_tris.shape[0]):
-        raise MeshError("region indices outside the boundary triangle list")
-    return idx
-
-
 def integrate_volume(mesh, integrand):
-    """Integral over the body of a nodal P1 field (length N), exact (centroid
-    rule per tet); vector-valued fields are integrated componentwise."""
+    """Integral over the body of a scalar nodal P1 field (length N), exact
+    (centroid rule per tet)."""
     f = np.asarray(integrand, dtype=float)
-    if f.shape[0] != mesh.num_nodes:
-        raise MeshError("nodal integrand has wrong length")
-    centroid_vals = f[mesh.tets].mean(axis=1)
-    if centroid_vals.ndim == 1:
-        return float(np.dot(mesh.element_volumes, centroid_vals))
-    return np.tensordot(mesh.element_volumes, centroid_vals, axes=(0, 0))
+    if f.shape != (mesh.num_nodes,):
+        raise MeshError(f"nodal integrand must have shape ({mesh.num_nodes},)")
+    return float(np.dot(mesh.element_volumes, f[mesh.tets].mean(axis=1)))
 
 
 def _block_diagonal(blocks):
@@ -355,16 +363,14 @@ def element_gradient_maps(mesh):
     3 tets[e, a] + i at column 3a + i. Built once per mesh from the element
     gradient maps, not read out of the sparse operator, whose entry order is
     scipy's."""
-    key = "element_gradient_maps"
-    if key not in mesh._cache:
+    def build():
         _, g = _grad_maps(mesh.nodes, mesh.tets)
         m = mesh.num_elements
         d = np.zeros((m, 3, 3, 4, 3))   # element, component i, direction j, node a, component
         for i in range(3):
             d[:, i, :, :, i] = g
-        dofs = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(m, 12)
-        mesh._cache[key] = (d.reshape(m, 9, 12), dofs)
-    return mesh._cache[key]
+        return d.reshape(m, 9, 12), (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(m, 12)
+    return mesh.cached("element_gradient_maps", build)
 
 
 def _scatter(cells, weights, base, n):
@@ -376,22 +382,19 @@ def _scatter(cells, weights, base, n):
 
 def volume_mass_matrix(mesh):
     """Consistent P1 mass matrix, exact for products of P1 fields."""
-    key = "vol_mass"
-    if key not in mesh._cache:
-        base = (np.ones((4, 4)) + np.eye(4)) / 20.0
-        mesh._cache[key] = _scatter(mesh.tets, mesh.element_volumes, base, mesh.num_nodes)
-    return mesh._cache[key]
+    return mesh.cached("vol_mass", lambda: _scatter(
+        mesh.tets, mesh.element_volumes, (np.ones((4, 4)) + np.eye(4)) / 20.0, mesh.num_nodes))
 
 
 def surface_mass_matrix(mesh, region="all"):
-    """Consistent P1 surface mass matrix over a boundary region."""
-    idx = _resolve_region(mesh, region)
-    key = ("surf_mass", tuple(idx.tolist()))
-    if key not in mesh._cache:
+    """Consistent P1 surface mass matrix over a named boundary region."""
+    idx = boundary_region(mesh, region)
+
+    def build():
         base = (np.ones((3, 3)) + np.eye(3)) / 12.0
         areas = np.linalg.norm(mesh.boundary_area_vectors[idx], axis=1)
-        mesh._cache[key] = _scatter(mesh.boundary_tris[idx], areas, base, mesh.num_nodes)
-    return mesh._cache[key]
+        return _scatter(mesh.boundary_tris[idx], areas, base, mesh.num_nodes)
+    return mesh.cached(("surf_mass", tuple(idx.tolist())), build)
 
 
 def l2_norm(mesh, u):

@@ -114,26 +114,18 @@ def _load_key(load):
     """Hashable content of a load: equal loads share cache entries, and an
     edited load never meets the entry of its old content."""
     f_key = None if load.f is None else _descriptor_key(load.f)
-    g_key = tuple((region if isinstance(region, str) else _array_key(region),
-                   _descriptor_key(desc)) for region, desc in load.g)
+    g_key = tuple((region, _descriptor_key(desc)) for region, desc in load.g)
     return f_key, g_key
 
 
-def _mesh_cached(mesh, name, load, compute):
-    """compute(load, mesh), cached on the mesh so the entry dies with it."""
-    key = (name, _load_key(load))
-    if key not in mesh._cache:
-        mesh._cache[key] = compute(load, mesh)
-    return mesh._cache[key]
-
-
 def load_vector(load, mesh):
-    """Nodal vector ell with ell . v = L(v) for every nodal field v.
+    """Nodal vector ell with ell . v = L(v) for every nodal field v, cached
+    on the mesh under the load's content (read-only).
 
     Exact for constant and affine descriptors; tabulated descriptors are
     treated as the P1 fields they are (consistent mass quadrature).
     """
-    return _mesh_cached(mesh, "ell", load, _assemble_load_vector)
+    return mesh.cached(("ell", _load_key(load)), lambda: _assemble_load_vector(load, mesh))
 
 
 def is_zero_load(load, mesh):
@@ -151,8 +143,9 @@ def _assemble_load_vector(load, mesh):
 
 
 def load_moments(load, mesh):
-    """Resultant F[i] = L(e_i) and moment matrix T[i, j] = L(x_j e_i)."""
-    return _mesh_cached(mesh, "moments", load, _assemble_moments)
+    """Resultant F[i] = L(e_i) and moment matrix T[i, j] = L(x_j e_i),
+    cached on the mesh like `load_vector`."""
+    return mesh.cached(("moments", _load_key(load)), lambda: _assemble_moments(load, mesh))
 
 
 def _assemble_moments(load, mesh):

@@ -110,8 +110,7 @@ class ReflectedExtension:
         self.spacing = self.lengths / self.div
         ext_div = 3 * self.div
         self.ext_origin = self.origin - self.lengths
-        base_parity = mesh.box_parity if mesh.box_parity is not None else np.zeros(3, dtype=int)
-        self.parity = (base_parity + self.div) % 2  # align cell parity with the base
+        self.parity = (mesh.box_parity + self.div) % 2  # align cell parity with the base
         self.mesh = build_box_mesh(ext_div, lengths=3 * self.lengths,
                                    origin=self.ext_origin, parity_offset=self.parity)
         self.ext_div = ext_div

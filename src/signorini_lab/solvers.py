@@ -237,18 +237,13 @@ def _null_space_frame(a_eq, n):
 
 def _div_rows(mesh):
     """The mesh's div rows B (`assemble_div_matrix`), assembled once per mesh."""
-    key = ("div_rows",)
-    if key not in mesh._cache:
-        mesh._cache[key] = assemble_div_matrix(mesh)
-    return mesh._cache[key]
+    return mesh.cached(("div_rows",), lambda: assemble_div_matrix(mesh))
 
 
 def _div_null_space(mesh):
     """Frame of the mesh's div rows B, computed once per mesh."""
-    key = ("div_null_space",)
-    if key not in mesh._cache:
-        mesh._cache[key] = _null_space_frame(_div_rows(mesh), 3 * mesh.num_nodes)
-    return mesh._cache[key]
+    return mesh.cached(("div_null_space",),
+                       lambda: _null_space_frame(_div_rows(mesh), 3 * mesh.num_nodes))
 
 
 def _div_range_basis(mesh):
@@ -257,12 +252,11 @@ def _div_range_basis(mesh):
     divergences. range(B) = range(B Q1) with Q1 the div frame's row-space
     basis, and B Q1 has full column rank, so one thin QR of V^(1/2) B Q1
     gives it. Computed once per mesh, when the nonlinear path first asks."""
-    key = ("div_range_basis",)
-    if key not in mesh._cache:
+    def build():
         root_v = np.sqrt(mesh.element_volumes)[:, None]
         q, _ = np.linalg.qr(root_v * (_div_rows(mesh) @ _div_null_space(mesh).range_basis))
-        mesh._cache[key] = q / root_v
-    return mesh._cache[key]
+        return q / root_v
+    return mesh.cached(("div_range_basis",), build)
 
 
 def _kkt_factor(hz, z, working):
@@ -563,12 +557,12 @@ def _limit_setup(mesh, material, with_shear):
     under the material's constants and the family, plain (E^I, G^I) or with
     G~'s two shear columns, whose frame is the div frame padded (the shear
     coordinates are free)."""
-    key = ("limit_setup", material.c1, material.c2, material.c3, with_shear)
-    if key not in mesh._cache:
+    def build():
         frame = _div_null_space(mesh)
-        mesh._cache[key] = (assemble_strain_hessian(mesh, material, with_shear=with_shear),
-                            {"null_space": frame.padded(2) if with_shear else frame})
-    return mesh._cache[key]
+        return (assemble_strain_hessian(mesh, material, with_shear=with_shear),
+                {"null_space": frame.padded(2) if with_shear else frame})
+    return mesh.cached(("limit_setup", material.c1, material.c2, material.c3, with_shear),
+                       build)
 
 
 def minimize_limit(problem):

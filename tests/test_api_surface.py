@@ -138,6 +138,23 @@ def default_parameter_findings(src, callers):
     return examined, findings
 
 
+def cache_findings(trees):
+    """The modules other than geometry.py that name `_cache`, as an attribute,
+    a variable or a string: only `Mesh.cached` reads or writes a mesh's cache."""
+    def names(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "_cache")
+                or (isinstance(node, ast.Name) and node.id == "_cache")
+                or (isinstance(node, ast.Constant) and node.value == "_cache"))
+    return sorted(module for module, tree in trees.items()
+                  if module != "geometry.py" and any(map(names, ast.walk(tree))))
+
+
+def test_only_geometry_names_the_mesh_cache():
+    src = _trees(SRC)
+    assert "geometry.py" in src
+    assert cache_findings(src) == []
+
+
 def test_every_public_definition_has_a_caller():
     defined, used = {}, set()
     for path in SRC + BENCH:
@@ -195,6 +212,13 @@ def solve(x, passed_tol=1.0, unpassed_tol=1.0):
     return rec.kept + rec.level + rec.used(2.0) + solve(_step(x), passed_tol=0.5)
 """
 PLANTED_TEST = "Record(1, 2, level=3).test_only()\n"
+PLANTED_CACHE = {
+    "geometry.py": "def cached(mesh, key):\n    return mesh._cache[key]\n",
+    "attribute.py": "def rows(mesh):\n    mesh._cache['rows'] = 1\n",
+    "string.py": "def rows(mesh):\n    return getattr(mesh, '_cache')\n",
+    "variable.py": "from geometry import _cache\n\n\ndef rows():\n    return _cache\n",
+    "clean.py": "def rows(mesh):\n    return mesh.cached('rows', list)\n",
+}
 
 
 @pytest.mark.parametrize("scan, expected", [
@@ -213,3 +237,10 @@ def test_scans_flag_planted_source(scan, expected):
         examined, findings = default_parameter_findings(src, src)
     assert examined
     assert sorted(findings) == expected
+
+
+def test_cache_scan_flags_planted_source():
+    # the three ways to name the cache outside geometry; geometry's own use
+    # and a call of `cached` pass
+    src = {name: ast.parse(text) for name, text in PLANTED_CACHE.items()}
+    assert cache_findings(src) == ["attribute.py", "string.py", "variable.py"]

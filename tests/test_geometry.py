@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import signorini_lab as sl
+from signorini_lab import solvers
 from signorini_lab.geometry import (
     _grad_maps,
     boundary_region,
@@ -13,6 +16,7 @@ from signorini_lab.geometry import (
     surface_mass_matrix,
     volume_mass_matrix,
 )
+from signorini_lab.loads import load_vector
 
 
 def signed_volume_oracle(nodes, tets):
@@ -206,8 +210,8 @@ def test_integrate_surface_examples(mesh2):
 
 
 def test_integrate_surface_region_validation(mesh2):
-    with pytest.raises(sl.MeshError):
-        surface_mass_matrix(mesh2, np.array([10_000]))
+    with pytest.raises(sl.MeshError, match="unknown boundary region 'left'"):
+        surface_mass_matrix(mesh2, "left")
 
 
 def test_boundary_regions_cover(mesh2):
@@ -282,3 +286,53 @@ def test_anisotropic_box():
     assert_allclose(mesh.volume, 1.0, rtol=1e-12)
     obs = sl.extract_obstacle(mesh)
     assert obs.num_nodes == 3 * 2  # bottom grid (2+1) x (1+1)
+
+
+def test_mesh_fields_cannot_be_assigned(mesh1):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh1.nodes = mesh1.nodes.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh1.box_parity = np.ones(3, dtype=int)
+
+
+def test_mesh_and_cached_arrays_are_read_only(yeoh, gravity):
+    # the mesh's arrays, D's included, and what its cache hands out (on a
+    # mesh of its own: where a write got through, it would spoil a shared one)
+    mesh = sl.build_box_mesh(2)
+    d = mesh.gradient_operator
+    arrays = {
+        "nodes": mesh.nodes, "tets": mesh.tets, "boundary_tris": mesh.boundary_tris,
+        "boundary_area_vectors": mesh.boundary_area_vectors,
+        "element_volumes": mesh.element_volumes, "box_origin": mesh.box_origin,
+        "D.data": d.data, "D.indices": d.indices, "D.indptr": d.indptr,
+        "div rows": solvers._div_rows(mesh),
+        "load vector": load_vector(gravity, mesh),
+        "H": solvers._limit_setup(mesh, yeoh, False)[0],
+        "null space": solvers._div_null_space(mesh).z,
+    }
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+        assert not a.flags.writeable, name
+
+
+def test_mesh_cached_builds_each_key_once():
+    mesh = sl.build_box_mesh(1)
+    built = []
+
+    def build(tag):
+        def run():
+            built.append(tag)
+            return np.zeros(2), {"scratch": tag}
+        return run
+
+    first = mesh.cached(("probe", 1), build(1))
+    assert mesh.cached(("probe", 1), build(2)) is first
+    other = mesh.cached(("probe", 2), build(3))
+    assert built == [1, 3]
+    assert other is not first
+    # ndarray elements of a tuple are frozen; other containers stay as they are
+    assert not first[0].flags.writeable
+    first[1]["scratch"] = 4
+    assert mesh.cached(("probe", 1), build(5))[1] == {"scratch": 4}
+    assert sl.build_box_mesh(1).cached(("probe", 1), build(6))[1] == {"scratch": 6}

@@ -231,6 +231,30 @@ def test_sandwich_check(tmp_path):
         assert slack <= max(0.1 * h, 1e-8)
 
 
+@pytest.mark.parametrize("defect, warns", [(1e-6, False), (1e-3, True)])
+def test_equality_warning_follows_the_sandwich(defect, warns, tmp_path, monkeypatch, caplog):
+    # min E^I raised to 1e4 makes the sandwich's scale 1e-8 (1 + 1e4): a G~ = G
+    # defect of 1e-6 is above 1e-8 (1 + |min G|) but within it, and logs
+    # nothing; one of 1e-3 is above both and is the warning
+    triple = harness.limit_triple
+
+    def shifted(*args):
+        results = triple(*args)
+        results[solvers.Variant.EI].objective = 1e4
+        results[solvers.Variant.GTILDE].objective = results[solvers.Variant.GI].objective - defect
+        return results
+
+    monkeypatch.setattr(harness, "limit_triple", shifted)
+    cfg = harness.parse_config(FAST_CONFIG.format(out=tmp_path.as_posix()))
+    with caplog.at_level(logging.WARNING, logger="signorini_lab.harness"):
+        report = harness.run_experiment(cfg)
+    assert defect > 1e-8 * (1.0 + abs(report.min_gi))
+    assert report.sandwich["equality_gtilde_gi"] is not warns
+    logged = [r.getMessage() for r in caplog.records if "limit equality defect" in r.getMessage()]
+    assert logged == ([f"limit equality defect: {report.sandwich['equality_defect']:.3e}"]
+                      if warns else [])
+
+
 def _count_limit_set_up(monkeypatch):
     """Counts of the limit set-up's assemblies and the (H size, working set)
     of every working-set factorization, recorded through monkeypatch."""

@@ -1261,6 +1261,56 @@ def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity, monkeyp
     assert solvers._newton_polish(asm, y, lam, p)[:2] == (None, "active-set-cycling")
 
 
+def _spy_finishes(monkeypatch):
+    """(outcome, active bounds at the start, active bounds at the end or None)
+    of every `_newton_polish` call, a bound counted active at or below the
+    finish's own 1e-8."""
+    finish, seen = solvers._newton_polish, []
+
+    def spy(asm, y, lam, p):
+        bounds = obstacle_bound_dofs(p.obstacle)
+        out = finish(asm, y, lam, p)
+        seen.append((out[1], int(np.count_nonzero(y[bounds] <= 1e-8)),
+                     None if out[0] is None else int(np.count_nonzero(out[0][bounds] <= 1e-8))))
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_polish", spy)
+    return seen
+
+
+def _affine_load(values):
+    values = np.asarray(values, dtype=float)
+    return sl.LoadSpec(f=sl.affine_field(values[:9].reshape(3, 3), values[9:]))
+
+
+def test_finish_drops_and_adds_bounds(mesh3, obstacle3, yeoh, monkeypatch):
+    # f = (0, 0, -1.8 x1 - 0.1) tips the body toward x1 = 1: from the
+    # identity at h = 0.5 one of the 16 bounds lets go, and the warm finish
+    # at h = 0.2 takes it back; both on their direct try
+    seen = _spy_finishes(monkeypatch)
+    load = _affine_load([0, 0, 0, 0, 0, 0, -1.8, 0, 0, 0, 0, -0.1])
+    warm = None
+    for h in (0.5, 0.2):
+        res = solvers.minimize_nonlinear(solvers.NonlinearProblem(
+            mesh=mesh3, material=yeoh, load=load, obstacle=obstacle3, h=h, warm_start=warm))
+        assert res.termination.startswith("direct"), h
+        warm = (mesh3.nodes + (0.2 / h) * (res.field.y - mesh3.nodes)).ravel()
+    assert seen == [("ok", 16, 15), ("ok", 15, 16)]
+
+
+def test_finish_that_cycles_falls_back_to_the_al(mesh2, obstacle2, yeoh, monkeypatch):
+    # f = (0, 0, 0.5 - 3 x1) lifts the x1 = 0 side: from the identity the
+    # active set does not settle within NEWTON_ROUNDS updates, and the AL
+    # fallback's iterate, with 6 bounds active, finishes
+    seen = _spy_finishes(monkeypatch)
+    res = solvers.minimize_nonlinear(solvers.NonlinearProblem(
+        mesh=mesh2, material=yeoh, load=_affine_load([0, 0, 0, 0, 0, 0, -3, 0, 0, 0, 0, 0.5]),
+        obstacle=obstacle2, h=0.5))
+    assert seen == [("active-set-cycling", 9, None), ("ok", 6, 6)]
+    assert res.termination.startswith("augmented-lagrangian(identity)+newton")
+    assert res.active_nodes.size == 6
+
+
 @pytest.mark.parametrize("case", ["zero-pivot", "non-finite-step"])
 def test_singular_bordered_kkt_ends_the_finish_by_name(case, mesh2, obstacle2, yeoh, gravity,
                                                        monkeypatch):
