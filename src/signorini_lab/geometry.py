@@ -47,7 +47,7 @@ def _freeze(value):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable tetrahedral mesh with its P1 gradient operator.
 
@@ -61,7 +61,8 @@ class Mesh:
 
     No field can be assigned, and every array, D's included, is read-only.
     Quantities that live as long as the mesh sit in its cache, which only
-    `cached` reads or writes.
+    `cached` reads or writes. A mesh equals only itself and hashes by
+    identity, as its cache is its own.
     """
 
     nodes: np.ndarray                 # (N, 3)
@@ -75,7 +76,7 @@ class Mesh:
     box_lengths: np.ndarray | None = None
     box_divisions: np.ndarray | None = None
     box_parity: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def cached(self, key, build):
         """build(), called once per key and shared by every later call with

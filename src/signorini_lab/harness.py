@@ -127,12 +127,12 @@ def _values(tok, start, *counts):
 
 
 # Directives that old configs still carry, each with the reason it sets nothing.
-_AL_SCHEDULE = "the AL fallback's schedule is fixed in solvers"
+_NEWTON_ONLY = "the nonlinear solver is Newton's method alone, with no penalty schedule"
 _RETIRED_DIRECTIVES = {
     "multistart": "the nonlinear solver runs one warm-started path per h",
-    "penalty": _AL_SCHEDULE,
-    "continuation": _AL_SCHEDULE,
-    "solver": _AL_SCHEDULE,
+    "penalty": _NEWTON_ONLY,
+    "continuation": _NEWTON_ONLY,
+    "solver": _NEWTON_ONLY,
     "budget": "the load gate samples no rotations",
 }
 
@@ -275,7 +275,7 @@ def run_experiment(cfg):
     for h in cfg.h_list:
         warm = None
         if last is not None:
-            warm = (mesh.nodes + (h / last[0]) * (last[1] - mesh.nodes)).ravel()
+            warm = solvers.rescale_deformation(mesh.nodes, last[1], last[0], h).ravel()
         problem = solvers.NonlinearProblem(
             mesh=mesh, material=mat, load=load, obstacle=obstacle, h=h, warm_start=warm)
         try:

@@ -29,14 +29,14 @@ them and solves the square system by one LU factorization, with no
 numerical rank decision. The finish is first tried from the start itself:
 at small h the minimizer is a small perturbation of it (the Gamma-limit is
 a linearization), so Newton converges from the identity and from the
-sweep's rescaled warm start. Only where that try fails
-does an augmented Lagrangian on Pi(det F - 1), with a fixed kappa
-continuation (the module constants KAPPA0, KAPPA_FACTOR and KAPPA_STAGES)
-and projected L-BFGS-B inner solves, run from the same start as the
-fallback. It only globalizes: its inner solves are inexact, resolved to the
-relative accuracy of the feasibility target DET_TARGET, and the finish is
-tried once more at its end. A finish that fails there raises SolveFailure
-naming its outcome: every returned minimizer is a finished KKT point.
+sweep's rescaled warm start. Where that try fails, the same finish is
+continued in h: G_h under the load t f equals t^2 G_(t h) under f, so a
+smaller h is a lighter load. h is halved until a finish from the rescaled
+start is ok, then marched back to the target with an adaptive step
+(Allgower & Georg, Introduction to Numerical Continuation Methods, SIAM
+2003), down to the one constant MIN_H_STEP. A continuation that fails
+raises SolveFailure naming the last try's outcome: every returned minimizer
+is a finished KKT point.
 
 Both sides are built from the mesh's P1 gradient operator D (nodal
 displacements to element gradients). The limit QPs' strain Hessian is the
@@ -51,6 +51,7 @@ place.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import logging
 import warnings
@@ -60,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.optimize import Bounds, minimize
+from scipy.optimize import minimize  # noqa: F401  only perfbench's tracer wraps solvers.minimize
 
 from .geometry import Mesh, ObstacleSet, element_gradient_maps, gradient_form, gradient_rows
 from .kinematics import DeformationField, DisplacementField
@@ -68,8 +69,7 @@ from .loads import (KernelClass, LoadSpec, Rotation, is_zero_load, linear_order_
                     load_moments, load_vector)
 from .material import (SHEAR_MANDEL, SHEAR_VEC, MaterialModel, cofactor, compensated_density,
                        det_minus_one_from_deviation, g_from_deviation, qi_bilinear,
-                       qi_gradient_hessian, sym_to_mandel, yeoh_curvature, yeoh_density,
-                       yeoh_slope)
+                       qi_gradient_hessian, sym_to_mandel, yeoh_curvature, yeoh_slope)
 
 logger = logging.getLogger(__name__)
 
@@ -87,18 +87,11 @@ class Variant(enum.Enum):
 # Most negative bound multiplier an optimal active-set working set may carry.
 QP_MULTIPLIER_TOL = 1e-9
 
-# max|Pi(det F - 1)| at which the augmented-Lagrangian loop may stop.
-DET_TARGET = 1e-6
-
 # Active-set updates the Newton finish may make before it gives up.
 NEWTON_ROUNDS = 3
 
-# The augmented Lagrangian's penalty schedule: KAPPA0 c1 times KAPPA_FACTOR**k
-# at stage k < KAPPA_STAGES, each stage at most LBFGSB_MAXITER iterations.
-KAPPA0 = 100.0
-KAPPA_FACTOR = 10.0
-KAPPA_STAGES = 3
-LBFGSB_MAXITER = 5000
+# Smallest h, and smallest h step, that the continuation of a failed finish tries.
+MIN_H_STEP = 1e-4
 
 # Second derivative of det: vec(d2 det / dF dF) = _DET_HESS @ vec(F), from
 # d2 det / dF_ip dF_jq = eps_ijk eps_pqr F_kr.
@@ -628,7 +621,7 @@ def minimize_limit(problem):
 # nonlinear problem
 
 class _NonlinearAssembler:
-    """Energy, augmented-Lagrangian value/gradient and Newton steps for G_h at one h.
+    """Energy, Lagrangian gradient and Newton steps for G_h at one h.
 
     Every element quantity is a function of the element gradients D @ (y - x)
     and is pulled back to nodal y through D^T; the Newton blocks are built per
@@ -690,18 +683,6 @@ class _NonlinearAssembler:
         D^T of the volume-weighted Piola stress."""
         return (self.dt @ (self.vols[:, None, None] * self.stress(d_el, g, nu)).ravel()
                 - self.ell_flat / self.p.h)
-
-    def al_value_grad(self, y_flat, lam, kappa):
-        """Augmented Lagrangian of Pi r = 0 with the penalty inside the h^-2
-        scaling, the penalized density being W + lam r + (kappa/2) (Pi r)^2.
-        For lam in range(Pi), as the AL loop keeps it, lam r integrates to
-        lam Pi r."""
-        h2 = self.p.h**2
-        d_el, g, r = self.deviation(y_flat)
-        s = self.project(r)
-        density = yeoh_density(g, self.mat) + lam * r + 0.5 * kappa * s**2
-        value = float(self.vols @ density) / h2 - self._load(y_flat)
-        return value, self.lagrangian_gradient(d_el, g, (lam + kappa * s) / h2)
 
     def element_hessians(self, d_el, g, nu):
         """Per-element 12x12 blocks D_e^T h9_e D_e of h^2 times the Hessian of
@@ -802,56 +783,11 @@ def _identity_pressure(problem):
     return np.full(problem.mesh.num_elements, -problem.material.pressure)
 
 
-def _al_solve(asm, y0, problem):
-    """Augmented-Lagrangian loop on Pi(det - 1) = 0 around projected L-BFGS-B
-    inner solves. `minimize_nonlinear` runs it only where the Newton finish
-    fails from the start itself.
-
-    The multipliers start at `_identity_pressure`, the seed that the direct
-    Newton try uses too, and each stage adds kappa Pi r, so they stay in
-    range(Pi). Stage k penalizes with kappa = KAPPA0 c1 KAPPA_FACTOR**k, the
-    last of them repeated. The loop runs until KAPPA_STAGES stages have run
-    and max|Pi(det - 1)| <= DET_TARGET, or for at most KAPPA_STAGES + 12
-    stages. The loop only globalizes for the Newton finish: the L-BFGS-B
-    projected-gradient tolerance is DET_TARGET max(1, c1/h^2), with at most
-    LBFGSB_MAXITER iterations, so stationarity is resolved to the relative
-    accuracy of the feasibility target the loop stops on. Returns (y, lam,
-    trace), the trace one entry per stage, that is per L-BFGS-B call.
-    """
-    p = problem
-    n3 = y0.size
-    lower = np.full(n3, -np.inf)
-    lower[obstacle_bound_dofs(p.obstacle)] = 0.0
-    bounds = Bounds(lower, np.full(n3, np.inf))
-    lam = _identity_pressure(p)
-    y = y0.copy()
-    kappa0 = KAPPA0 * p.material.c1
-    kappas = [kappa0 * KAPPA_FACTOR**k for k in range(KAPPA_STAGES)]
-    trace = []
-    pgtol = DET_TARGET * max(1.0, p.material.c1 / p.h**2)
-    for stage in range(KAPPA_STAGES + 12):
-        kappa = kappas[min(stage, len(kappas) - 1)]
-        res = minimize(lambda yy: asm.al_value_grad(yy, lam, kappa), y, jac=True,
-                       method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": LBFGSB_MAXITER, "ftol": 1e-16,
-                                "gtol": pgtol, "maxcor": 30})
-        y = res.x
-        value, r = asm.energy_parts(y)
-        s = asm.project(r)
-        proj_res = float(np.abs(s).max())
-        lam = lam + kappa * s
-        trace.append({"stage": stage, "kappa": kappa, "objective": value,
-                      "det_residual": float(np.abs(r).max()), "det_projected": proj_res,
-                      "inner_iterations": res.nit, "inner_gtol": pgtol})
-        if stage >= KAPPA_STAGES - 1 and proj_res <= DET_TARGET:
-            break
-    return y, lam, trace
-
-
 def _newton_polish(asm, y, lam, problem):
     """Newton steps on the KKT system of Pi(det - 1) = 0 on the active set
-    of the iterate `y` (the start itself, or the AL's last iterate), with
-    multipliers seeded by `lam`. Neither `y` nor `lam` is modified.
+    of the iterate `y`, with multipliers seeded by `lam` in material units
+    (h^2 times the multipliers nu of the h-scaled Lagrangian; the package
+    always seeds `_identity_pressure`). Neither `y` nor `lam` is modified.
 
     The constraint is c(y) = Q^T V (det - 1), whose rows Q^T J have full rank
     where the per-element rows J do not, and the multipliers nu = Q mu stay in
@@ -881,7 +817,7 @@ def _newton_polish(asm, y, lam, problem):
     active = np.zeros(y.size, dtype=bool)
     active[bound_dofs[y[bound_dofs] <= 1e-8]] = True
     h2 = p.h**2
-    nu = lam / h2   # AL multipliers live in material units
+    nu = lam / h2
     q = asm.q
     steps, proj_res = 0, np.inf
     for _ in range(NEWTON_ROUNDS):
@@ -922,30 +858,79 @@ def _newton_polish(asm, y, lam, problem):
     return None, "active-set-cycling", steps, proj_res
 
 
+def rescale_deformation(nodes, y, h, h_new):
+    """The deformation y at h rescaled to h_new, x + (h_new / h)(y - x): the
+    same displacement per unit h. It gives the sweep's warm start from the
+    last minimizer and the starts of the h-continuation."""
+    return nodes + (h_new / h) * (y - nodes)
+
+
+def _continued_finish(asm, y0, name):
+    """The Newton finish at the target h of `asm` from the start `y0`, named
+    `name`, continued in h where that direct try fails. h is then halved,
+    each try from y0 rescaled to it, until one finish is ok; from there each
+    try starts at the last ok iterate rescaled to min(h, h_k + step), the
+    step starting at that h_k, doubled after an ok try and halved after a
+    failed one. It gives up before an h or a step below MIN_H_STEP. Every try
+    is seeded with `_identity_pressure` and logs one INFO line. Returns the
+    last try's (y, outcome, steps, max|Pi(det - 1)|), y None unless the
+    target was reached, and the trace: [] for a direct finish, else one
+    {"h", "outcome", "steps"} entry per try."""
+    p, x = asm.p, asm.x_flat
+    trace = []
+
+    def finish(h_k, y_start):
+        where = f"continuation to h={p.h:g}" if trace else "direct"
+        p_k = p if h_k == p.h else dataclasses.replace(p, h=h_k, warm_start=None)
+        out = _newton_polish(asm if p_k is p else _NonlinearAssembler(p_k), y_start,
+                             _identity_pressure(p_k), p_k)
+        trace.append({"h": h_k, "outcome": out[1], "steps": out[2]})
+        logger.info("newton polish at h=%g, start %s, %s, %d steps, |Pi(det - 1)| %.1e: %s",
+                    h_k, name, where, out[2], out[3], out[1])
+        return out
+
+    h_k, out = p.h, finish(p.h, y0)
+    if out[0] is not None:
+        return out, []
+    while out[0] is None:
+        h_k /= 2.0
+        if h_k < MIN_H_STEP:
+            return out, trace
+        out = finish(h_k, rescale_deformation(x, y0, p.h, h_k))
+    y_k, step = out[0], h_k
+    while h_k < p.h:
+        h_next = min(p.h, h_k + step)
+        out = finish(h_next, rescale_deformation(x, y_k, h_k, h_next))
+        if out[0] is None:
+            step /= 2.0
+            if step < MIN_H_STEP:
+                break
+        else:
+            h_k, y_k, step = h_next, out[0], 2.0 * step
+    return out, trace
+
+
 def minimize_nonlinear(problem):
     """Minimize the rescaled incompressible energy along one solver path.
 
     The path starts from the warm start when one is given (in an h-sweep, the
     last minimizer rescaled to this h) and from the identity otherwise. Newton
     steps on the KKT system of Pi(det - 1) = 0 on the identified active set
-    are first tried from the start itself, with the AL's multiplier seed
+    are first tried from the start itself, with the multiplier seed
     `_identity_pressure`: at small h the minimizer is a small perturbation of
     the start, and the finish converges from there (Birgin & Martinez, Optim.
-    Methods Softw. 23, 2008: Newton on the KKT system wherever it converges,
-    the AL only as the globalization). Only when that try fails does the
-    augmented-Lagrangian solve run its fixed kappa schedule (`_al_solve`)
-    from the same start; its inner solves are inexact, resolved only to the accuracy of the
-    feasibility target, and the finish is tried once more at its end. The
-    first try changes neither the start nor the seed, so the fallback runs
-    exactly as it would have without it. A direct finish leaves an empty
-    trace and 0 iterations; the AL leaves one trace entry per kappa stage.
-    The termination names the path, "direct" or "augmented-lagrangian", and
-    the start. The reported objective is the plain rescaled energy at the
-    finished iterate; the residuals are the raw max|det - 1| ("det", flagged
-    above 1e-6) and max|Pi(det - 1)| ("det_projected"). A failed AL solve
-    raises SolveFailure naming the start, and a failed last finish raises
-    SolveFailure naming h, the start, the finish's outcome, its steps and
-    the |Pi(det - 1)| it reached.
+    Methods Softw. 23, 2008: Newton on the KKT system wherever it converges).
+    Only when that try fails does the same finish run as an adaptive
+    h-continuation from the same start (`_continued_finish`). The termination
+    names the path, "direct" or "continuation", and the start. A direct
+    finish leaves an empty trace; otherwise the trace has one {"h",
+    "outcome", "steps"} entry per try, the failed direct try first.
+    `iterations` counts the Newton steps of all tries. The reported
+    objective is the plain rescaled energy at the finished iterate; the
+    residuals are the raw max|det - 1| ("det", flagged above 1e-6) and
+    max|Pi(det - 1)| ("det_projected"). A continuation that does not reach
+    the target raises SolveFailure naming h, the start, and the last try's
+    outcome, its steps and the |Pi(det - 1)| it reached.
     """
     p = problem
     # the linear-order load conditions at a load-scaled tolerance; the zero
@@ -961,25 +946,11 @@ def minimize_nonlinear(problem):
     else:
         name, y0 = "warm", np.asarray(p.warm_start, dtype=float).ravel().copy()
 
-    y, outcome, steps, proj_res = _newton_polish(asm, y0, _identity_pressure(p), p)
-    logger.info("newton polish at h=%g, start %s, before any stage, %d steps, "
-                "|Pi(det - 1)| %.1e: %s", p.h, name, steps, proj_res, outcome)
-    trace = []
-    if y is None:
-        try:
-            y_al, lam, trace = _al_solve(asm, y0, p)
-        except Exception as exc:
-            raise SolveFailure(f"augmented Lagrangian from start {name} failed: {exc}") from exc
-        logger.info("augmented Lagrangian at h=%g, start %s: %d L-BFGS-B iterations over %d "
-                    "stages", p.h, name, sum(t["inner_iterations"] for t in trace), len(trace))
-        y, outcome, steps, proj_res = _newton_polish(asm, y_al, lam, p)
-        logger.info("newton polish at h=%g, start %s, after stage %d, %d steps, "
-                    "|Pi(det - 1)| %.1e: %s", p.h, name, trace[-1]["stage"], steps, proj_res,
-                    outcome)
+    (y, outcome, steps, proj_res), trace = _continued_finish(asm, y0, name)
     if y is None:
         raise SolveFailure(f"newton finish at h={p.h:g} from start {name}: {outcome} after "
                            f"{steps} steps, |Pi(det - 1)| {proj_res:.1e}")
-    termination = f"{'augmented-lagrangian' if trace else 'direct'}({name})+newton"
+    termination = f"{'continuation' if trace else 'direct'}({name})+newton"
     value, r = asm.energy_parts(y)
     det_res = float(np.abs(r).max())
     if det_res > 1e-6:
@@ -995,7 +966,7 @@ def minimize_nonlinear(problem):
                    "det_projected": float(np.abs(asm.project(r)).max()),
                    "bound_min": float(y_nodal[p.obstacle.node_indices, 2].min())},
         active_nodes=active,
-        iterations=sum(t["inner_iterations"] for t in trace),
+        iterations=sum(t["steps"] for t in trace) if trace else steps,
         termination=termination,
         trace=trace,
     )

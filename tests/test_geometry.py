@@ -295,6 +295,14 @@ def test_mesh_fields_cannot_be_assigned(mesh1):
         mesh1.box_parity = np.ones(3, dtype=int)
 
 
+def test_mesh_equality_and_hash_are_by_identity(mesh1):
+    # each mesh owns its cache, so a mesh equals only itself; comparing the
+    # array fields raised, and so did hashing
+    assert mesh1 == mesh1
+    assert mesh1 != sl.build_box_mesh(1)
+    assert {mesh1: 1}[mesh1] == 1
+
+
 def test_mesh_and_cached_arrays_are_read_only(yeoh, gravity):
     # the mesh's arrays, D's included, and what its cache hands out (on a
     # mesh of its own: where a write got through, it would spoil a shared one)

@@ -1,9 +1,11 @@
 import logging
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 import signorini_lab as sl
@@ -13,7 +15,7 @@ from signorini_lab.geometry import gradient_form, gradient_rows, volume_mass_mat
 from signorini_lab.kinematics import DisplacementField
 from signorini_lab.loads import Rotation, load_vector
 from signorini_lab.material import (cofactor, det_minus_one_from_deviation, yeoh_curvature,
-                                   yeoh_slope)
+                                   yeoh_density, yeoh_slope)
 from signorini_lab.solvers import (
     Variant,
     active_set_qp,
@@ -916,17 +918,62 @@ def _deviation(mesh, y):
     return d_el, 2.0 * np.trace(d_el, axis1=1, axis2=2) + (d_el * d_el).sum(axis=(1, 2))
 
 
+# An augmented Lagrangian with L-BFGS-B inner solves: an independent solver
+# of the nonlinear problem, the oracle that the Newton finish and its
+# h-continuation are checked against. Its stages may stop at this max|Pi(det - 1)|.
+AL_DET_TARGET = 1e-6
+
+
+def _al_value_grad(asm, y, lam, kappa):
+    """Augmented Lagrangian of Pi r = 0 with the penalty inside the h^-2
+    scaling, the penalized density being W + lam r + (kappa/2) (Pi r)^2. For
+    lam in range(Pi), as `_al_oracle` keeps it, lam r integrates to lam Pi r."""
+    h = asm.p.h
+    d_el, g, r = asm.deviation(y)
+    s = asm.project(r)
+    density = yeoh_density(g, asm.mat) + lam * r + 0.5 * kappa * s**2
+    value = float(asm.vols @ density) / h**2 - float(asm.ell_flat @ (y - asm.x_flat)) / h
+    return value, asm.lagrangian_gradient(d_el, g, (lam + kappa * s) / h**2)
+
+
+def _al_oracle(asm, y0, det_target=AL_DET_TARGET):
+    """Augmented-Lagrangian loop on Pi(det - 1) = 0 from y0 around projected
+    L-BFGS-B inner solves. The multipliers start at the identity pressure and
+    each stage adds kappa Pi r; stage k penalizes with kappa = 100 c1 10**k,
+    the third repeated. The loop runs until 3 stages have run and
+    max|Pi(det - 1)| <= det_target, or for at most 15 stages; the inner
+    tolerance is det_target max(1, c1/h^2). Returns (y, lam)."""
+    p = asm.p
+    lower = np.full(y0.size, -np.inf)
+    lower[obstacle_bound_dofs(p.obstacle)] = 0.0
+    bounds = scipy.optimize.Bounds(lower, np.full(y0.size, np.inf))
+    lam = solvers._identity_pressure(p)
+    y = y0.copy()
+    gtol = det_target * max(1.0, p.material.c1 / p.h**2)
+    for stage in range(15):
+        kappa = 100.0 * p.material.c1 * 10.0**min(stage, 2)
+        y = scipy.optimize.minimize(lambda yy: _al_value_grad(asm, yy, lam, kappa), y, jac=True,
+                                    method="L-BFGS-B", bounds=bounds,
+                                    options={"maxiter": 5000, "ftol": 1e-16, "gtol": gtol,
+                                             "maxcor": 30}).x
+        s = asm.project(asm.deviation(y)[2])
+        lam = lam + kappa * s
+        if stage >= 2 and np.abs(s).max() <= det_target:
+            break
+    return y, lam
+
+
 def test_al_gradient_matches_central_differences(nonlinear_point):
     asm, y, lam = nonlinear_point
     kappa = 50.0
-    _, grad = asm.al_value_grad(y, lam, kappa)
-    fd = _central_jacobian(lambda yy: asm.al_value_grad(yy, lam, kappa)[0], y, 1e-6)
+    _, grad = _al_value_grad(asm, y, lam, kappa)
+    fd = _central_jacobian(lambda yy: _al_value_grad(asm, yy, lam, kappa)[0], y, 1e-6)
     assert np.abs(grad - fd).max() <= 1e-8 * np.abs(grad).max()
 
 
 def test_kkt_hessian_block_matches_central_differences(nonlinear_point):
     # the gradient of h^-2 sum vol W + sum nu vol (det - 1) - L/h is the AL
-    # gradient with lam = h^2 nu and kappa = 0; with every dof free the KKT
+    # oracle's gradient with lam = h^2 nu and kappa = 0; with every dof free the KKT
     # matrix's leading block is h^2 times its Hessian
     asm, y, lam = nonlinear_point
     h2 = asm.p.h**2
@@ -935,7 +982,7 @@ def test_kkt_hessian_block_matches_central_differences(nonlinear_point):
     n = y.size
     hess = asm.kkt_matrix(y, d_el, g, nu, np.arange(n))[:n, :n] / h2
     assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
-    fd = _central_jacobian(lambda yy: asm.al_value_grad(yy, lam, 0.0)[1], y, 1e-6)
+    fd = _central_jacobian(lambda yy: _al_value_grad(asm, yy, lam, 0.0)[1], y, 1e-6)
     assert np.abs(hess - fd).max() <= 1e-8 * np.abs(hess).max()
 
 
@@ -1010,13 +1057,13 @@ def _random_start_oracle(p, n_starts=4, seed=0):
     for _ in range(n_starts):
         y0 = p.mesh.nodes.ravel() + p.h * 0.1 * rng.standard_normal(3 * p.mesh.num_nodes)
         y0[bound] = np.maximum(y0[bound], 0.0)
-        y, lam, _ = solvers._al_solve(asm, y0, p)
+        y, lam = _al_oracle(asm, y0)
         y_pol = solvers._newton_polish(asm, y, lam, p)[0]
         if y_pol is not None and y_pol[bound].min() >= -1e-12:
             y = y_pol
         # the AL's stopping residual, max|Pi(det - 1)|
         value, r = asm.energy_parts(y)
-        if np.abs(asm.project(r)).max() <= 10.0 * solvers.DET_TARGET:
+        if np.abs(asm.project(r)).max() <= 10.0 * AL_DET_TARGET:
             best = min(best, value)
     return best
 
@@ -1057,25 +1104,9 @@ def test_newton_finish_reaches_roundoff_determinants_on_the_acceptance_chain(
 
 @pytest.fixture(scope="module")
 def heavy():
-    """Gravity a hundred times the flagship's: at h >= 0.5 on cube 2 the
-    finish does not converge from the identity, and the AL must run."""
+    """Gravity a hundred times the flagship's: at h >= 0.25 on cube 2 the
+    finish does not converge from the identity, and the continuation runs."""
     return sl.LoadSpec(f=sl.constant_field([0.0, 0.0, -100.0]))
-
-
-@pytest.mark.parametrize("start", ["identity", "warm"])
-def test_failed_al_solve_names_its_start(mesh2, obstacle2, yeoh, heavy, monkeypatch, start):
-    # an input whose direct finish fails, so that the AL solve is reached
-    def fail(asm, y0, problem):
-        raise FloatingPointError("inner solve blew up")
-
-    monkeypatch.setattr(solvers, "_al_solve", fail)
-    warm = mesh2.nodes.ravel() if start == "warm" else None
-    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=heavy,
-                                 obstacle=obstacle2, h=0.5, warm_start=warm)
-    message = f"augmented Lagrangian from start {start} failed: inner solve blew up"
-    with pytest.raises(solvers.SolveFailure, match=message) as info:
-        solvers.minimize_nonlinear(p)
-    assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 POLISH_FAILURES = {"no-convergence", "active-set-cycling", "singular-kkt"}
@@ -1298,17 +1329,35 @@ def test_finish_drops_and_adds_bounds(mesh3, obstacle3, yeoh, monkeypatch):
     assert seen == [("ok", 16, 15), ("ok", 15, 16)]
 
 
-def test_finish_that_cycles_falls_back_to_the_al(mesh2, obstacle2, yeoh, monkeypatch):
+CYCLING = [0, 0, 0, 0, 0, 0, -3, 0, 0, 0, 0, 0.5]
+
+
+def _al_oracle_then_finish(p):
+    """Oracle of a heavy solve: the AL oracle from the identity, then the
+    Newton finish from its iterate. Returns (energy, outcome)."""
+    asm = solvers._NonlinearAssembler(p)
+    y, lam = _al_oracle(asm, p.mesh.nodes.ravel().copy())
+    y_fin, outcome, *_ = solvers._newton_polish(asm, y, lam, p)
+    return asm.energy_parts(y if y_fin is None else y_fin)[0], outcome
+
+
+def test_finish_that_cycles_is_continued(mesh2, obstacle2, yeoh, monkeypatch):
     # f = (0, 0, 0.5 - 3 x1) lifts the x1 = 0 side: from the identity the
-    # active set does not settle within NEWTON_ROUNDS updates, and the AL
-    # fallback's iterate, with 6 bounds active, finishes
+    # active set does not settle within NEWTON_ROUNDS updates, and the
+    # continuation's last try finishes with 6 bounds active, at the AL
+    # oracle's value
     seen = _spy_finishes(monkeypatch)
-    res = solvers.minimize_nonlinear(solvers.NonlinearProblem(
-        mesh=mesh2, material=yeoh, load=_affine_load([0, 0, 0, 0, 0, 0, -3, 0, 0, 0, 0, 0.5]),
-        obstacle=obstacle2, h=0.5))
-    assert seen == [("active-set-cycling", 9, None), ("ok", 6, 6)]
-    assert res.termination.startswith("augmented-lagrangian(identity)+newton")
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=_affine_load(CYCLING),
+                                 obstacle=obstacle2, h=0.5)
+    res = solvers.minimize_nonlinear(p)
+    assert seen[0] == ("active-set-cycling", 9, None)
+    assert seen[-1][0] == "ok" and seen[-1][2] == 6, seen
+    assert res.termination.startswith("continuation(identity)+newton")
     assert res.active_nodes.size == 6
+    assert [t["outcome"] for t in res.trace] == [outcome for outcome, *_ in seen]
+    oracle, outcome = _al_oracle_then_finish(p)
+    assert outcome == "ok"
+    assert abs(res.objective - oracle) <= 1e-12 * (1.0 + abs(oracle)), oracle
 
 
 @pytest.mark.parametrize("case", ["zero-pivot", "non-finite-step"])
@@ -1354,14 +1403,86 @@ def test_newton_polish_converges_at_small_h(mesh2, obstacle2, yeoh, gravity, h):
 
 @pytest.mark.parametrize("outcome", sorted(POLISH_FAILURES))
 def test_failed_finish_raises_by_name(mesh2, obstacle2, yeoh, gravity, monkeypatch, outcome):
+    # a finish that always fails: the continuation halves h down to
+    # MIN_H_STEP and stops there, naming the last try's outcome
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
                                  obstacle=obstacle2, h=0.2)
-    monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda asm, y, lam, problem: (None, outcome, 20, 9.2e-7))
+    tries = []
+
+    def fail(asm, y, lam, problem):
+        tries.append(problem.h)
+        return None, outcome, 20, 9.2e-7
+
+    monkeypatch.setattr(solvers, "_newton_polish", fail)
     message = (f"newton finish at h=0.2 from start identity: {outcome} after 20 steps, "
                r"\|Pi\(det - 1\)\| 9.2e-07$")
     with pytest.raises(solvers.SolveFailure, match=message):
         solvers.minimize_nonlinear(p)
+    assert 1 < len(tries) <= math.ceil(math.log2(0.2 / solvers.MIN_H_STEP)) + 1
+    assert tries == [0.2 / 2**k for k in range(len(tries))]
+    assert tries[-1] >= solvers.MIN_H_STEP > tries[-1] / 2
+
+
+def test_continuation_gives_up_below_the_smallest_step(mesh2, obstacle2, yeoh, gravity,
+                                                       monkeypatch):
+    # a finish that is ok only at h <= 0.05: the march from 0.05 halves its
+    # step after each failure and stops before a step below MIN_H_STEP; the
+    # failure names the warm start
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
+                                 obstacle=obstacle2, h=0.2, warm_start=mesh2.nodes.ravel())
+    tries = []
+
+    def finish(asm, y, lam, problem):
+        tries.append(problem.h)
+        if problem.h <= 0.05:
+            return y.copy(), "ok", 1, 0.0
+        return None, "no-convergence", 20, 1e-3
+
+    monkeypatch.setattr(solvers, "_newton_polish", finish)
+    with pytest.raises(solvers.SolveFailure,
+                       match="h=0.2 from start warm: no-convergence after 20 steps"):
+        solvers.minimize_nonlinear(p)
+    steps = [0.05 / 2**k for k in range(9)]
+    assert steps[-1] >= solvers.MIN_H_STEP > steps[-1] / 2
+    assert tries == [0.2, 0.1, 0.05, *(0.05 + step for step in steps)]
+
+
+@pytest.mark.parametrize("h", [0.5, 0.6])
+def test_continuation_reaches_the_al_oracle(mesh2, obstacle2, yeoh, heavy, caplog, h):
+    # a heavy load at a large h: the finish does not converge from the
+    # identity, and the continuation reaches the value that the AL oracle
+    # and a finish reach from the same start
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=heavy, obstacle=obstacle2, h=h)
+    with caplog.at_level(logging.INFO, logger="signorini_lab.solvers"):
+        res = solvers.minimize_nonlinear(p)
+    oracle, outcome = _al_oracle_then_finish(p)
+    assert outcome == "ok"
+    assert abs(res.objective - oracle) <= 1e-12 * (1.0 + abs(oracle)), oracle
+    assert res.termination == "continuation(identity)+newton"
+    # the trace: the failed direct try, the halving to an ok try, and the
+    # march back, the last try ok at the target
+    assert res.trace[0]["h"] == h and res.trace[0]["outcome"] != "ok"
+    assert res.trace[-1] == {"h": h, "outcome": "ok", "steps": res.trace[-1]["steps"]}
+    assert all(0.0 < t["h"] <= h for t in res.trace)
+    assert res.iterations == sum(t["steps"] for t in res.trace) > 0
+    polish = [m.getMessage() for m in caplog.records if "newton polish" in m.getMessage()]
+    assert len(polish) == len(res.trace)
+    assert [m.split(", ")[2] for m in polish] == [
+        "direct", *[f"continuation to h={h:g}"] * (len(polish) - 1)]
+    assert [m.rsplit(": ", 1)[1] for m in polish] == [t["outcome"] for t in res.trace]
+
+
+def test_heavy_load_keeps_the_upright_branch(mesh3, obstacle3, yeoh):
+    # cube 3 under 500 times gravity at h = 0.5: the continuation reaches the
+    # upright local minimizer, where the AL fallback it replaces returned a
+    # body flipped upside down (tilt 3.13)
+    p = solvers.NonlinearProblem(mesh=mesh3, material=yeoh,
+                                 load=sl.LoadSpec(f=sl.constant_field([0.0, 0.0, -500.0])),
+                                 obstacle=obstacle3, h=0.5)
+    res = solvers.minimize_nonlinear(p)
+    assert res.termination.startswith("continuation(identity)+newton")
+    rot = sl.kinematics.optimal_rotation(res.field, mesh3)
+    assert np.arccos(np.clip(rot.matrix[2, 2], -1.0, 1.0)) < 0.5 * np.pi, rot.angle
 
 
 @pytest.fixture(scope="module")
@@ -1398,20 +1519,18 @@ def test_finish_on_a_perturbed_mesh_fails_by_name(perturbed_cube3, yeoh, gravity
 
 
 def _tight_al(p):
-    """The AL loop's full schedule with the feasibility target and its inner
+    """The AL oracle's full schedule with the feasibility target and its inner
     tolerance at 1e-8, from the problem's start: the reference that the
-    inexact stages are checked against."""
+    direct finish is checked against."""
     asm = solvers._NonlinearAssembler(p)
     y0 = p.mesh.nodes if p.warm_start is None else p.warm_start
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "DET_TARGET", 1e-8)
-        return asm, solvers._al_solve(asm, np.asarray(y0, dtype=float).ravel(), p)
+    return asm, _al_oracle(asm, np.asarray(y0, dtype=float).ravel(), det_target=1e-8)
 
 
 def _tight_al_then_finish(p):
     """Oracle of the finish: the tight AL solve, then the Newton finish.
     Returns (energy, outcome)."""
-    asm, (y, lam, *_) = _tight_al(p)
+    asm, (y, lam) = _tight_al(p)
     y_pol, outcome, *_ = solvers._newton_polish(asm, y, lam, p)
     return asm.energy_parts(y if y_pol is None else y_pol)[0], outcome
 
@@ -1443,51 +1562,13 @@ def test_inexact_al_hands_over_to_the_same_finish(cube, load, mesh2, obstacle2, 
         p = solvers.NonlinearProblem(mesh=mesh, material=yeoh, load=f,
                                      obstacle=obstacle, h=h, warm_start=warm)
         res = solvers.minimize_nonlinear(p)
-        assert res.trace == [] and res.iterations == 0, (h, res.trace)
+        assert res.trace == [] and res.iterations > 0, (h, res.trace)
         oracle, outcome = _tight_al_then_finish(p)
         assert res.termination.startswith("direct(") and res.termination.endswith("+newton")
         assert outcome == "ok", (h, outcome)
         assert abs(res.objective - oracle) <= 1e-12 * (1.0 + abs(oracle)), (h, oracle)
         if h_next is not None:
             warm = (mesh.nodes + (h_next / h) * (res.field.y - mesh.nodes)).ravel()
-
-
-def test_failed_handover_falls_back_to_the_full_schedule(mesh2, obstacle2, yeoh, heavy,
-                                                         caplog, monkeypatch):
-    # a heavy load at a large h: the finish does not converge from the
-    # identity, and the AL runs. The direct try leaves the start and the seed
-    # as it found them, so the fallback is the full kappa schedule and the
-    # finish, bit for bit, and that finish is ok: with the default schedule,
-    # and then with a weak first penalty whose first stage crushes the body flat
-    for h, schedule in ((0.5, {}), (0.6, {"KAPPA0": 0.1, "KAPPA_FACTOR": 100.0})):
-        for name, value in schedule.items():
-            monkeypatch.setattr(solvers, name, value)
-        p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=heavy, obstacle=obstacle2,
-                                     h=h)
-        asm = solvers._NonlinearAssembler(p)
-        y_ref, lam_ref, trace_ref = solvers._al_solve(asm, mesh2.nodes.ravel().copy(), p)
-        y_fin, outcome, *_ = solvers._newton_polish(asm, y_ref, lam_ref, p)
-        assert outcome == "ok", h
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="signorini_lab.solvers"):
-            res = solvers.minimize_nonlinear(p)
-        assert res.termination == "augmented-lagrangian(identity)+newton", h
-        assert np.array_equal(res.field.y.ravel(), y_fin)
-        assert res.objective == asm.energy_parts(y_fin)[0]
-        assert res.iterations == sum(t["inner_iterations"] for t in trace_ref) > 0
-        assert res.trace == trace_ref
-        assert [t["stage"] for t in res.trace] == list(range(len(res.trace)))
-        kappas = [solvers.KAPPA0 * yeoh.c1 * solvers.KAPPA_FACTOR**k
-                  for k in range(solvers.KAPPA_STAGES)]
-        assert [t["kappa"] for t in res.trace][:solvers.KAPPA_STAGES] == kappas, h
-        assert all(t["inner_gtol"] == solvers.DET_TARGET * max(1.0, yeoh.c1 / p.h**2)
-                   for t in res.trace)
-        polish = [m.getMessage() for m in caplog.records if "newton polish" in m.getMessage()]
-        assert [m.split(", ")[2] for m in polish] == [
-            "before any stage", f"after stage {len(trace_ref) - 1}"], h
-        assert [m.rsplit(": ", 1)[1] for m in polish] == ["no-convergence", "ok"], h
-        assert any(m.getMessage().endswith(f": {res.iterations} L-BFGS-B iterations over "
-                                           f"{len(trace_ref)} stages") for m in caplog.records)
 
 
 def test_gamma_limit_gap_has_no_offset_on_cube3(tmp_path):
@@ -1533,15 +1614,15 @@ def test_nonlinear_objective_recomputable(mesh2, obstacle2, yeoh, gravity, caplo
     det_res = float(np.abs(r).max())
     assert abs(value - res.objective) < 1e-10 * (1.0 + abs(res.objective))
     assert_allclose(det_res, res.residuals["det"], rtol=1e-6)
-    # the finish converges from the identity: no AL stage runs, and the one
-    # INFO line is the direct try's
+    # the finish converges from the identity: no continuation runs, and the
+    # one INFO line is the direct try's, with the steps that `iterations` counts
     assert res.termination == "direct(identity)+newton"
-    assert res.trace == [] and res.iterations == 0
+    assert res.trace == []
     messages = [m.getMessage() for m in caplog.records]
-    assert not any("L-BFGS-B" in m for m in messages)
     direct = [m for m in messages if "newton polish" in m]
     assert len(direct) == 1, messages
-    assert direct[0].startswith("newton polish at h=0.2, start identity, before any stage, ")
+    assert direct[0].startswith(f"newton polish at h=0.2, start identity, direct, "
+                                f"{res.iterations} steps, ")
     assert direct[0].endswith(": ok")
 
 
@@ -1556,10 +1637,10 @@ def test_nonlinear_rejects_inadmissible_load(mesh2, obstacle2, yeoh):
 def test_nonlinear_rejects_a_pure_couple(mesh1, yeoh, monkeypatch):
     # f = (0.5 - x2, x1 - 0.5, 0) has zero resultant and torque L(e3 ^ x) = 1/6:
     # it is not the zero load, so the linear-order check runs and fails
-    def never(asm, y0, problem):
-        raise AssertionError("the augmented-Lagrangian solve ran")
+    def never(asm, y, lam, problem):
+        raise AssertionError("the Newton finish ran")
 
-    monkeypatch.setattr(solvers, "_al_solve", never)
+    monkeypatch.setattr(solvers, "_newton_polish", never)
     couple = sl.LoadSpec(f=sl.affine_field([[0, -1, 0], [1, 0, 0], [0, 0, 0]], [0.5, -0.5, 0]))
     p = solvers.NonlinearProblem(mesh=mesh1, material=yeoh, load=couple,
                                  obstacle=sl.extract_obstacle(mesh1), h=0.2)
