@@ -57,14 +57,23 @@ MOLLIFIER_K = 315.0 / 64.0
 # the chain walks the axes by decreasing g, lower axis first on ties, as a
 # stable argsort of -g does. Codes 2 and 5 are cyclic, so no real g reaches them.
 _KUHN_LUT = np.array([5, 3, -1, 2, 4, -1, 1, 0])
-# The comparisons g_i >= g_j of that code, and the weights of three flags
-# packed into a code, first flag highest.
-_CMP_I, _CMP_J = np.array([0, 0, 1]), np.array([1, 2, 2])
-_BITS = np.array([4, 2, 1])
-# Location roundoff stays below _ROUNDOFF cell widths; a comparison whose g
-# lies within _TIE cell widths of its plane g_i = g_j is a tie at roundoff.
+# Location roundoff stays below _ROUNDOFF cell widths.
 _ROUNDOFF = 1e-12
-_TIE = 1e-13
+
+
+def _axis_rotation(axis, angle):
+    """Rotation by `angle` about `axis` (Rodrigues' formula)."""
+    k = np.cross(np.eye(3), np.asarray(axis, dtype=float) / np.linalg.norm(axis))
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+# The rotation of the ball quadrature grid. An axis-aligned grid puts
+# (node, offset) pairs of a box mesh exactly on cell faces and Kuhn planes, and
+# a rational axis leaves the grid points on it fixed; about this axis of
+# irrational direction ratios every pair of cube 2, 3 and 4 and of the
+# (2, 3, 2) / (1, 0.6, 1.4) box, at nq 6, 8 and 10 and eps from 0.1 down to
+# 0.00237, stays at least 7e-7 cell widths off every face and plane.
+_QUAD_ROTATION = _axis_rotation((1.0, np.sqrt(2.0), np.sqrt(3.0)), 0.9)
 
 # Largest RK4 step count the step doubling of integrate_flow reaches.
 FLOW_MAX_STEPS = 1024
@@ -78,13 +87,15 @@ _ANCHOR_CHUNK = 4096
 DIV_TOL = 1e-9
 
 
-def _chain_gaps(g):
-    """Distances in cell widths from parity-adjusted coordinates g to the
-    faces of their cell, min(g) and 1 - max(g), and to the planes g_i = g_j
-    of the three comparisons, |g_i - g_j| / sqrt 2, with the differences
-    g_i - g_j."""
-    diff = g[:, _CMP_I] - g[:, _CMP_J]
-    return np.minimum(g, 1.0 - g).min(axis=1), np.abs(diff) / np.sqrt(2.0), diff
+def _chain_gap(g):
+    """Distance in cell widths from parity-adjusted coordinates g to the
+    nearest face of their cell, min(g) or 1 - max(g), or plane g_i = g_j of
+    the three comparisons, |g_i - g_j| / sqrt 2."""
+    g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
+    cell = np.minimum(np.minimum(np.minimum(g0, g1), g2),
+                      1.0 - np.maximum(np.maximum(g0, g1), g2))
+    plane = np.minimum(np.minimum(np.abs(g0 - g1), np.abs(g0 - g2)), np.abs(g1 - g2))
+    return np.minimum(cell, plane / np.sqrt(2.0))
 
 
 def rho_bump(r):
@@ -255,31 +266,17 @@ class FlowAnchor:
     Every pair (p, q), the point x_p - o_q, is located once. Within the reach
     of x_p its Kuhn element can change only where it crosses a face of its
     cell or a plane g_i = g_j of its chain. A pair whose cell faces and
-    comparisons g_i >= g_j are all farther than the reach keeps its element,
-    so its share of the quadrature sum is affine in the position; those
-    pairs fold into a per-point map A_p y + b_p, A_p = sum w_q G_e and
-    b_p = sum w_q (c_e - G_e o_q).
-
-    A tie pair has its cell faces as far, and each comparison either as far
-    or a tie at roundoff (node offsets that land on a Kuhn face). A tied
-    difference g_i - g_j moves with the displacement d by the linear form
-    l(d) = s_i d_i / h_i - s_j d_j / h_j, s = +-1 from the cell parity and h
-    the spacing, so the element of a tie pair depends only on the signs of
-    its forms. The tie pairs of a point are grouped by their tied
-    comparisons and the signs s those read, and each group folds into one
-    such map per sign pattern of its forms, with the element each pair takes
-    under that pattern. Only the remaining (live) pairs are located again
-    at each evaluation.
-
-    Values select each group's map by the signs of its forms, also where a
-    form is at roundoff: the elements on the two sides of a face agree on it
-    (P1 continuity), so the other side's map is off by the gradient jump
-    times the distance to the face. Gradients jump by O(1) across a face,
-    so a group with a form within roundoff of zero locates its pairs
-    instead. Each gradient term thus uses the element the all-pairs sum
-    uses, and values and gradients differ from that sum only by the order
-    of summation and, for values, by that continuity term. A position
-    farther than the reach from its base point raises FlowDomainError.
+    planes are all farther than the reach keeps its element e, so its share
+    w_q (G_e (y - o_q) + c_e) of the quadrature sum is affine in the position
+    y. The anchored pairs of a point fold per element into a weight sum W_pe
+    and a first moment S_pe = sum w_q o_q, and those into one map per point,
+    A_p y + b_p with A_p = sum W_pe G_e and b_p = sum (W_pe c_e - G_e S_pe).
+    Only the remaining (live) pairs are located again at each evaluation, as
+    the all-pairs sum locates them, so values and gradients differ from that
+    sum only by the order of summation. The rotated rule of `mollify` keeps
+    the pairs of box-mesh nodes and centroids off every face and plane, so a
+    flow of small reach has no live pair. A position farther than the reach
+    from its base point raises FlowDomainError.
     """
 
     def __init__(self, ext, offsets, weights, x, reach):
@@ -288,10 +285,10 @@ class FlowAnchor:
         # roundoff can carry an RK stage a few ulps past t sup|v|
         self.reach = float(reach) * (1.0 + 1e-9)
         nq, npts = offsets.shape[0], self.x.shape[0]
+        n_elem = ext.mesh.num_elements
         # the reach in cell widths of the finest axis, plus location roundoff
         far = self.reach / float(ext.spacing.min()) + _ROUNDOFF
-        self.base = np.zeros((npts, 12))      # A_p (row-major) and b_p per point
-        live, ties = [], []
+        keys, qs, live = [], [], []
         # a few offsets per location call, so no temporary grows much past
         # _ANCHOR_CHUNK points
         per_call = max(1, _ANCHOR_CHUNK // npts)
@@ -300,144 +297,77 @@ class FlowAnchor:
             pair = np.arange(q0 * npts, q1 * npts)       # pair q npts + p
             _, cell, g = ext._cell_frame(
                 (self.x[None, :, :] - offsets[q0:q1, None, :]).reshape(-1, 3))
-            elem = ext._frame_elements(cell, g)
-            cell_gap, cmp_gap, diff = _chain_gaps(g)
-            tied = cmp_gap <= _TIE
-            anchored = (cell_gap > far) & np.all(tied | (cmp_gap > far), axis=1)
-            mask = tied @ _BITS
-            w = weights[q0:q1, None] * (anchored & (mask == 0)).reshape(-1, npts)
-            rows = _affine_rows(ext, elem, offsets[pair // npts])
-            self.base += np.einsum("qp,qpc->pc", w, rows.reshape(-1, npts, 12))
+            anchored = _chain_gap(g) > far
+            elem = ext._frame_elements(cell, g)[anchored]
+            keys.append((pair[anchored] % npts) * n_elem + elem)
+            qs.append(pair[anchored] // npts)
             live.append(pair[~anchored])
-            tie = anchored & (mask > 0)
-            code = (diff[tie] >= 0.0) @ _BITS
-            # the signs of the axes the tied comparisons read: axis 0 enters
-            # the comparisons of bits 4 and 2, axis 1 of 4 and 1, axis 2 of 2 and 1
-            m = mask[tie]
-            used = 4 * ((m & 6) > 0) + 2 * ((m & 5) > 0) + ((m & 3) > 0)
-            flips = ((cell[tie] + ext.parity) & 1) @ _BITS
-            ties.append(np.stack([pair[tie], elem[tie] - _KUHN_LUT[code], code,
-                                  ((pair[tie] % npts) * 8 + m) * 8 + (flips & used)]))
+        # per (point, element): the weight sum and the first moment of its pairs
+        keys, inv = np.unique(np.concatenate(keys), return_inverse=True)
+        q = np.concatenate(qs)
+        sums = _group_sums(inv, np.vstack([weights, weights * offsets.T])[:, q], keys.size)
+        mass, moment = sums[:, :1], sums[:, 1:]
+        point, elem = np.divmod(keys, n_elem)
+        grads = ext.gradients[elem]
+        shift = mass * ext.offsets[elem] - np.einsum("kij,kj->ki", grads, moment)
+        self.grad = _group_sums(point, (mass * grads.reshape(-1, 9)).T, npts).reshape(-1, 3, 3)
+        self.shift = _group_sums(point, shift.T, npts)
         live = np.concatenate(live)
         order = np.argsort(live % npts, kind="stable")
         self.live_p, self.live_q = live[order] % npts, live[order] // npts   # sorted by point
-        self._fold_ties(*np.concatenate(ties, axis=1))
-
-    def _fold_ties(self, pair, first, code, key):
-        """Group the tie pairs and fold the maps of each group.
-
-        Per pair: its index q npts + p, the first element of its cell, its
-        location code and its group key 64 p + 8 (tied comparisons) + (the
-        parity flips of the axes those read).
-        """
-        npts = self.x.shape[0]
-        keys, group = np.unique(key, return_inverse=True)    # sorted by point
-        order = np.argsort(group, kind="stable")
-        pair, first, code, key, group = (pair[order], first[order], code[order], key[order],
-                                         group[order])
-        self.group_point = keys >> 6
-        self.group_tied = (((keys >> 3) & 7)[:, None] & _BITS) > 0
-        # l(d) of comparison (i, j) is f_i d_i - f_j d_j with f = s / h
-        self.group_form = np.where((keys & 7)[:, None] & _BITS, -1.0, 1.0) / self.ext.spacing
-        self.group_p, self.group_q = pair % npts, pair // npts
-        self.group_bounds = np.searchsorted(group, np.arange(keys.size + 1))
-        self.group_rows, starts = np.unique(self.group_point, return_index=True)
-        self.group_starts = np.append(starts, keys.size)
-        # row 8 k + t of the maps is group k's when its tied comparisons take
-        # the outcomes t; the cyclic outcomes of a triple tie have none
-        mask, t = ((key >> 3) & 7)[:, None], np.arange(8)
-        lut = _KUHN_LUT[(code[:, None] & ~mask) | t]
-        k, t = np.nonzero(((mask & t) == t) & (lut >= 0))
-        self.maps = np.zeros((8 * keys.size, 12))
-        for s in range(0, k.size, _ANCHOR_CHUNK):
-            ks, ts = k[s:s + _ANCHOR_CHUNK], t[s:s + _ANCHOR_CHUNK]
-            q = self.group_q[ks]
-            np.add.at(self.maps, 8 * group[ks] + ts, self.weights[q][:, None]
-                      * _affine_rows(self.ext, first[ks] + lut[ks, ts], self.offsets[q]))
 
     def at(self, pos, start=0):
         """The query for positions pos of the base rows start, start + 1, ..."""
         return AnchoredPoints(self, np.asarray(pos, dtype=float), start)
 
     def values(self, pos, start=0):
-        maps, _ = self._maps(pos, start, locate_near=False)
-        out = np.einsum("pij,pj->pi", maps[:, :9].reshape(-1, 3, 3), pos) + maps[:, 9:]
-        live = self._live(pos, start)
-        self._add_located(out, pos, start, self.live_p[live], self.live_q[live],
-                          self.ext.eval_values)
+        rows = self._rows(pos, start)
+        out = np.einsum("pij,pj->pi", self.grad[rows], pos) + self.shift[rows]
+        self._add_live(out, pos, start, self.ext.eval_values)
         return out
 
     def gradients(self, pos, start=0):
-        maps, near = self._maps(pos, start, locate_near=True)
-        out = maps[:, :9].reshape(-1, 3, 3)
-        live = self._live(pos, start)
-        p, q = self.live_p[live], self.live_q[live]
-        if near.size:
-            pairs = _ranges(self.group_bounds[near], self.group_bounds[near + 1])
-            p, q = np.append(p, self.group_p[pairs]), np.append(q, self.group_q[pairs])
-        self._add_located(out, pos, start, p, q, self.ext.eval_gradients)
+        out = self.grad[self._rows(pos, start)].copy()
+        self._add_live(out, pos, start, self.ext.eval_gradients)
         return out
 
-    def _maps(self, pos, start, locate_near):
-        """The summed maps of the rows of pos, each tie group's selected by
-        the signs of its forms. With locate_near, the groups with a form
-        within roundoff of zero are left out of the sums and returned."""
+    def _rows(self, pos, start):
+        """The base rows of pos, whose displacements must be within the reach."""
         rows = slice(start, start + pos.shape[0])
         d = pos - self.x[rows]
         if not np.einsum("pi,pi->p", d, d).max(initial=0.0) <= self.reach**2:
             raise FlowDomainError(f"displacement beyond the anchor's reach {self.reach:.3e}")
-        maps = self.base[rows].copy()
-        j0, j1 = np.searchsorted(self.group_rows, (start, start + pos.shape[0]))
-        g0, g1 = self.group_starts[j0], self.group_starts[j1]
-        near = np.arange(0)
-        if g0 == g1:
-            return maps, near
-        a = self.group_form[g0:g1] * d[self.group_point[g0:g1] - start]
-        form = a[:, _CMP_I] - a[:, _CMP_J]
-        tied = self.group_tied[g0:g1]
-        sel = self.maps[np.arange(8 * g0, 8 * g1, 8) + (tied & (form >= 0.0)) @ _BITS]
-        if locate_near:
-            near = np.flatnonzero(np.any(tied & (np.abs(form) <= _ROUNDOFF), axis=1))
-            sel[near] = 0.0
-            near += g0
-        maps[self.group_rows[j0:j1] - start] += np.add.reduceat(
-            sel, self.group_starts[j0:j1] - g0, axis=0)
-        return maps, near
+        return rows
 
-    def _live(self, pos, start):
-        """The slice of live pairs of the rows of pos."""
-        return slice(*np.searchsorted(self.live_p, (start, start + pos.shape[0])))
-
-    def _add_located(self, out, pos, start, p, q, evaluate):
-        """Add to out the weighted values of `evaluate` at the pairs (p, q),
-        p a base row of pos."""
+    def _add_live(self, out, pos, start, evaluate):
+        """Add to out the weighted values of `evaluate` at the live pairs of
+        the rows of pos."""
+        live = slice(*np.searchsorted(self.live_p, (start, start + pos.shape[0])))
+        p, q = self.live_p[live], self.live_q[live]
         if p.size:
             vals = evaluate(pos[p - start] - self.offsets[q])
             np.add.at(out, p - start,
                       self.weights[q].reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
 
 
-def _affine_rows(ext, elem, offsets):
-    """Per pair, the map y -> G_e (y - o) + c_e of element e at offset o as
-    the 12 numbers of G_e (row-major) and c_e - G_e o."""
-    grads = ext.gradients[elem]
-    return np.concatenate([grads.reshape(-1, 9),
-                           ext.offsets[elem] - np.einsum("kij,kj->ki", grads, offsets)], axis=1)
-
-
-def _ranges(lo, hi):
-    """The concatenated index ranges lo[k] .. hi[k] - 1."""
-    counts = hi - lo
-    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+def _group_sums(index, cols, n):
+    """The sums over equal index of each row of cols, as the n rows of the result."""
+    return np.stack([np.bincount(index, col, n) for col in cols], axis=1)
 
 
 def _ball_quadrature(eps, nq):
+    """Offsets and weights of the mollifier's rule on the ball of radius eps:
+    the centers of an nq^3 grid of cells over [-eps, eps]^3 that lie inside
+    the ball, weighted by rho_eps times the cell volume and scaled to unit
+    mass, then turned by _QUAD_ROTATION. The grid's o -> -o symmetry and its
+    isotropic second moment c I survive the rotation, and the weights depend
+    only on |o|."""
     centers = (np.arange(nq) + 0.5) / nq * 2.0 * eps - eps
     gx, gy, gz = np.meshgrid(centers, centers, centers, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     r = np.linalg.norm(pts, axis=1) / eps
     keep = r < 1.0
-    pts = pts[keep]
+    pts = pts[keep] @ _QUAD_ROTATION.T
     w = rho_bump(r[keep]) / eps**3 * (2.0 * eps / nq) ** 3
     w /= w.sum()   # exact unit mass for the discrete operator
     return pts, w
@@ -454,16 +384,20 @@ def mollify(ext, eps, gamma=0.25, nq=8):
     """Discrete mollification of `ext`, the reflected extension of a displacement.
 
     The convolution v = u * rho_eps and its gradient are evaluated by one
-    fixed nonnegative quadrature rule on the ball (exactly unit mass), so v is
-    piecewise linear, bounded by the nodal bound of u, and its divergence is a
-    convex combination of per-element divergences: exactly as divergence free
-    as the input wherever the quadrature ball avoids the blend layer.
+    fixed nonnegative quadrature rule on the ball (`_ball_quadrature`,
+    exactly unit mass), so v is piecewise linear, bounded by the nodal bound
+    of u, and its divergence is a convex combination of per-element
+    divergences: exactly as divergence free as the input wherever the
+    quadrature ball avoids the blend layer. The rule is symmetric under
+    o -> -o, so it reproduces affine fields, and its second moment is
+    isotropic. It is rotated off the grid axes, so no (node or centroid,
+    offset) pair of a box mesh lies on a cell face or a Kuhn plane.
 
     A point list is evaluated by locating every (point, quadrature offset)
     pair. The field's `anchor` builds a FlowAnchor at fixed base points,
     which folds the pairs that cannot change element within the reach into
-    per-point affine maps and the pairs tied on a Kuhn face into one map per
-    sign pattern of their tie forms; `integrate_flow` evaluates through it.
+    per-point affine maps and locates only the rest again; `integrate_flow`
+    evaluates through it.
     """
     if nq < 4:
         raise UnderResolvedError("eps is below two sampling-grid spacings (nq < 4)")
@@ -533,7 +467,7 @@ def _rk4_flow(v, x, n_nodes, t_final, steps, anchor):
             vals, grads = v(pos), v.gradient(pos[n_nodes:])
         else:
             vals, grads = v(anchor.at(pos)), v.gradient(anchor.at(pos[n_nodes:], n_nodes))
-        return vals, np.einsum("pij,pjk->pik", grads, eye + yc)
+        return vals, grads @ (eye + yc)
 
     states = []
     for _ in range(steps):
@@ -781,9 +715,13 @@ def recovery_energy(step, material, load, mesh):
 def verify_upper_bound(u_field, steps, material, load, obstacle, mesh, kernel_class=None):
     """Gap report G_h(y_h) - G_tilde(u) for a recovery sequence.
 
-    Returns per-h gaps, their positive parts and a trend verdict (positive
-    part nonincreasing and small at the final h); failures are data, not
-    exceptions.
+    Returns G_tilde(u) ("g_tilde"), one row per h with its energy, gap,
+    positive part, error bar, beta and determinant residual ("rows"),
+    whether the positive parts are nonincreasing in the order of the steps
+    ("positive_part_nonincreasing"), the final positive part
+    ("final_gap_plus") and the scale 1 + |G_tilde(u)| ("scale"). It gives
+    no verdict on the final size: callers compare "final_gap_plus" with a
+    threshold of their own times "scale".
     """
     b_star = optimal_shear_b(u_field, material, mesh, div_tol=1e-6)
     maxload, _ = max_load_over_kernel(u_field, load, kernel_class, mesh)

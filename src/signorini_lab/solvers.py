@@ -930,7 +930,7 @@ def minimize_nonlinear(problem):
     residuals are the raw max|det - 1| ("det", flagged above 1e-6) and
     max|Pi(det - 1)| ("det_projected"). A continuation that does not reach
     the target raises SolveFailure naming h, the start, and the last try's
-    outcome, its steps and the |Pi(det - 1)| it reached.
+    outcome, its steps, its h and the |Pi(det - 1)| it reached.
     """
     p = problem
     # the linear-order load conditions at a load-scaled tolerance; the zero
@@ -949,7 +949,8 @@ def minimize_nonlinear(problem):
     (y, outcome, steps, proj_res), trace = _continued_finish(asm, y0, name)
     if y is None:
         raise SolveFailure(f"newton finish at h={p.h:g} from start {name}: {outcome} after "
-                           f"{steps} steps, |Pi(det - 1)| {proj_res:.1e}")
+                           f"{steps} steps at h={trace[-1]['h']:.10g}, |Pi(det - 1)| "
+                           f"{proj_res:.1e}")
     termination = f"{'continuation' if trace else 'direct'}({name})+newton"
     value, r = asm.energy_parts(y)
     det_res = float(np.abs(r).max())

@@ -16,7 +16,7 @@ from signorini_lab.loads import load_vector
 from signorini_lab.recovery import (
     MOLLIFIER_K,
     ReflectedExtension,
-    _chain_gaps,
+    _chain_gap,
     _holder_seminorm_bound,
     rho_bump,
 )
@@ -334,7 +334,7 @@ def test_flow_richardson_reuses_the_doubling_run(mesh2):
 
 @pytest.mark.parametrize("lengths", [(1.0, 1.0, 1.0), (1.0, 0.6, 1.4)])
 def test_face_distance_is_a_lower_bound(lengths):
-    # the gaps of `_chain_gaps`, the rule the flow anchor keeps pairs by: a
+    # the gap of `_chain_gap`, the rule the flow anchor keeps pairs by: a
     # point moved by less than its smallest gap in cell widths of the finest
     # axis stays in its element, in the base box and in the reflected layer,
     # also on an anisotropic grid
@@ -342,8 +342,7 @@ def test_face_distance_is_a_lower_bound(lengths):
     ext = ReflectedExtension(mesh, np.zeros((mesh.num_nodes, 3)))
 
     def face_distance(points):
-        cell_gap, cmp_gap, _ = _chain_gaps(ext._cell_frame(points)[2])
-        return np.minimum(cell_gap, cmp_gap.min(axis=1)) * float(ext.spacing.min())
+        return _chain_gap(ext._cell_frame(points)[2]) * float(ext.spacing.min())
 
     rng = np.random.default_rng(31)
     pts = rng.uniform(ext.box_lo + 0.05, ext.box_hi - 0.05, size=(400, 3))
@@ -359,27 +358,31 @@ def test_face_distance_is_a_lower_bound(lengths):
     assert np.all(face_distance(nodes) == 0.0)
 
 
-def _anchor_setup(mesh, reach, seed):
+def _anchor_setup(mesh, reach, seed, nq=8):
     """A mollified random P1 field and its anchor at the nodes, the centroids
     and random points of the mesh."""
     rng = np.random.default_rng(seed)
     ext = ReflectedExtension(mesh, rng.standard_normal((mesh.num_nodes, 3)))
-    fld = recovery.mollify(ext, eps=0.1, gamma=0.5, nq=8)
+    fld = recovery.mollify(ext, eps=0.1, gamma=0.5, nq=nq)
     x = np.concatenate([mesh.nodes, mesh.nodes[mesh.tets].mean(axis=1),
-                        rng.uniform(0.0, 1.0, size=(40, 3))])
+                        rng.uniform(0.0, 1.0, size=(40, 3)) * mesh.box_lengths])
     return fld, x, fld.anchor(x, reach), rng
 
 
-def test_anchored_field_matches_all_pairs(mesh2):
+@pytest.mark.parametrize("divisions, lengths, nq", [((2, 2, 2), (1.0, 1.0, 1.0), 8),
+                                                    ((2, 3, 2), (1.0, 0.6, 1.4), 10)])
+def test_anchored_field_matches_all_pairs(divisions, lengths, nq):
     # values and gradients through the anchor against the sum over every
-    # (point, offset) pair, at the base points (node offsets tie on Kuhn
-    # faces there) and displaced by up to the reach, where a pair folded
-    # into the affine map would pick the wrong element if it could cross
-    reach = 0.01
-    fld, x, anchor, rng = _anchor_setup(mesh2, reach, 41)
+    # (point, offset) pair, at the base points and displaced by up to the
+    # reach, where a pair folded into the affine map would pick the wrong
+    # element if it could cross a face; also on an anisotropic grid. The
+    # reach is 2% of the finest cell width
+    mesh = sl.build_box_mesh(divisions, lengths=lengths)
+    reach = 0.02 * float((mesh.box_lengths / mesh.box_divisions).min())
+    fld, x, anchor, rng = _anchor_setup(mesh, reach, 41, nq)
     live = anchor.live_p.size / (x.shape[0] * anchor.offsets.shape[0])
     assert 0.0 < live < 0.5
-    n = mesh2.num_nodes
+    n = mesh.num_nodes
     direction = rng.standard_normal(x.shape)
     direction /= np.linalg.norm(direction, axis=1)[:, None]
     for scale in (np.zeros(x.shape[0]), rng.uniform(0.0, reach, x.shape[0]),
@@ -392,55 +395,54 @@ def test_anchored_field_matches_all_pairs(mesh2):
         assert np.abs(tail - grads[n:]).max() <= 1e-14 * np.abs(grads).max()
 
 
-def _tie_plane_steps(x, spacing, reach, rng):
-    """Displacements of length up to the reach with d_i / h_i = +-d_j / h_j for
-    a pair of axes (i, j) per point, on which the tie forms of (i, j) vanish;
-    half of them also move along the third axis."""
-    steps = np.zeros(x.shape)
-    for row in range(x.shape[0]):
-        i, j = rng.choice(3, size=2, replace=False)
-        steps[row, i] = spacing[i]
-        steps[row, j] = rng.choice((-1.0, 1.0)) * spacing[j]
-        if row % 2:
-            steps[row, 3 - i - j] = rng.uniform(-1.0, 1.0) * spacing.min()
-    return steps * (reach * rng.uniform(0.2, 1.0, x.shape[0])
-                    / np.linalg.norm(steps, axis=1))[:, None]
+def test_rotated_rule_keeps_every_pair_off_faces(monkeypatch, mesh2, obstacle2, yeoh,
+                                                 gravity, limit_gravity):
+    # the rotated ball rule keeps the moments that mollify relies on, puts
+    # no (node or centroid, offset) pair of a box mesh on a cell face or a
+    # Kuhn plane, and leaves the anchors of the criterion-12 input without a
+    # live pair at any of its four h
+    frames = []
+    for divisions, lengths in [((2, 2, 2), (1.0, 1.0, 1.0)), ((3, 3, 3), (1.0, 1.0, 1.0)),
+                               ((4, 4, 4), (1.0, 1.0, 1.0)), ((2, 3, 2), (1.0, 0.6, 1.4))]:
+        mesh = sl.build_box_mesh(divisions, lengths=lengths)
+        frames.append((ReflectedExtension(mesh, np.zeros((mesh.num_nodes, 3))),
+                       np.concatenate([mesh.nodes, mesh.nodes[mesh.tets].mean(axis=1)])))
+    h_list = (1e-4, 1e-5, 1e-6, 1e-7)
+    for nq in (6, 8, 10):
+        for eps in [h ** 0.375 for h in h_list] + [0.1]:
+            offsets, weights = recovery._ball_quadrature(eps, nq)
+            assert np.all(weights > 0.0) and np.linalg.norm(offsets, axis=1).max() < eps
+            assert abs(weights.sum() - 1.0) <= 1e-15
+            # the grid's point reflection o -> -o reverses the kept points
+            assert_allclose(offsets[::-1], -offsets, rtol=0, atol=1e-15 * eps)
+            assert_allclose(weights[::-1], weights, rtol=0, atol=1e-14 * weights.max())
+            second = np.einsum("q,qi,qj->ij", weights, offsets, offsets)
+            assert_allclose(second, np.trace(second) / 3.0 * np.eye(3), rtol=0,
+                            atol=1e-14 * np.trace(second))
+            for ext, x in frames:
+                g = ext._cell_frame((x[None, :, :] - offsets[:, None, :]).reshape(-1, 3))[2]
+                assert _chain_gap(g).min() >= 1e-8, (ext.div, nq, eps)
 
+    anchors = []
 
-@pytest.mark.parametrize("divisions, lengths, nq", [((2, 2, 2), (1.0, 1.0, 1.0), 8),
-                                                    ((2, 3, 2), (1.0, 0.6, 1.4), 10)])
-def test_tie_groups_match_all_pairs(divisions, lengths, nq):
-    # node and centroid offsets that land on Kuhn faces fold into one map per
-    # sign pattern of their tie forms; values select by sign and gradients
-    # locate a group whose form vanishes, so both match the all-pairs sum at
-    # zero displacement, along the axes, on the tie planes and at random (on
-    # the anisotropic box h_0 / h_2 = 5 / 7 ties offsets 5 and 7 of the
-    # 10-point rule)
-    mesh = sl.build_box_mesh(divisions, lengths=lengths)
-    rng = np.random.default_rng(47)
-    ext = ReflectedExtension(mesh, rng.standard_normal((mesh.num_nodes, 3)))
-    fld = recovery.mollify(ext, eps=0.1, gamma=0.5, nq=nq)
-    x = np.concatenate([mesh.nodes, mesh.nodes[mesh.tets].mean(axis=1)])
-    reach = 0.01
-    anchor = fld.anchor(x, reach)
-    assert anchor.group_tied.any()
-    axis = np.zeros(x.shape)
-    axis[np.arange(x.shape[0]), rng.integers(0, 3, x.shape[0])] = rng.uniform(-reach, reach,
-                                                                               x.shape[0])
-    direction = rng.standard_normal(x.shape)
-    direction *= (rng.uniform(0.0, reach, x.shape[0]) / np.linalg.norm(direction, axis=1))[:, None]
-    for step in (np.zeros(x.shape), axis, _tie_plane_steps(x, ext.spacing, reach, rng),
-                 direction):
-        pos = x + step
-        vals, grads = fld(pos), fld.gradient(pos)
-        assert np.abs(fld(anchor.at(pos)) - vals).max() <= 1e-14 * np.abs(vals).max()
-        assert np.abs(fld.gradient(anchor.at(pos)) - grads).max() <= 1e-14 * np.abs(grads).max()
+    class Recorded(recovery.FlowAnchor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            anchors.append(self)
+
+    monkeypatch.setattr(recovery, "FlowAnchor", Recorded)
+    res, kernel = limit_gravity
+    recovery.build_recovery_sequence(res.field, yeoh, gravity, obstacle2, mesh2, h_list,
+                                     gamma=0.75, kernel_class=kernel, steps_per_h=4,
+                                     ledger_samples=2)
+    assert len(anchors) == len(h_list)
+    assert all(anchor.live_p.size == 0 for anchor in anchors)
 
 
 def test_recovery_flow_locates_no_point_once_anchored(monkeypatch, mesh2, obstacle2, yeoh,
                                                       gravity, limit_gravity):
-    # on the criterion-12 field every pair of the anchor keeps its element or
-    # is a tie pair, so no RK stage of the flow locates a point. Element
+    # on the criterion-12 field every pair of the anchor keeps its element,
+    # so no RK stage of the flow locates a point. Element
     # codes are counted where `locate` and the anchor's build both take them
     res, kernel = limit_gravity
     calls, in_flow = {"flow": 0, "other": 0}, []

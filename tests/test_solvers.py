@@ -1404,7 +1404,7 @@ def test_newton_polish_converges_at_small_h(mesh2, obstacle2, yeoh, gravity, h):
 @pytest.mark.parametrize("outcome", sorted(POLISH_FAILURES))
 def test_failed_finish_raises_by_name(mesh2, obstacle2, yeoh, gravity, monkeypatch, outcome):
     # a finish that always fails: the continuation halves h down to
-    # MIN_H_STEP and stops there, naming the last try's outcome
+    # MIN_H_STEP and stops there, naming the last try's outcome and its h
     p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
                                  obstacle=obstacle2, h=0.2)
     tries = []
@@ -1414,8 +1414,8 @@ def test_failed_finish_raises_by_name(mesh2, obstacle2, yeoh, gravity, monkeypat
         return None, outcome, 20, 9.2e-7
 
     monkeypatch.setattr(solvers, "_newton_polish", fail)
-    message = (f"newton finish at h=0.2 from start identity: {outcome} after 20 steps, "
-               r"\|Pi\(det - 1\)\| 9.2e-07$")
+    message = (f"newton finish at h=0.2 from start identity: {outcome} after 20 steps "
+               r"at h=0\.0001953125, \|Pi\(det - 1\)\| 9\.2e-07$")
     with pytest.raises(solvers.SolveFailure, match=message):
         solvers.minimize_nonlinear(p)
     assert 1 < len(tries) <= math.ceil(math.log2(0.2 / solvers.MIN_H_STEP)) + 1
