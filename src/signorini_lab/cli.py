@@ -104,7 +104,8 @@ def _command(command, cfg, setup):
                 gamma=cfg.recovery_gamma, kernel_class=kernel,
                 steps_per_h=cfg.recovery_steps_per_h,
                 ledger_samples=cfg.recovery_ledger_samples)
-        except (solvers.SolveFailure, recovery.UnderResolvedError) as exc:
+        except (solvers.SolveFailure, recovery.UnderResolvedError,
+                recovery.FlowDomainError) as exc:
             print(f"recovery failed: {exc}", file=sys.stderr)
             print("hint: recovery needs small h values and a gamma suited to "
                   "the mesh (try h_list 1e-4 ... 1e-7 with recovery 0.75 16 4)",

@@ -315,7 +315,8 @@ def run_experiment(cfg):
                 ledger_samples=cfg.recovery_ledger_samples)
             recovery_report = recovery.verify_upper_bound(
                 u_ref, steps, mat, load, obstacle, mesh, kernel_class=kernel)
-        except (solvers.SolveFailure, recovery.UnderResolvedError) as exc:
+        except (solvers.SolveFailure, recovery.UnderResolvedError,
+                recovery.FlowDomainError) as exc:
             recovery_report = {"error": str(exc)}
 
     detail = verdict_from_records(records, cfg.tol_conv, min_gtilde)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import build_box_mesh, gradient_form, h1_norm
+from .geometry import _freeze, build_box_mesh, gradient_form, h1_norm
 from .kinematics import DeformationField, DisplacementField
 from .loads import Rotation, load_vector
 from .material import compensated_density, det_minus_one_from_deviation, g_from_deviation
@@ -238,6 +238,11 @@ class SmoothField:
         return None if self.anchor_fn is None else self.anchor_fn(x, reach)
 
     def check_inside(self, points):
+        """Raise FlowDomainError unless every point lies in the box where the
+        field is defined (to 1e-12), non-finite points included. A flow
+        through an anchor whose base points all lie its reach inside the box
+        (`FlowAnchor.keeps_inside`) skips this check at its RK stages: the
+        anchor's reach check implies it."""
         p = np.atleast_2d(points)
         if not np.all((p >= self.box_lo - 1e-12) & (p <= self.box_hi + 1e-12)):
             raise FlowDomainError(
@@ -246,11 +251,17 @@ class SmoothField:
 
 class AnchoredPoints(NamedTuple):
     """Positions of the rows start, start + 1, ... of a FlowAnchor's base
-    points: a query that the eval_fn and grad_fn of the anchored field take."""
+    points: a query that the eval_fn and grad_fn of the anchored field take.
+    `FlowAnchor.at` builds it once the positions pass the reach check, so
+    evaluating it checks nothing again."""
 
     anchor: FlowAnchor
     pos: np.ndarray
     start: int = 0
+
+    def tail(self, k):
+        """The query of the rows from the k-th on, with no second reach check."""
+        return AnchoredPoints(self.anchor, self.pos[k:], self.start + k)
 
 
 def _query(points):
@@ -275,8 +286,13 @@ class FlowAnchor:
     the all-pairs sum locates them, so values and gradients differ from that
     sum only by the order of summation. The rotated rule of `mollify` keeps
     the pairs of box-mesh nodes and centroids off every face and plane, so a
-    flow of small reach has no live pair. A position farther than the reach
-    from its base point raises FlowDomainError.
+    flow of small reach has no live pair.
+
+    `at` checks the reach once per query: a position farther than the reach
+    from its base point raises FlowDomainError. `values` and `gradients`
+    take checked queries only. When the anchor has no live pair, `gradients`
+    returns a view of the per-point maps; grad, shift, x, live_p and live_q
+    are read-only.
     """
 
     def __init__(self, ext, offsets, weights, x, reach):
@@ -315,33 +331,41 @@ class FlowAnchor:
         live = np.concatenate(live)
         order = np.argsort(live % npts, kind="stable")
         self.live_p, self.live_q = live[order] % npts, live[order] // npts   # sorted by point
+        # `gradients` hands out views of grad
+        _freeze((self.x, self.grad, self.shift, self.live_p, self.live_q))
 
-    def at(self, pos, start=0):
-        """The query for positions pos of the base rows start, start + 1, ..."""
-        return AnchoredPoints(self, np.asarray(pos, dtype=float), start)
+    def keeps_inside(self, lo, hi):
+        """Whether every position within the reach of a base point lies in
+        the box [lo, hi]."""
+        return bool(np.all((self.x - self.reach >= lo) & (self.x + self.reach <= hi)))
+
+    def at(self, pos):
+        """The query for positions pos of the base rows 0, 1, ..., whose
+        displacements must be within the reach."""
+        pos = np.asarray(pos, dtype=float)
+        d = pos - self.x[:pos.shape[0]]
+        if not np.einsum("pi,pi->p", d, d).max(initial=0.0) <= self.reach**2:
+            raise FlowDomainError(f"displacement beyond the anchor's reach {self.reach:.3e}")
+        return AnchoredPoints(self, pos)
 
     def values(self, pos, start=0):
-        rows = self._rows(pos, start)
+        rows = slice(start, start + pos.shape[0])
         out = np.einsum("pij,pj->pi", self.grad[rows], pos) + self.shift[rows]
         self._add_live(out, pos, start, self.ext.eval_values)
         return out
 
     def gradients(self, pos, start=0):
-        out = self.grad[self._rows(pos, start)].copy()
+        out = self.grad[start:start + pos.shape[0]]
+        if self.live_p.size:
+            out = out.copy()
         self._add_live(out, pos, start, self.ext.eval_gradients)
         return out
-
-    def _rows(self, pos, start):
-        """The base rows of pos, whose displacements must be within the reach."""
-        rows = slice(start, start + pos.shape[0])
-        d = pos - self.x[rows]
-        if not np.einsum("pi,pi->p", d, d).max(initial=0.0) <= self.reach**2:
-            raise FlowDomainError(f"displacement beyond the anchor's reach {self.reach:.3e}")
-        return rows
 
     def _add_live(self, out, pos, start, evaluate):
         """Add to out the weighted values of `evaluate` at the live pairs of
         the rows of pos."""
+        if not self.live_p.size:
+            return
         live = slice(*np.searchsorted(self.live_p, (start, start + pos.shape[0])))
         p, q = self.live_p[live], self.live_q[live]
         if p.size:
@@ -452,21 +476,29 @@ class FlowResult:
 
 def _rk4_flow(v, x, n_nodes, t_final, steps, anchor):
     """RK4 states (delta, y) after each step for the stacked nodes and centroids
-    x; the variational deviation y lives on the centroids x[n_nodes:]. With an
-    anchor of v at x (None for a field without one), each stage evaluates
-    through it."""
+    x; the variational deviation y lives on the centroids x[n_nodes:].
+
+    Each stage calls v once on all rows and v.gradient once on the centroids.
+    With an anchor of v at x (None for a field without one), both evaluate
+    one query of the anchor, so a stage checks the reach once. The box check
+    of v runs at every stage unless the anchor keeps every base point its
+    reach inside the box, where the reach check implies it; the final
+    positions are always checked."""
     dt = t_final / steps
     delta = np.zeros_like(x)
     y_c = np.zeros((x.shape[0] - n_nodes, 3, 3))
     eye = np.eye(3)
+    check_box = anchor is None or not anchor.keeps_inside(v.box_lo, v.box_hi)
 
     def rhs(d, yc):
         pos = x + d
-        v.check_inside(pos)
+        if check_box:
+            v.check_inside(pos)
         if anchor is None:
             vals, grads = v(pos), v.gradient(pos[n_nodes:])
         else:
-            vals, grads = v(anchor.at(pos)), v.gradient(anchor.at(pos[n_nodes:], n_nodes))
+            query = anchor.at(pos)
+            vals, grads = v(query), v.gradient(query.tail(n_nodes))
         return vals, grads @ (eye + yc)
 
     states = []
@@ -488,17 +520,20 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8):
     The variational equation for the spatial gradient is integrated alongside
     at element centroids; the deviation form keeps det grad z - 1 accurate at
     roundoff level. Step count doubles until the determinant drift passes
-    1e-8 or the count reaches FLOW_MAX_STEPS. The Richardson check compares
-    the delivered run with the run at half its steps, reused from the doubling
-    when it made one, so it bounds the error of the coarser run and is
-    conservative for the delivered one. The ledger stores the sampled
+    1e-8 or the count reaches FLOW_MAX_STEPS; a drift that is not finite
+    raises SolveFailure at once, naming the step count. The Richardson check
+    compares the delivered run with the run at half its steps, reused from
+    the doubling when it made one, so it bounds the error of the coarser run
+    and is conservative for the delivered one. The ledger stores the sampled
     verification of the four flow bounds against the recorded norms.
 
     Every RK stage moves a point by dt times convex combinations of field
     values, so no further than the reach t_final sup|v|. The field is
     anchored once at the nodes and centroids for that reach (`v.anchor`), and
     every run, the Richardson one included, evaluates through the anchor, as
-    does the nodes' initial velocity that the ledger's flux bound uses.
+    does the nodes' initial velocity that the ledger's flux bound uses. An RK
+    stage then checks the reach once, and the field's box only where the
+    reach does not imply it (`_rk4_flow`).
     """
     x_nodes = mesh.nodes
     x = np.concatenate([x_nodes, mesh.nodes[mesh.tets].mean(axis=1)])
@@ -511,6 +546,8 @@ def integrate_flow(v, t_final, mesh, steps=32, ledger_samples=8):
     while True:
         states = _rk4_flow(v, x, n, t_final, steps, anchor)
         det_res = np.abs(det_minus_one_from_deviation(states[-1][1])).max()
+        if not np.isfinite(det_res):
+            raise SolveFailure(f"flow determinant drift is not finite after {steps} RK4 steps")
         if det_res <= 1e-8 or steps >= FLOW_MAX_STEPS:
             break
         if prev_res is not None and det_res > 0.5 * prev_res:

@@ -535,3 +535,38 @@ def test_report_render_contains_summary(tmp_path):
     assert "min G~^I" in text
     assert "verdict:" in text
     assert "kernel:" in text
+
+
+FLOW_ESCAPE_CONFIG = """domain cube 2
+material yeoh 1.0 0.2 0.1
+f constant 0 0 -30
+h_list 0.8
+recovery 4.0 16 4
+output {out}
+"""
+FLOW_ESCAPE = "trajectory left the validated neighborhood; existence time exceeded"
+
+
+def test_cli_recover_reports_a_flow_that_leaves_its_box(tmp_path, capsys):
+    # the flow leaves the box where the mollified field is defined, and an RK
+    # stage's box check raises FlowDomainError (the base points are not the
+    # flow's reach inside that box, so the anchor's reach check cannot stand
+    # in for it); `lab recover` reports it as a failed recovery
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(FLOW_ESCAPE_CONFIG.format(out=(tmp_path / "out").as_posix()))
+    assert cli_main(["recover", cfg_path.as_posix()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"recovery failed: {FLOW_ESCAPE}\n") and "Traceback" not in err
+
+
+def test_cli_run_reports_a_flow_that_leaves_its_box(tmp_path, capsys):
+    # under `run_recovery 1` the same FlowDomainError goes into report.txt,
+    # and the sweep's files are still written; the single h's gap fails the
+    # verdict, so the exit code is 1
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(FLOW_ESCAPE_CONFIG.format(out=out.as_posix()) + "run_recovery 1\n")
+    assert cli_main(["run", cfg_path.as_posix()]) == 1
+    capsys.readouterr()
+    assert (out / "sweep.csv").is_file()
+    assert f"recovery: error: {FLOW_ESCAPE}\n" in (out / "report.txt").read_text()

@@ -20,7 +20,7 @@ from signorini_lab.recovery import (
     _holder_seminorm_bound,
     rho_bump,
 )
-from signorini_lab.solvers import _NonlinearAssembler
+from signorini_lab.solvers import SolveFailure, _NonlinearAssembler
 
 
 def synthetic_field(eval_fn, grad_fn, sup_norm, grad_norm, box_lo, box_hi, gamma=0.5):
@@ -138,6 +138,24 @@ def test_non_finite_points_raise(mesh2):
     ext = ReflectedExtension(mesh2, np.zeros((mesh2.num_nodes, 3)))
     with pytest.raises(recovery.FlowDomainError):
         ext.eval_values([[0.5, 0.5, 0.5], [np.nan, 0.5, 0.5]])
+
+
+def test_non_finite_drift_fails_at_once(mesh2):
+    # finite values with NaN gradients make the determinant drift NaN, which
+    # no step doubling can mend: the flow fails after its first run of 4
+    # steps, not after FLOW_MAX_STEPS
+    calls = []
+
+    def nan_gradients(p):
+        calls.append(p.shape[0])
+        return np.full((p.shape[0], 3, 3), np.nan)
+
+    v = synthetic_field(lambda p: np.tile([0.1, 0.0, 0.0], (p.shape[0], 1)), nan_gradients,
+                        sup_norm=0.1, grad_norm=0.0,
+                        box_lo=[-10, -10, -10], box_hi=[10, 10, 10])
+    with pytest.raises(SolveFailure, match="drift is not finite after 4 RK4 steps"):
+        recovery.integrate_flow(v, 0.1, mesh2, steps=4)
+    assert len(calls) == 4 * 4
 
 
 def test_reflected_extension_divergence_free_outside_blend(mesh2):
@@ -391,7 +409,7 @@ def test_anchored_field_matches_all_pairs(divisions, lengths, nq):
         vals, grads = fld(pos), fld.gradient(pos)
         assert np.abs(fld(anchor.at(pos)) - vals).max() <= 1e-14 * np.abs(vals).max()
         assert np.abs(fld.gradient(anchor.at(pos)) - grads).max() <= 1e-14 * np.abs(grads).max()
-        tail = fld.gradient(anchor.at(pos[n:], n))
+        tail = fld.gradient(anchor.at(pos).tail(n))
         assert np.abs(tail - grads[n:]).max() <= 1e-14 * np.abs(grads).max()
 
 
@@ -443,10 +461,26 @@ def test_recovery_flow_locates_no_point_once_anchored(monkeypatch, mesh2, obstac
                                                       gravity, limit_gravity):
     # on the criterion-12 field every pair of the anchor keeps its element,
     # so no RK stage of the flow locates a point. Element
-    # codes are counted where `locate` and the anchor's build both take them
+    # codes are counted where `locate` and the anchor's build both take them.
+    # Each RK stage evaluates the field once and its gradient once: 4 (4 + 2)
+    # stages per h, the Richardson run at 2 steps included, plus the nodes'
+    # initial velocity
     res, kernel = limit_gravity
     calls, in_flow = {"flow": 0, "other": 0}, []
     frame_elements, rk4_flow = ReflectedExtension._frame_elements, recovery._rk4_flow
+    evals, mollify = {"values": 0, "gradients": 0}, recovery.mollify
+
+    def counted_mollify(*args, **kwargs):
+        fld = mollify(*args, **kwargs)
+
+        def counter(name, fn):
+            def counted_fn(points):
+                evals[name] += 1
+                return fn(points)
+            return counted_fn
+
+        return dataclasses.replace(fld, eval_fn=counter("values", fld.eval_fn),
+                                   grad_fn=counter("gradients", fld.grad_fn))
 
     def counted(self, cell, g):
         calls["flow" if in_flow else "other"] += 1
@@ -461,10 +495,13 @@ def test_recovery_flow_locates_no_point_once_anchored(monkeypatch, mesh2, obstac
 
     monkeypatch.setattr(ReflectedExtension, "_frame_elements", counted)
     monkeypatch.setattr(recovery, "_rk4_flow", flow)
-    recovery.build_recovery_sequence(res.field, yeoh, gravity, obstacle2, mesh2, (1e-4, 1e-7),
-                                     gamma=0.75, kernel_class=kernel, steps_per_h=4,
-                                     ledger_samples=2)
+    monkeypatch.setattr(recovery, "mollify", counted_mollify)
+    steps = recovery.build_recovery_sequence(res.field, yeoh, gravity, obstacle2, mesh2,
+                                             (1e-4, 1e-7), gamma=0.75, kernel_class=kernel,
+                                             steps_per_h=4, ledger_samples=2)
     assert calls["flow"] == 0 and calls["other"] > 0
+    assert [step.flow.richardson["steps"] for step in steps] == [(2, 4), (2, 4)]
+    assert evals == {"values": 2 * (4 * (4 + 2) + 1), "gradients": 2 * 4 * (4 + 2)}
 
 
 def test_anchor_rejects_a_displacement_beyond_its_reach(mesh2):
@@ -478,6 +515,23 @@ def test_anchor_rejects_a_displacement_beyond_its_reach(mesh2):
     pos[7, 1] = np.nan
     with pytest.raises(recovery.FlowDomainError, match="reach"):
         fld(anchor.at(pos))
+
+
+def test_anchor_arrays_are_read_only(mesh2):
+    # without live pairs the anchored gradients are a view of the anchor's
+    # per-point maps, so those maps and the anchor's other arrays refuse writes
+    fld, x, anchor, _ = _anchor_setup(mesh2, 1e-9, 44)
+    assert anchor.live_p.size == 0
+    grads = fld.gradient(anchor.at(x))
+    assert np.shares_memory(grads, anchor.grad)
+    with pytest.raises(ValueError, match="read-only"):
+        grads[0, 0, 0] = 1.0
+    for name in ("grad", "shift", "x", "live_p", "live_q"):
+        assert not getattr(anchor, name).flags.writeable, name
+    # with live pairs the gradients are a fresh array
+    fld, x, anchor, _ = _anchor_setup(mesh2, 0.01, 44)
+    assert anchor.live_p.size > 0
+    assert not np.shares_memory(fld.gradient(anchor.at(x)), anchor.grad)
 
 
 def test_anchored_flow_matches_the_all_pairs_flow(mesh2):
