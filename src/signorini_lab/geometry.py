@@ -36,6 +36,8 @@ KUHN_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _TET_FACES = ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))
 
 PLANE_TOL = 1e-12
+# A point counts as inside a hull when each edge's cross product exceeds this.
+HULL_MARGIN = 1e-12
 
 
 def _freeze(value):
@@ -280,8 +282,9 @@ def convex_hull_2d(points):
     return np.array(lower[:-1] + upper[:-1])
 
 
-def point_in_hull_2d(point, hull, strict_margin=0.0):
-    """True if a point lies inside a counter-clockwise convex polygon."""
+def point_in_hull_2d(point, hull):
+    """True if a point lies inside a counter-clockwise convex polygon, by
+    more than HULL_MARGIN."""
     hull = np.asarray(hull, dtype=float)
     if hull.shape[0] < 3:
         return False
@@ -290,7 +293,7 @@ def point_in_hull_2d(point, hull, strict_margin=0.0):
     edge = nxt - hull
     rel = p[None, :] - hull
     cross = edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]
-    return bool(np.all(cross > strict_margin))
+    return bool(np.all(cross > HULL_MARGIN))
 
 
 def extract_obstacle(mesh):

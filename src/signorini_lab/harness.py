@@ -1,10 +1,12 @@
-"""Experiment orchestration: the h-sweep, the limit solves and report emission.
+"""Experiment orchestration: each stage of the `lab` commands, defined once.
 
-A run verifies the load gate, solves the three quadratic limit problems,
-asserts the equality of the kernel-maximized minima, minimizes the rescaled
-nonlinear energy for each h of a decreasing list, extracts the rotation and
-displacement diagnostics, optionally drives a recovery sequence, and writes a
-CSV plus a plain-text report whose bytes depend only on the config and seed.
+`build_setup` turns a config into its mesh, obstacle, material and load;
+`gate` decides the load gate on them; `gated_setup` adds the limit kernel and
+aborts on a rejected load, and `lab run`, `lab limit` and `lab recover` start
+from it. `limit_triple` solves the three quadratic limit problems, `recover`
+checks a recovery sequence, and `run_experiment` runs the h-sweep with its
+rotation and displacement diagnostics and writes a CSV plus a plain-text
+report whose bytes depend only on the config and seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,11 @@ logger = logging.getLogger(__name__)
 
 
 class ExperimentError(Exception):
-    """Configuration or admissibility failure that aborts a run."""
+    """A config, set-up, load-gate or output failure that aborts a command."""
+
+
+class RecoveryFailure(Exception):
+    """A failed recovery sequence: `lab run` records it, `lab recover` ends on it."""
 
 
 # Relative tolerance of the ordering and equality of the three limit minima.
@@ -194,45 +200,25 @@ def _apply_directive(cfg, tok, g_descs):
 
 
 def build_setup(cfg):
-    """Mesh, obstacle, material and load objects for a config."""
-    if cfg.domain[0] == "box":
-        mesh = geometry.build_box_mesh(cfg.domain[1], lengths=cfg.domain[2])
-        obstacle = geometry.extract_obstacle(mesh)
-    else:
-        try:
-            mesh = geometry.read_mesh_file(cfg.domain[1])
-            obstacle = geometry.extract_obstacle(mesh)
-        except (geometry.MeshError, geometry.ObstacleError) as exc:
-            raise ExperimentError(f"mesh file {cfg.domain[1]!r}: {exc}") from exc
-    mat = material_mod.yeoh_material(*cfg.material)
+    """(mesh, obstacle, material, load) of a config. A mesh file that cannot be
+    opened or parsed, or a surface load on a region the mesh lacks, raises
+    ExperimentError: the load vector is assembled here, and cached on the mesh."""
+    domain = f"mesh file {cfg.domain[1]!r}" if cfg.domain[0] == "mesh" else "box mesh"
     load = loads.LoadSpec(f=cfg.f_desc, g=cfg.g_descs)
-    return mesh, obstacle, mat, load
-
-
-def limit_kernel(load, obstacle, mesh):
-    """Kernel class of the limit problems: all rotations about e3 for the zero
-    load, else `loads.classify_kernel` (which needs L(e3) < 0)."""
-    if loads.is_zero_load(load, mesh):
-        return loads.KernelClass.ROTATIONS_ABOUT_E3
-    return loads.classify_kernel(load, obstacle, mesh)
-
-
-def limit_triple(mesh, mat, load, obstacle, kernel):
-    """{variant: SolveResult} of the three limit problems E^I, G^I and G~^I.
-
-    The three solves share the set-up that `minimize_limit` caches on the mesh:
-    the div rows, and E^I's H, Z^T H Z and working-set factors for G^I."""
-    results = {}
-    for variant in (solvers.Variant.EI, solvers.Variant.GI, solvers.Variant.GTILDE):
-        results[variant] = solvers.minimize_limit(solvers.QuadraticProblem(
-            mesh=mesh, material=mat, load=load, obstacle=obstacle, variant=variant,
-            kernel_class=kernel))
-    return results
+    try:
+        if cfg.domain[0] == "box":
+            mesh = geometry.build_box_mesh(cfg.domain[1], lengths=cfg.domain[2])
+        else:
+            mesh = geometry.read_mesh_file(cfg.domain[1])
+        obstacle = geometry.extract_obstacle(mesh)
+        loads.load_vector(load, mesh)
+    except (OSError, UnicodeError, geometry.MeshError, geometry.ObstacleError) as exc:
+        raise ExperimentError(f"{domain}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return mesh, obstacle, material_mod.yeoh_material(*cfg.material), load
 
 
 def admissibility_failure(report, cfg, zero_load):
-    """Why the load gate rejects a load, or None when it passes; `lab run`
-    and `lab check-load` decide by this one rule.
+    """Why the load gate rejects a load, or None when it passes.
 
     The enforced conditions are the linear-order ones plus the shear supremum;
     the zero load is degenerate but bounded and passes. The global Phi
@@ -253,22 +239,71 @@ def admissibility_failure(report, cfg, zero_load):
     return None
 
 
-def run_experiment(cfg):
-    cfg.validate()
-    mesh, obstacle, mat, load = build_setup(cfg)
-    zero_load = loads.is_zero_load(load, mesh)
-    adm = loads.verify_global_admissibility(load, obstacle, mesh)
-    failure = admissibility_failure(adm, cfg, zero_load)
+def gate(cfg, setup):
+    """The load gate on `build_setup`'s objects: the admissibility report, and
+    why the gate rejects the load (`admissibility_failure`) or None."""
+    mesh, obstacle, _, load = setup
+    report = loads.verify_global_admissibility(load, obstacle, mesh)
+    return report, admissibility_failure(report, cfg, loads.is_zero_load(load, mesh))
+
+
+def gated_setup(cfg):
+    """`build_setup`'s objects, the gate's report and the limit kernel: all
+    rotations about e3 for the zero load, else `loads.classify_kernel` (which
+    needs L(e3) < 0). A rejected load raises ExperimentError."""
+    setup = build_setup(cfg)
+    report, failure = gate(cfg, setup)
     if failure is not None:
         raise ExperimentError(f"admissibility failure: {failure}")
-    kernel = limit_kernel(load, obstacle, mesh)
+    mesh, obstacle, _, load = setup
+    kernel = (loads.KernelClass.ROTATIONS_ABOUT_E3 if loads.is_zero_load(load, mesh)
+              else loads.classify_kernel(load, obstacle, mesh))
+    return (*setup, report, kernel)
 
+
+def limit_triple(mesh, mat, load, obstacle, kernel):
+    """{variant: SolveResult} of the three limit problems E^I, G^I and G~^I.
+
+    The three solves share the set-up that `minimize_limit` caches on the mesh:
+    the div rows, and E^I's H, Z^T H Z and working-set factors for G^I."""
+    return {variant: solvers.minimize_limit(solvers.QuadraticProblem(
+        mesh=mesh, material=mat, load=load, obstacle=obstacle, variant=variant,
+        kernel_class=kernel)) for variant in solvers.Variant}
+
+
+def recover(cfg, setup, u_ref=None):
+    """`recovery.verify_upper_bound`'s report on the recovery sequence of the
+    G~ minimizer `u_ref` (solved here when None) of `gated_setup`'s objects at
+    the config's h_list and recovery settings; RecoveryFailure if it fails."""
+    mesh, obstacle, mat, load, _, kernel = setup
+    if u_ref is None:
+        u_ref = solvers.minimize_limit(solvers.QuadraticProblem(
+            mesh=mesh, material=mat, load=load, obstacle=obstacle,
+            variant=solvers.Variant.GTILDE, kernel_class=kernel)).field
+    try:
+        steps = recovery.build_recovery_sequence(
+            u_ref, mat, load, obstacle, mesh, cfg.h_list,
+            gamma=cfg.recovery_gamma, kernel_class=kernel,
+            steps_per_h=cfg.recovery_steps_per_h,
+            ledger_samples=cfg.recovery_ledger_samples)
+        return recovery.verify_upper_bound(u_ref, steps, mat, load, obstacle, mesh,
+                                           kernel_class=kernel)
+    except (solvers.SolveFailure, recovery.UnderResolvedError, recovery.FlowDomainError) as exc:
+        raise RecoveryFailure(str(exc)) from exc
+
+
+def run_experiment(cfg):
+    """The h-sweep of a config; the output directory is made before the first h."""
+    cfg.validate()
+    setup = gated_setup(cfg)
+    mesh, obstacle, mat, load, adm, kernel = setup
     results = limit_triple(mesh, mat, load, obstacle, kernel)
-    min_ei = results[solvers.Variant.EI].objective
-    min_gi = results[solvers.Variant.GI].objective
-    min_gtilde = results[solvers.Variant.GTILDE].objective
-
+    min_ei, min_gi, min_gtilde = (results[v].objective for v in solvers.Variant)
     u_ref = results[solvers.Variant.GTILDE].field
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ExperimentError(f"output {cfg.output_dir!r}: {exc.strerror or exc}") from exc
 
     records = []
     last = None   # (h, y) of the last minimizer: the sweep's warm start, rescaled to h
@@ -308,15 +343,8 @@ def run_experiment(cfg):
     recovery_report = None
     if cfg.run_recovery:
         try:
-            steps = recovery.build_recovery_sequence(
-                u_ref, mat, load, obstacle, mesh, cfg.h_list,
-                gamma=cfg.recovery_gamma, kernel_class=kernel,
-                steps_per_h=cfg.recovery_steps_per_h,
-                ledger_samples=cfg.recovery_ledger_samples)
-            recovery_report = recovery.verify_upper_bound(
-                u_ref, steps, mat, load, obstacle, mesh, kernel_class=kernel)
-        except (solvers.SolveFailure, recovery.UnderResolvedError,
-                recovery.FlowDomainError) as exc:
+            recovery_report = recover(cfg, setup, u_ref)
+        except RecoveryFailure as exc:
             recovery_report = {"error": str(exc)}
 
     detail = verdict_from_records(records, cfg.tol_conv, min_gtilde)
@@ -328,7 +356,7 @@ def run_experiment(cfg):
         min_ei=min_ei, min_gi=min_gi, min_gtilde=min_gtilde,
         records=records, verdict=detail["pass"], verdict_detail=detail,
         sandwich=sandwich, recovery_report=recovery_report,
-        degenerate=zero_load)
+        degenerate=loads.is_zero_load(load, mesh))
     csv_path, report_path = emit_outputs(records, cfg.output_dir, report)
     report.csv_path, report.report_path = csv_path, report_path
     return report

@@ -451,5 +451,5 @@ def _load_center(f_res, t_mom, hull):
     q = torque0[0] / f_res[2]
     center = np.array([p, q, 0.0])
     residual = float(np.linalg.norm(torque0 - np.cross(center, f_res)))
-    interior = point_in_hull_2d(center[:2], hull, strict_margin=1e-12)
+    interior = point_in_hull_2d(center[:2], hull)
     return center, residual, interior

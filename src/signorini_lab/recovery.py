@@ -114,7 +114,6 @@ class ReflectedExtension:
     def __init__(self, mesh, u):
         if mesh.box_origin is None:
             raise SolveFailure("field extension requires a box mesh")
-        self.base = mesh
         self.origin = mesh.box_origin
         self.lengths = mesh.box_lengths
         self.div = np.asarray(mesh.box_divisions, dtype=int)
@@ -368,10 +367,8 @@ class FlowAnchor:
             return
         live = slice(*np.searchsorted(self.live_p, (start, start + pos.shape[0])))
         p, q = self.live_p[live], self.live_q[live]
-        if p.size:
-            vals = evaluate(pos[p - start] - self.offsets[q])
-            np.add.at(out, p - start,
-                      self.weights[q].reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
+        vals = evaluate(pos[p - start] - self.offsets[q])
+        np.add.at(out, p - start, self.weights[q].reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
 
 
 def _group_sums(index, cols, n):
@@ -654,10 +651,8 @@ def bogovskii_correct(v_field, mesh):
 @dataclass
 class RecoveryStep:
     h: float
-    eps: float
     beta: float
     field: DeformationField        # P1 snapshot of the flowed map
-    element_defgrad: np.ndarray    # R (I + Y) at centroids
     flow: FlowResult
     rotation: Rotation
 
@@ -697,7 +692,7 @@ def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
         raise SolveFailure("recovery input violates the obstacle condition")
     b_star = optimal_shear_b(u_field, material, mesh)
     lifted = tilde_lift(u_field, b_star, mesh)
-    maxval, rot = max_load_over_kernel(lifted, load, kernel_class, mesh)
+    rot = max_load_over_kernel(lifted, load, kernel_class, mesh)[1]
     rmat = rot.matrix
     ext = ReflectedExtension(mesh, lifted.u)    # only eps changes with h
 
@@ -719,14 +714,10 @@ def build_recovery_sequence(u_field, material, load, obstacle, mesh, h_list,
                 node = obstacle.node_indices[int(np.argmin(y3))]
                 raise SolveFailure(
                     f"recovery admissibility violated at node {node}: y3 = {y3.min():.3e}")
-        defgrad = np.einsum("ij,ejk->eik", rmat, flow.element_defgrad)
         if not flow.max_det_residual <= 1e-6:
             _raise_det_failure(ext, mesh, flow.max_det_residual, eps, h * fld.sup_norm)
-        steps.append(RecoveryStep(
-            h=h, eps=eps, beta=float(beta),
-            field=DeformationField.from_nodal(mesh, y),
-            element_defgrad=defgrad, flow=flow, rotation=rot,
-        ))
+        steps.append(RecoveryStep(h=h, beta=float(beta), flow=flow, rotation=rot,
+                                  field=DeformationField.from_nodal(mesh, y)))
     return steps
 
 

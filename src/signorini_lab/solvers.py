@@ -139,7 +139,6 @@ class SolveResult:
     termination: str
     trace: list = field(default_factory=list)
     theta_star: float = None
-    rotation: Rotation = None
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +598,6 @@ def minimize_limit(problem):
     u = best_x[:n3].reshape(-1, 3)
     b_star = best_x[n3:] if with_shear else None
     u_field = DisplacementField.from_nodal(p.mesh, u)
-    maxload, rot = max_load_over_kernel(u_field, p.load, p.kernel_class, p.mesh)
     objective = eval_limit(u_field, p, b=b_star)
     div_res = float(np.abs(b_mat[:, :n3] @ best_x[:n3]).max())
     active = p.obstacle.node_indices[u[p.obstacle.node_indices, 2] <= 1e-10]
@@ -613,7 +611,6 @@ def minimize_limit(problem):
         iterations=total_iters,
         termination="optimal",
         theta_star=best_theta,
-        rotation=rot,
     )
 
 
@@ -783,7 +780,7 @@ def _identity_pressure(problem):
     return np.full(problem.mesh.num_elements, -problem.material.pressure)
 
 
-def _newton_polish(asm, y, lam, problem):
+def _newton_polish(asm, y, lam):
     """Newton steps on the KKT system of Pi(det - 1) = 0 on the active set
     of the iterate `y`, with multipliers seeded by `lam` in material units
     (h^2 times the multipliers nu of the h-scaled Lagrangian; the package
@@ -812,7 +809,7 @@ def _newton_polish(asm, y, lam, problem):
     counts the KKT solves of all rounds. An "ok" iterate is 0 on the active
     bounds, which its steps never move, and at least -1e-12 on the others.
     """
-    p = problem
+    p = asm.p
     bound_dofs = obstacle_bound_dofs(p.obstacle)
     active = np.zeros(y.size, dtype=bool)
     active[bound_dofs[y[bound_dofs] <= 1e-8]] = True
@@ -883,7 +880,7 @@ def _continued_finish(asm, y0, name):
         where = f"continuation to h={p.h:g}" if trace else "direct"
         p_k = p if h_k == p.h else dataclasses.replace(p, h=h_k, warm_start=None)
         out = _newton_polish(asm if p_k is p else _NonlinearAssembler(p_k), y_start,
-                             _identity_pressure(p_k), p_k)
+                             _identity_pressure(p_k))
         trace.append({"h": h_k, "outcome": out[1], "steps": out[2]})
         logger.info("newton polish at h=%g, start %s, %s, %d steps, |Pi(det - 1)| %.1e: %s",
                     h_k, name, where, out[2], out[3], out[1])

@@ -1,8 +1,11 @@
 """The package's surface is what the package, its CLI or the benchmark use (AST
 scans of their sources): module-level defs and classes, the members of classes
-and the defaulted parameters. What only tests use lives in tests."""
+and the defaulted parameters. What only tests use lives in tests. An attribute
+reached through numpy, scipy or a standard-library module (`np.add.at`) names
+nothing of the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,13 +30,40 @@ DEFAULTS_ALLOWED = {
 }
 
 
+LIBRARIES = {"numpy", "scipy"} | set(sys.stdlib_module_names)
+
+
 def _trees(paths):
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
 
 
+def _library_names(tree):
+    """The names that the absolute imports of tree bind from LIBRARIES."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names
+                         if a.name.split(".")[0] in LIBRARIES)
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] in LIBRARIES):
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _through_library(node, library):
+    """Whether node is an attribute chain whose root is one of the names in library."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in library
+
+
 def _attributes(trees, ctx=ast.expr_context):
-    return {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)}
+    return {node.attr for tree in trees.values() for library in [_library_names(tree)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+            and not _through_library(node, library)}
 
 
 def _classes(trees):
@@ -74,14 +104,15 @@ def class_member_findings(src, callers, readers):
 
 
 def _calls(trees):
-    """(positional count, keywords, starred) per callee name, of every call;
-    `cls(...)` in a class body is a call of that class."""
+    """(positional count, keywords, starred) per callee name, of every call
+    but those through a library module; `cls(...)` in a class body is a call
+    of that class."""
     calls = {}
 
-    def visit(node, cls_name):
+    def visit(node, cls_name, library):
         for child in ast.iter_child_nodes(node):
-            visit(child, child.name if isinstance(child, ast.ClassDef) else cls_name)
-        if isinstance(node, ast.Call):
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls_name, library)
+        if isinstance(node, ast.Call) and not _through_library(node.func, library):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
             starred = (any(isinstance(a, ast.Starred) for a in node.args)
                        or any(k.arg is None for k in node.keywords))
@@ -89,7 +120,7 @@ def _calls(trees):
                 (len(node.args), {k.arg for k in node.keywords}, starred))
 
     for tree in trees.values():
-        visit(tree, None)
+        visit(tree, None, _library_names(tree))
     return calls
 
 
@@ -190,6 +221,8 @@ def test_every_default_parameter_is_passed():
 PLANTED = """
 from dataclasses import dataclass
 
+import numpy as np
+
 @dataclass
 class Record:
     kept: int
@@ -202,6 +235,9 @@ class Record:
     def test_only(self):
         return self.kept
 
+    def at(self, pos, start=0):
+        return pos[start:]
+
 
 def _step(x, rounds=3):
     return x
@@ -209,6 +245,7 @@ def _step(x, rounds=3):
 
 def solve(x, passed_tol=1.0, unpassed_tol=1.0):
     rec = Record(1, 2)
+    np.add.at(x, 0, rec.kept)
     return rec.kept + rec.level + rec.used(2.0) + solve(_step(x), passed_tol=0.5)
 """
 PLANTED_TEST = "Record(1, 2, level=3).test_only()\n"
@@ -222,13 +259,16 @@ PLANTED_CACHE = {
 
 
 @pytest.mark.parametrize("scan, expected", [
-    ("members", ["planted.py: Record.test_only", "planted.py: Record.unread"]),
-    ("defaults", ["planted.py: Record(level)", "planted.py: _step(rounds)",
-                  "planted.py: solve(unpassed_tol)"]),
+    ("members", ["planted.py: Record.at", "planted.py: Record.test_only",
+                 "planted.py: Record.unread"]),
+    ("defaults", ["planted.py: Record(level)", "planted.py: Record.at(start)",
+                  "planted.py: _step(rounds)", "planted.py: solve(unpassed_tol)"]),
 ])
 def test_scans_flag_planted_source(scan, expected):
-    # an unread field, a method that only a test calls, and unpassed defaults
-    # (one of them passed by a test only, one of a private function)
+    # an unread field, a method that only a test calls, unpassed defaults
+    # (one of them passed by a test only, one of a private function), and a
+    # method `at` whose only same-named call is numpy's `np.add.at`, which
+    # neither names it nor passes its `start`
     src = {"planted.py": ast.parse(PLANTED)}
     if scan == "members":
         examined, findings = class_member_findings(

@@ -164,8 +164,8 @@ def test_hull_extreme_points(obstacle2):
     hull = obstacle2.hull_vertices_2d
     for k in range(hull.shape[0]):
         # extreme points never lie strictly inside their own hull
-        assert not point_in_hull_2d(hull[k], hull, strict_margin=1e-12)
-    assert point_in_hull_2d((0.5, 0.5), hull, strict_margin=1e-12)
+        assert not point_in_hull_2d(hull[k], hull)
+    assert point_in_hull_2d((0.5, 0.5), hull)
 
 
 def test_hull_drops_collinear_points():

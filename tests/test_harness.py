@@ -424,18 +424,24 @@ def test_cli_rejects_values_of_the_wrong_count_or_range(line, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("lift, last_tet, message", [
-    (0.0, "0 1 2 8", "outside 0..7"),     # once an IndexError
-    (1.0, None, "no boundary node on {x3 = 0}"),   # once an ObstacleError
-])
-def test_cli_malformed_mesh_file_is_a_one_line_error(lift, last_tet, message, tmp_path, capsys):
+def _write_cube1_mesh(path, lift=0.0, last_tet=None):
+    """Write the 1x1x1 box mesh to path in the text mesh format, its nodes
+    lifted by `lift` and its last tet replaced by `last_tet` when given."""
     mesh1 = sl.build_box_mesh(1)
     tets = [" ".join(map(str, t)) for t in mesh1.tets]
     rows = [f"nodes {mesh1.num_nodes}",
             *(f"{x:g} {y:g} {z + lift:g}" for x, y, z in mesh1.nodes),
             f"tets {mesh1.num_elements}", *tets[:-1], last_tet or tets[-1]]
-    mesh_path = tmp_path / "bad.mesh"
-    mesh_path.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("lift, last_tet, message", [
+    (0.0, "0 1 2 8", "outside 0..7"),     # once an IndexError
+    (1.0, None, "no boundary node on {x3 = 0}"),   # once an ObstacleError
+])
+def test_cli_malformed_mesh_file_is_a_one_line_error(lift, last_tet, message, tmp_path, capsys):
+    mesh_path = _write_cube1_mesh(tmp_path / "bad.mesh", lift, last_tet)
     cfg_path = tmp_path / "bad.txt"
     cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix())
                         + f"domain mesh {mesh_path.as_posix()}\n")
@@ -444,6 +450,17 @@ def test_cli_malformed_mesh_file_is_a_one_line_error(lift, last_tet, message, tm
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, command
         assert f"mesh file {mesh_path.as_posix()!r}" in err and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_mesh_path_that_is_a_directory_is_a_one_line_error(tmp_path, capsys):
+    # opening it once ended every command in an IsADirectoryError traceback
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(FAST_CONFIG.format(out=(tmp_path / "out").as_posix())
+                        + f"domain mesh {tmp_path.as_posix()}\n")
+    for command in ("run", "check-load", "limit", "recover"):
+        assert cli_main([command, cfg_path.as_posix()]) == 2, command
+        assert capsys.readouterr().err == f"abort: mesh file {tmp_path.as_posix()!r}: Is a directory\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -463,6 +480,45 @@ def test_cli_failed_limit_solve_is_a_one_line_error(command, module, name, tmp_p
     assert cli_main([command, cfg_path.as_posix()]) == 2
     assert capsys.readouterr().err == "solve failed: active-set QP did not converge\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("domain, region, message", [
+    ("box", "bogus", "box mesh: unknown boundary region 'bogus'"),
+    ("mesh", "top", "named region 'top' requires a box mesh"),
+], ids=["box", "mesh"])
+@pytest.mark.parametrize("command", ["run", "check-load", "limit", "recover"])
+def test_cli_surface_load_on_a_missing_region_is_a_one_line_error(command, domain, region,
+                                                                  message, tmp_path, capsys):
+    # the load vector is assembled in the set-up, inside its mesh-error guard:
+    # a region the mesh does not have once ended every command in a MeshError
+    # traceback with exit code 1
+    text = FAST_CONFIG.format(out=(tmp_path / "out").as_posix())
+    text += f"g region={region} constant 0 0 -1\n"
+    if domain == "mesh":
+        mesh_path = _write_cube1_mesh(tmp_path / "cube.mesh")
+        text += f"domain mesh {mesh_path.as_posix()}\n"
+        message = f"mesh file {mesh_path.as_posix()!r}: {message}"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text)
+    assert cli_main([command, cfg_path.as_posix()]) == 2
+    err = capsys.readouterr().err
+    assert err == f"abort: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_output_path_that_is_a_file_aborts_before_the_sweep(tmp_path, capsys,
+                                                                    monkeypatch):
+    # `output` naming an existing file once cost the whole sweep and then a
+    # FileExistsError traceback; the directory is made before the first h
+    calls = []
+    monkeypatch.setattr(solvers, "minimize_nonlinear", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    out.write_text("")
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(FAST_CONFIG.format(out=out.as_posix()))
+    assert cli_main(["run", cfg_path.as_posix()]) == 2
+    assert capsys.readouterr().err == f"abort: output {out.as_posix()!r}: File exists\n"
+    assert calls == []
 
 
 RECOVERY_CONFIG = """domain cube 2
@@ -504,6 +560,25 @@ def test_cli_recover(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "upper-bound trend: PASS" in out
+
+
+@pytest.mark.parametrize("load", ["f constant 1 0 -1", "f constant 0 0 1"],
+                         ids=["horizontal", "upward"])
+def test_cli_limit_and_recover_abort_on_a_load_the_gate_rejects(load, tmp_path, capsys):
+    # E^I is unbounded below along a horizontal resultant, and an upward one
+    # has no kernel class: `lab limit` and `lab recover` once printed finite
+    # minima and PASS for the first, and a LoadError traceback for the second.
+    # They start from the gated set-up of `lab run` and end on its abort line
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(RECOVERY_CONFIG.replace("f constant 0 0 -1", load)
+                        .format(out=(tmp_path / "out").as_posix()))
+    assert cli_main(["run", cfg_path.as_posix()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("abort: admissibility failure: ") and err.count("\n") == 1
+    for command in ("limit", "recover"):
+        assert cli_main([command, cfg_path.as_posix()]) == 2, command
+        assert capsys.readouterr() == ("", err), command
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_zero_load_limit_and_recover(tmp_path, capsys):

@@ -653,10 +653,8 @@ def test_recovery_energy_at_affine_map(mesh2, obstacle2, yeoh, gravity, diag):
     flow = recovery.FlowResult(z_nodes=y, delta_nodes=y - mesh2.nodes,
                                element_defgrad=defgrad, element_det=np.linalg.det(defgrad),
                                steps=1, ledger=[], richardson={})
-    step = recovery.RecoveryStep(h=h, eps=0.0, beta=0.0,
-                                 field=DeformationField.from_nodal(mesh2, y),
-                                 element_defgrad=defgrad, flow=flow,
-                                 rotation=sl.Rotation.identity())
+    step = recovery.RecoveryStep(h=h, beta=0.0, field=DeformationField.from_nodal(mesh2, y),
+                                 flow=flow, rotation=sl.Rotation.identity())
     value, _ = recovery.recovery_energy(step, yeoh, gravity, mesh2)
     problem = sl.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity,
                                   obstacle=obstacle2, h=h)

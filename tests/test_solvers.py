@@ -1058,7 +1058,7 @@ def _random_start_oracle(p, n_starts=4, seed=0):
         y0 = p.mesh.nodes.ravel() + p.h * 0.1 * rng.standard_normal(3 * p.mesh.num_nodes)
         y0[bound] = np.maximum(y0[bound], 0.0)
         y, lam = _al_oracle(asm, y0)
-        y_pol = solvers._newton_polish(asm, y, lam, p)[0]
+        y_pol = solvers._newton_polish(asm, y, lam)[0]
         if y_pol is not None and y_pol[bound].min() >= -1e-12:
             y = y_pol
         # the AL's stopping residual, max|Pi(det - 1)|
@@ -1289,7 +1289,7 @@ def test_newton_polish_outcome_is_named(mesh2, obstacle2, yeoh, gravity, monkeyp
     y = mesh2.nodes.ravel().copy()
     lam = np.zeros(mesh2.num_elements)
     monkeypatch.setattr(solvers, "NEWTON_ROUNDS", 0)
-    assert solvers._newton_polish(asm, y, lam, p)[:2] == (None, "active-set-cycling")
+    assert solvers._newton_polish(asm, y, lam)[:2] == (None, "active-set-cycling")
 
 
 def _spy_finishes(monkeypatch):
@@ -1298,9 +1298,9 @@ def _spy_finishes(monkeypatch):
     finish's own 1e-8."""
     finish, seen = solvers._newton_polish, []
 
-    def spy(asm, y, lam, p):
-        bounds = obstacle_bound_dofs(p.obstacle)
-        out = finish(asm, y, lam, p)
+    def spy(asm, y, lam):
+        bounds = obstacle_bound_dofs(asm.p.obstacle)
+        out = finish(asm, y, lam)
         seen.append((out[1], int(np.count_nonzero(y[bounds] <= 1e-8)),
                      None if out[0] is None else int(np.count_nonzero(out[0][bounds] <= 1e-8))))
         return out
@@ -1337,7 +1337,7 @@ def _al_oracle_then_finish(p):
     Newton finish from its iterate. Returns (energy, outcome)."""
     asm = solvers._NonlinearAssembler(p)
     y, lam = _al_oracle(asm, p.mesh.nodes.ravel().copy())
-    y_fin, outcome, *_ = solvers._newton_polish(asm, y, lam, p)
+    y_fin, outcome, *_ = solvers._newton_polish(asm, y, lam)
     return asm.energy_parts(y if y_fin is None else y_fin)[0], outcome
 
 
@@ -1383,7 +1383,7 @@ def test_singular_bordered_kkt_ends_the_finish_by_name(case, mesh2, obstacle2, y
         warnings.simplefilter("always")
         result = solvers._newton_polish(solvers._NonlinearAssembler(p),
                                         mesh2.nodes.ravel().copy(),
-                                        solvers._identity_pressure(p), p)
+                                        solvers._identity_pressure(p))
     assert result[:3] == (None, "singular-kkt", 0)
     assert caught == []
 
@@ -1409,8 +1409,8 @@ def test_failed_finish_raises_by_name(mesh2, obstacle2, yeoh, gravity, monkeypat
                                  obstacle=obstacle2, h=0.2)
     tries = []
 
-    def fail(asm, y, lam, problem):
-        tries.append(problem.h)
+    def fail(asm, y, lam):
+        tries.append(asm.p.h)
         return None, outcome, 20, 9.2e-7
 
     monkeypatch.setattr(solvers, "_newton_polish", fail)
@@ -1432,9 +1432,9 @@ def test_continuation_gives_up_below_the_smallest_step(mesh2, obstacle2, yeoh, g
                                  obstacle=obstacle2, h=0.2, warm_start=mesh2.nodes.ravel())
     tries = []
 
-    def finish(asm, y, lam, problem):
-        tries.append(problem.h)
-        if problem.h <= 0.05:
+    def finish(asm, y, lam):
+        tries.append(asm.p.h)
+        if asm.p.h <= 0.05:
             return y.copy(), "ok", 1, 0.0
         return None, "no-convergence", 20, 1e-3
 
@@ -1531,7 +1531,7 @@ def _tight_al_then_finish(p):
     """Oracle of the finish: the tight AL solve, then the Newton finish.
     Returns (energy, outcome)."""
     asm, (y, lam) = _tight_al(p)
-    y_pol, outcome, *_ = solvers._newton_polish(asm, y, lam, p)
+    y_pol, outcome, *_ = solvers._newton_polish(asm, y, lam)
     return asm.energy_parts(y if y_pol is None else y_pol)[0], outcome
 
 
@@ -1637,7 +1637,7 @@ def test_nonlinear_rejects_inadmissible_load(mesh2, obstacle2, yeoh):
 def test_nonlinear_rejects_a_pure_couple(mesh1, yeoh, monkeypatch):
     # f = (0.5 - x2, x1 - 0.5, 0) has zero resultant and torque L(e3 ^ x) = 1/6:
     # it is not the zero load, so the linear-order check runs and fails
-    def never(asm, y, lam, problem):
+    def never(asm, y, lam):
         raise AssertionError("the Newton finish ran")
 
     monkeypatch.setattr(solvers, "_newton_polish", never)
