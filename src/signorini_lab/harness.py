@@ -132,6 +132,14 @@ def _values(tok, start, *counts):
     return vals
 
 
+def _floats(vals):
+    """The config values `vals` as floats, which must be finite."""
+    out = [float(v) for v in vals]
+    if not np.isfinite(out).all():
+        raise ValueError(f"values must be finite, got {' '.join(vals)}")
+    return out
+
+
 # Directives that old configs still carry, each with the reason it sets nothing.
 _NEWTON_ONLY = "the nonlinear solver is Newton's method alone, with no penalty schedule"
 _RETIRED_DIRECTIVES = {
@@ -153,7 +161,7 @@ def _apply_directive(cfg, tok, g_descs):
         elif tok[1] == "box":
             vals = _values(tok, 2, 3, 6)
             div = tuple(int(v) for v in vals[:3])
-            lens = tuple(float(v) for v in vals[3:]) if len(vals) == 6 else (1.0, 1.0, 1.0)
+            lens = tuple(_floats(vals[3:])) if len(vals) == 6 else (1.0, 1.0, 1.0)
             cfg.domain = ("box", div, lens)
         elif tok[1] == "mesh":
             cfg.domain = ("mesh", _values(tok, 2, 1)[0])
@@ -162,12 +170,12 @@ def _apply_directive(cfg, tok, g_descs):
     elif key == "material":
         if tok[1] != "yeoh":
             raise ValueError("only yeoh materials are supported")
-        cfg.material = tuple(float(v) for v in _values(tok, 2, 3))
+        cfg.material = tuple(_floats(_values(tok, 2, 3)))
     elif key == "f":
         if tok[1] == "constant":
-            cfg.f_desc = loads.constant_field([float(v) for v in _values(tok, 2, 3)])
+            cfg.f_desc = loads.constant_field(_floats(_values(tok, 2, 3)))
         elif tok[1] == "affine":
-            vals = [float(v) for v in _values(tok, 2, 12)]
+            vals = _floats(_values(tok, 2, 12))
             cfg.f_desc = loads.affine_field(np.reshape(vals[:9], (3, 3)), vals[9:])
         else:
             raise ValueError(f"unknown volume descriptor {tok[1]!r}")
@@ -177,12 +185,12 @@ def _apply_directive(cfg, tok, g_descs):
         if tok[2] != "constant":
             raise ValueError(f"unknown surface descriptor {tok[2]!r}")
         g_descs.append((tok[1].split("=", 1)[1],
-                        loads.constant_field([float(v) for v in _values(tok, 3, 3)])))
+                        loads.constant_field(_floats(_values(tok, 3, 3)))))
     elif key == "h_list":
-        cfg.h_list = tuple(float(v) for v in tok[1:])
+        cfg.h_list = tuple(_floats(tok[1:]))
     elif key == "recovery":
         gamma, steps, samples = _values(tok, 1, 3)
-        cfg.recovery_gamma = float(gamma)
+        cfg.recovery_gamma = _floats([gamma])[0]
         cfg.recovery_steps_per_h = int(steps)
         cfg.recovery_ledger_samples = int(samples)
     elif key == "run_recovery":
@@ -192,7 +200,9 @@ def _apply_directive(cfg, tok, g_descs):
     elif key == "seed":
         cfg.seed = int(_values(tok, 1, 1)[0])
     elif key == "tol_conv":
-        cfg.tol_conv = float(_values(tok, 1, 1)[0])
+        cfg.tol_conv = _floats(_values(tok, 1, 1))[0]
+        if not cfg.tol_conv > 0.0:
+            raise ValueError("tol_conv must be positive")
     elif key == "require_global_phi":
         cfg.require_global_phi = bool(int(_values(tok, 1, 1)[0]))
     else:

@@ -26,7 +26,9 @@ the projected rows that system has full row rank, and its null space is the
 flat motions (the horizontal translations, and the rotation about e3 under a
 vertical load), known in closed form: each step borders the KKT matrix by
 them and solves the square system by one LU factorization, with no
-numerical rank decision. The finish is first tried from the start itself:
+numerical rank decision; the confirming step from an iterate that already
+meets the tolerance reuses the previous step's factors (a chord step). The
+finish is first tried from the start itself:
 at small h the minimizer is a small perturbation of it (the Gamma-limit is
 a linearization), so Newton converges from the identity and from the
 sweep's rescaled warm start. Where that try fails, the same finish is
@@ -150,16 +152,17 @@ def _shear_block(material, mesh):
     return float(mesh.element_volumes.sum()) * h9[np.ix_(SHEAR_VEC, SHEAR_VEC)]
 
 
-def assemble_strain_hessian(mesh, material, with_shear=False):
+def assemble_strain_hessian(mesh, material, with_shear=False, plain=None):
     """Dense Hessian of u -> 2 * integral Q^I(E(u)); optionally with shear columns.
 
     It is D^T blockdiag(vol_e H9) D, with D the mesh's gradient operator and
-    H9 = `material.qi_gradient_hessian`. The shear columns are
+    H9 = `material.qi_gradient_hessian`; `plain`, when given, is that
+    Hessian, already assembled, and only the shear columns are. They are
     D^T (vol (x) H9[:, shear]) for the shear-lift gradients e_a (x) e3.
     """
     h9 = qi_gradient_hessian(material)
     vols = mesh.element_volumes
-    h = gradient_form(mesh, vols[:, None, None] * h9)
+    h = gradient_form(mesh, vols[:, None, None] * h9) if plain is None else plain
     if not with_shear:
         return h
     c = mesh.gradient_operator.T @ np.kron(vols[:, None], h9[:, SHEAR_VEC])
@@ -548,11 +551,14 @@ def _limit_setup(mesh, material, with_shear):
     """(H, `active_set_qp`'s factors) of the limit QPs, cached on the mesh
     under the material's constants and the family, plain (E^I, G^I) or with
     G~'s two shear columns, whose frame is the div frame padded (the shear
-    coordinates are free)."""
+    coordinates are free) and whose H borders the plain family's."""
     def build():
         frame = _div_null_space(mesh)
-        return (assemble_strain_hessian(mesh, material, with_shear=with_shear),
-                {"null_space": frame.padded(2) if with_shear else frame})
+        if not with_shear:
+            return assemble_strain_hessian(mesh, material), {"null_space": frame}
+        return (assemble_strain_hessian(mesh, material, with_shear=True,
+                                        plain=_limit_setup(mesh, material, False)[0]),
+                {"null_space": frame.padded(2)})
     return mesh.cached(("limit_setup", material.c1, material.c2, material.c3, with_shear),
                        build)
 
@@ -623,7 +629,8 @@ class _NonlinearAssembler:
     Every element quantity is a function of the element gradients D @ (y - x)
     and is pulled back to nodal y through D^T; the Newton blocks are built per
     element from the element gradient maps D_e and scattered into one KKT
-    workspace that every step of the assembler reuses.
+    workspace that every step of the assembler reuses, and that keeps the
+    last step's LU factors for a chord step.
     """
 
     def __init__(self, problem):
@@ -644,7 +651,8 @@ class _NonlinearAssembler:
         # Hessian entries of fixed dofs
         n_max = self.x_flat.size + self.q.shape[1] + 3
         self.workspace = np.empty(n_max * n_max + 1)
-        self._index_key = self._index = None
+        # the LU factors of the last factored step, held in the workspace
+        self.lu = None
         self._jac_indptr = np.arange(0, 12 * self.mesh.num_elements + 1, 12, dtype=np.int32)
 
     def deviation(self, y_flat):
@@ -703,25 +711,29 @@ class _NonlinearAssembler:
         """(flat, rows) for the free dofs `free` and an n x n KKT matrix: the
         flat workspace index, in column order, of every entry of the element
         Hessians, the dump slot where either dof is fixed, and each element
-        dof's row among the free dofs, free.size where it is fixed. Kept for
-        the last (n, free), which the steps on one active set share."""
-        key = (n, free.tobytes())
-        if key != self._index_key:
+        dof's row among the free dofs, free.size where it is fixed. It
+        depends on the mesh only through its dofs and the workspace size, one
+        per mesh, so it is cached read-only on the mesh under (n, free): every
+        step on one active set shares it, over the h of a sweep and the tries
+        of a continuation too."""
+        def build():
             row = np.full(self.x_flat.size, free.size, dtype=np.int32)
             row[free] = np.arange(free.size)
             rows = row[self.dofs]
             fixed = rows == free.size
             flat = rows[:, :, None] + n * rows[:, None, :].astype(np.int64)
             flat[fixed[:, :, None] | fixed[:, None, :]] = self.workspace.size - 1
-            self._index_key, self._index = key, (flat.ravel(), rows.ravel())
-        return self._index
+            return flat.ravel(), rows.ravel()
+        return self.mesh.cached(("kkt_index", n, free.tobytes()), build)
 
     def kkt_matrix(self, y, d_el, g, nu, free):
         """The bordered KKT matrix of `newton_step` at the iterate y, assembled
         in the workspace and returned as its column-ordered view, which
         LAPACK factors in place: the element Hessians are scattered into the
         h^2 H_ff block, the element Jacobian rows give Q^T J_f, and the flat
-        motions N the border."""
+        motions N the border. It overwrites the factors kept in the
+        workspace, so it drops `lu`."""
+        self.lu = None
         nf, m = free.size, self.q.shape[1]
         rotation = self.load_vertical or not self.stress(d_el, g, nu).any()
         border = np.zeros((y.size, 3 if rotation else 2))
@@ -742,33 +754,39 @@ class _NonlinearAssembler:
         kkt[nf + m:, :nf] = kkt[:nf, nf + m:].T
         return kkt
 
-    def newton_step(self, y, d_el, g, nu, free, r1, c):
+    def newton_step(self, y, d_el, g, nu, free, r1, c, chord=False):
         """Newton step (dy on the free dofs, dmu) at the iterate y of the KKT
         system of Q^T V (det - 1) = 0, r1 and c its residuals: one LU
         factorization of [[h^2 H_ff, (Q^T J_f)^T, N], [Q^T J_f, 0, 0],
-        [N^T, 0, 0]], bordered by the flat motions N on the free dofs, and the
-        border's multipliers dropped. N holds the horizontal translations and
-        the rotation about e3 at y, (-y2, y1, 0) per node, where that rotation
-        is flat: under a vertical load, and at a stress-free iterate under any
-        load (H (e3 ^ y) = e3 ^ the load-free gradient, which the start of a
-        sweep, the identity with the identity pressure, makes exactly 0).
-        Elsewhere, under a horizontal load, it is a genuine mode. The
-        stationarity rows carry h^2, which keeps the two blocks of one scale
-        at small h. The matrix is assembled from per-element blocks in the
+        [N^T, 0, 0]], bordered by the flat motions N on the free dofs, kept
+        as `lu`, and the border's multipliers dropped. A `chord` step
+        (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+        1995, sec. 5.4) solves with `lu`, the factors of an earlier step on
+        the same free dofs, and assembles and factors nothing; the caller
+        decides that they are close enough. N holds the horizontal
+        translations and the rotation about e3 at y, (-y2, y1, 0) per node,
+        where that rotation is flat: under a vertical load, and at a
+        stress-free iterate under any load (H (e3 ^ y) = e3 ^ the load-free
+        gradient, which the start of a sweep, the identity with the identity
+        pressure, makes exactly 0). Elsewhere, under a horizontal load, it is
+        a genuine mode. The stationarity rows carry h^2, which keeps the two
+        blocks of one scale at small h. The matrix is assembled from per-element blocks in the
         assembler's workspace (`kkt_matrix`) and factored there, so no step
-        allocates it. Returns None where the bordered matrix is singular: an
-        exactly zero pivot (lu_factor's LinAlgWarning) or a non-finite step."""
-        kkt = self.kkt_matrix(y, d_el, g, nu, free)
+        allocates it, and `lu` lives there until the next assembly. Returns
+        None where the bordered matrix is singular: an exactly zero pivot
+        (lu_factor's LinAlgWarning) or a non-finite step."""
+        if not chord:
+            kkt = self.kkt_matrix(y, d_el, g, nu, free)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                try:
+                    self.lu = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
+                except scipy.linalg.LinAlgWarning:
+                    return None
         nf, m = free.size, c.size
-        rhs = np.zeros(kkt.shape[0])
+        rhs = np.zeros(self.lu[0].shape[0])
         rhs[:nf], rhs[nf:nf + m] = -self.p.h**2 * r1, -c
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                lu = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
-            except scipy.linalg.LinAlgWarning:
-                return None
-        step = scipy.linalg.lu_solve(lu, rhs, overwrite_b=True, check_finite=False)
+        step = scipy.linalg.lu_solve(self.lu, rhs, overwrite_b=True, check_finite=False)
         if not np.isfinite(step).all():
             return None
         return step[:nf], step[nf:nf + m]
@@ -798,8 +816,14 @@ def _newton_polish(asm, y, lam):
     on bordered saddle-point systems). The iteration on one active set has
     converged when two consecutive iterates have max|r1| <= 1e-11
     max(1, h^-2), r1 the stationarity residual on the free dofs, and
-    max|c| <= 1e-11: the Newton step between them starts that close to the
-    solution, so it ends at roundoff.
+    max|c| <= 1e-11: the step between them starts that close to the
+    solution, so it ends at roundoff. That confirming step is a chord step:
+    it reuses the LU factors of the round's previous step, whose Jacobian
+    differs from the current one by the size of that step, so from an error
+    of 1e-11 it still ends near 1e-16. A round whose first iterate meets the
+    tolerance has no factors yet and factors; factors never cross a round
+    (an active set) or an assembler (an h). A confirming step that misses
+    the tolerance is followed by a freshly factored one.
 
     Returns (y, outcome, steps, max|Pi(det - 1)| at the last iterate), y the
     finished iterate or None; outcome "ok", or "no-convergence" (20 Newton
@@ -821,7 +845,7 @@ def _newton_polish(asm, y, lam):
         yk = y.copy()
         yk[active] = 0.0
         free = np.flatnonzero(~active)
-        small = False
+        small = factored = False
         for _ in range(20):
             d_el, g, r = asm.deviation(yk)
             grad_l = asm.lagrangian_gradient(d_el, g, nu)
@@ -832,12 +856,15 @@ def _newton_polish(asm, y, lam):
                 initial=0.0) <= 1e-11 * max(1.0, 1.0 / h2))
             if was_small and small:
                 break
-            step = asm.newton_step(yk, d_el, g, nu, free, r1, c)
+            # the confirming step from an iterate that meets the tolerance is
+            # a chord step on this round's last factors, if it has any
+            step = asm.newton_step(yk, d_el, g, nu, free, r1, c, chord=small and factored)
             if step is None:
                 return None, "singular-kkt", steps, proj_res
             steps += 1
             yk[free] += step[0]
             nu += q @ step[1] / h2
+            factored = True
         else:
             return None, "no-convergence", steps, proj_res
         # bound feasibility and multiplier signs on the active set

@@ -424,6 +424,26 @@ def test_cli_rejects_values_of_the_wrong_count_or_range(line, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "f constant nan 0 -1", "f constant inf 0 -1", "f affine 0.5 0 0 0 0 0 0 0 nan -0.25 0 -1",
+    "g region=top constant 0 nan 0", "material yeoh nan 0.2 0.1", "domain box 2 2 2 inf 1 1",
+    "recovery nan 16 4", "tol_conv nan", "tol_conv inf", "tol_conv 0", "tol_conv -1e-3"])
+def test_cli_rejects_non_finite_values(line, tmp_path, capsys):
+    # a non-finite load value, material constant or box length once ended
+    # every command in a ValueError traceback with exit code 1, a FAIL
+    # verdict's code (a gamma of nan ended `lab recover` so); tol_conv nan
+    # printed a FAIL against a threshold of nan, and tol_conv inf passed every
+    # sweep
+    cfg_path = tmp_path / "bad.txt"
+    cfg_path.write_text(f"domain cube 2\noutput {(tmp_path / 'out').as_posix()}\n{line}\n")
+    for command in ("run", "check-load", "limit", "recover"):
+        assert cli_main([command, cfg_path.as_posix()]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line 3 {line!r}: "), err
+        assert err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def _write_cube1_mesh(path, lift=0.0, last_tet=None):
     """Write the 1x1x1 box mesh to path in the text mesh format, its nodes
     lifted by `lift` and its last tet replaced by `last_tet` when given."""

@@ -1230,7 +1230,9 @@ def test_kkt_workspace_keeps_no_state_between_steps(yeoh, identity_only_load):
 def test_every_finish_factorization_works_in_the_workspace(mesh3, obstacle3, yeoh, gravity,
                                                            monkeypatch):
     # over the cube-3 acceptance chain every LU factors a view of its
-    # assembler's workspace, in place: no step allocates its KKT matrix
+    # assembler's workspace, in place: no step allocates its KKT matrix. The
+    # chain takes 4 + 3 + 3 + 3 Newton steps, and the confirming step of each
+    # h reuses the factors of the step before it: 9 LU factorizations
     made, in_place = [], []
 
     class Recording(solvers._NonlinearAssembler):
@@ -1249,15 +1251,105 @@ def test_every_finish_factorization_works_in_the_workspace(mesh3, obstacle3, yeo
     monkeypatch.setattr(solvers, "_NonlinearAssembler", Recording)
     monkeypatch.setattr(solvers.scipy.linalg, "lu_factor", checked)
     h_list = (0.2, 0.1, 0.05, 0.025)
-    warm = None
+    warm, steps = None, []
     for h, h_next in zip(h_list, (*h_list[1:], None)):
         res = solvers.minimize_nonlinear(solvers.NonlinearProblem(
             mesh=mesh3, material=yeoh, load=gravity, obstacle=obstacle3, h=h, warm_start=warm))
         assert res.termination.startswith("direct"), h
+        steps.append(res.iterations)
         if h_next is not None:
             warm = (mesh3.nodes + (h_next / h) * (res.field.y - mesh3.nodes)).ravel()
     assert len(made) == len(h_list)
-    assert len(in_place) >= len(h_list) and all(in_place), in_place
+    assert steps == [4, 3, 3, 3]
+    assert len(in_place) == 9 and all(in_place), in_place
+
+
+def _record_newton_steps(monkeypatch):
+    """(assembler, free dofs, chord) of every Newton step, recorded through
+    monkeypatch, with `plant(step, free, chord)` applied to each step's result."""
+    seen, newton_step = [], solvers._NonlinearAssembler.newton_step
+
+    def recording(self, y, d_el, g, nu, free, r1, c, chord=False):
+        seen.append((self, free.tobytes(), bool(chord)))
+        step = newton_step(self, y, d_el, g, nu, free, r1, c, chord)
+        return recording.plant(step, free, bool(chord))
+
+    recording.plant = lambda step, free, chord: step
+    monkeypatch.setattr(solvers._NonlinearAssembler, "newton_step", recording)
+    return seen, recording
+
+
+def _chords_follow_their_factorization(seen):
+    """Whether every chord step comes right after a factored step of the same
+    assembler on the same free dofs."""
+    return all(not cur[2] or (prev[:2] == cur[:2] and not prev[2])
+               for prev, cur in zip([(None, None, True)] + seen, seen))
+
+
+def test_no_factorization_crosses_a_round_or_an_h(mesh2, obstacle2, yeoh, monkeypatch):
+    seen, _ = _record_newton_steps(monkeypatch)
+    # under the zero load every h's one round starts converged at the
+    # identity, before that round has factored anything: its one step factors
+    zero = sl.LoadSpec()
+    warm = None
+    for h in (0.3, 0.15):
+        res = solvers.minimize_nonlinear(solvers.NonlinearProblem(
+            mesh=mesh2, material=yeoh, load=zero, obstacle=obstacle2, h=h, warm_start=warm))
+        assert res.termination == f"direct({'warm' if warm is not None else 'identity'})+newton"
+        warm = res.field.y.ravel()
+    assert [chord for *_, chord in seen] == [False, False]
+    assert seen[0][0] is not seen[1][0]
+    # a load that lifts the x1 = 0 side, scaled so that round 1 ends with one
+    # bound multiplier at -3.1e-8, below the -1e-8 that drops the bound, and
+    # round 2 starts within its stationarity tolerance 1e-11 h^-2 = 1e-7: it
+    # factors afresh instead of reusing round 1's factors, and is done in one step
+    seen.clear()
+    lift = _affine_load(4e-8 * np.array(CYCLING))
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=lift, obstacle=obstacle2, h=0.01)
+    y, outcome, steps, _ = solvers._newton_polish(solvers._NonlinearAssembler(p),
+                                                  mesh2.nodes.ravel().copy(),
+                                                  solvers._identity_pressure(p))
+    assert (outcome, steps) == ("ok", 3)
+    assert [chord for *_, chord in seen] == [False, True, False]
+    (_, round_1, _), _, (_, round_2, _) = seen
+    assert np.frombuffer(round_2, dtype=int).size == np.frombuffer(round_1, dtype=int).size + 1
+    assert _chords_follow_their_factorization(seen)
+
+
+def test_confirming_step_that_misses_the_tolerance_is_followed_by_a_factorization(
+        mesh2, obstacle2, yeoh, gravity, monkeypatch):
+    # the first chord step is planted 1e-6 off in every free vertical dof
+    # (not a flat motion, which the finish would keep): the iterate it
+    # reaches misses the tolerance, so the next step factors afresh, and the
+    # finish then confirms with a chord step on those new factors, at the
+    # unplanted finish's point
+    p = solvers.NonlinearProblem(mesh=mesh2, material=yeoh, load=gravity, obstacle=obstacle2,
+                                 h=0.2)
+
+    def polish():
+        return solvers._newton_polish(solvers._NonlinearAssembler(p), mesh2.nodes.ravel().copy(),
+                                      solvers._identity_pressure(p))
+
+    seen, recording = _record_newton_steps(monkeypatch)
+    y_clean, outcome, steps, _ = polish()
+    assert (outcome, steps) == ("ok", 4)
+    assert [chord for *_, chord in seen] == [False, False, False, True]
+
+    planted = []
+
+    def plant(step, free, chord):
+        if chord and not planted:
+            planted.append(step)
+            return step[0] + 1e-6 * (free % 3 == 2), step[1]
+        return step
+
+    seen.clear()
+    recording.plant = plant
+    y, outcome, steps, _ = polish()
+    assert planted and (outcome, steps) == ("ok", 6)
+    assert [chord for *_, chord in seen] == [False, False, False, True, False, True]
+    assert _chords_follow_their_factorization(seen)
+    assert np.abs(y - y_clean).max() <= 1e-12
 
 
 def test_newton_finish_never_drifts_along_a_flat_motion(mesh3, obstacle3, yeoh, gravity):
